@@ -12,13 +12,11 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import ExperimentConfig, load_config
 from .diagnostics import fit_decay
 from .errors import ConfigError, WavedampError
-from .forward import solve
+from .forward import solve_from_mode
 from .grid import Grid2D
 from .io import (
     save_damping_csv,
@@ -36,7 +34,7 @@ from .reconstruct import (
     stability_sweep,
     time_project,
 )
-from .spectral import ModeIndex, mode_shape, project_onto_modes
+from .spectral import ModeIndex, project_onto_modes
 from .verify import run_checks
 
 __all__ = ["main"]
@@ -57,11 +55,9 @@ def cmd_forward(config: ExperimentConfig) -> int:
     grid = Grid2D(config.n)
     damping = config.build_damping()
     mode = ModeIndex(config.probe_k, config.probe_l)
-    u0 = grid.sample(lambda x, y: mode_shape(mode, x, y))
 
     t0 = time.perf_counter()
-    result = solve(u0, np.zeros_like(u0), damping, grid, config.tau,
-                   dt_factor=config.dt_factor)
+    result = solve_from_mode(damping, mode, grid, config.tau, config.dt_factor)
     timings["solve"] = time.perf_counter() - t0
 
     write_energy_csv(out / "energy.csv", result.times, result.energies)

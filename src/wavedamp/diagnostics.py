@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ObservabilityFailure
-from .forward import solve
+from .forward import solve_from_mode
 from .grid import Grid2D
-from .spectral import DampingPair, ModeIndex, mode_shape
+from .spectral import DampingPair, ModeIndex
 
 __all__ = [
     "DecayFit",
@@ -23,6 +23,9 @@ __all__ = [
     "fit_decay",
     "estimate_observability",
 ]
+
+SKIP_FRACTION = 0.1  # leading share of the horizon left out of a decay fit
+TRACE_FLOOR_FRAC = 0.02  # smallest observable trace norm, relative to the initial norm
 
 
 @dataclass(frozen=True)
@@ -46,19 +49,17 @@ class DecayFit:
         return self.residual / drop if drop > 0 else math.inf
 
 
-def fit_decay(times: np.ndarray, energies: np.ndarray,
-              window: Optional[tuple] = None, skip_fraction: float = 0.1) -> DecayFit:
+def fit_decay(times: np.ndarray, energies: np.ndarray) -> DecayFit:
     """Least-squares line through log sqrt(2 E(t)).
 
-    The default window drops the leading `skip_fraction` of the horizon,
-    where the prefactor transient lives.
+    The window drops the leading SKIP_FRACTION of the horizon, where the
+    prefactor transient lives.
     """
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)
     if np.any(energies <= 0.0):
         raise ValueError("decay fit needs strictly positive energies")
-    if window is None:
-        window = (skip_fraction * times[-1], times[-1])
+    window = (SKIP_FRACTION * times[-1], times[-1])
     keep = (times >= window[0]) & (times <= window[1])
     if keep.sum() < 8:
         raise ValueError("window too short for a decay fit")
@@ -84,13 +85,12 @@ class ObservabilityReport:
 
 
 def estimate_observability(a: DampingPair, tau: float, probes: Iterable[ModeIndex],
-                           grid: Grid2D, dt_factor: float = 0.5,
-                           floor_frac: float = 0.02) -> ObservabilityReport:
+                           grid: Grid2D, dt_factor: float = 0.5) -> ObservabilityReport:
     """Estimate the observability constant from modal probes.
 
     For each probe mode, solve with initial data (mode shape, 0) and form
     ||(u0, u1)|| / ||trace||; the estimate is the worst ratio.  A probe
-    whose trace norm falls below floor_frac times its initial norm signals
+    whose trace norm falls below TRACE_FLOOR_FRAC of its initial norm signals
     an observability failure (this is what happens for vanishing damping,
     where the modal traces sit at the discretization floor).
     """
@@ -99,34 +99,16 @@ def estimate_observability(a: DampingPair, tau: float, probes: Iterable[ModeInde
         raise ValueError("need at least one probe mode")
     ratios = []
     for mode in probes:
-        u0 = grid.sample(lambda x, y: mode_shape(mode, x, y))
-        result = solve(u0, np.zeros_like(u0), a, grid, tau, dt_factor=dt_factor)
+        result = solve_from_mode(a, mode, grid, tau, dt_factor)
         init_norm = math.sqrt(2.0 * result.energies[0])
         trace_norm = result.trace.l2_norm()
-        if trace_norm < floor_frac * init_norm:
+        if trace_norm < TRACE_FLOOR_FRAC * init_norm:
             raise ObservabilityFailure(
                 f"probe ({mode.k},{mode.l}) trace norm {trace_norm:.3e} below "
-                f"{floor_frac:.2f} of its initial norm {init_norm:.3e}"
+                f"{TRACE_FLOOR_FRAC:.2f} of its initial norm {init_norm:.3e}"
             )
         ratios.append((mode, init_norm / trace_norm))
     kappa = max(r for _, r in ratios)
     return ObservabilityReport(kappa_est=float(kappa), ratios=tuple(ratios),
                                tau=tau, grid_n=grid.n)
 
-
-def decay_bound_vs_floor(fits: Sequence[tuple]) -> list:
-    """Worst M_fit/omega_fit time-scale over members at or above each floor.
-
-    `fits` holds (min_damping, DecayFit) pairs.  The returned list gives,
-    for each distinct floor value in increasing order, the supremum of
-    M_fit / omega_fit over the members whose damping stays at or above
-    that floor; by set inclusion the supremum cannot increase with the
-    floor.
-    """
-    items = sorted(fits, key=lambda p: p[0])
-    floors = sorted({m for m, _ in items})
-    out = []
-    for floor in floors:
-        vals = [f.M_fit / f.omega_fit for m, f in items if m >= floor and f.omega_fit > 0]
-        out.append((floor, max(vals) if vals else math.inf))
-    return out

@@ -42,6 +42,7 @@ __all__ = [
     "step",
     "start_step",
     "solve",
+    "solve_from_mode",
     "energy",
     "stiffness_energy",
     "weighted_l2_sq",
@@ -396,6 +397,13 @@ def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: flo
     return SolveResult(final=final, trace=trace, times=times, energies=energies,
                        staggered_times=dt * (np.arange(steps) + 0.5),
                        staggered_energies=stag_energy, grid=grid, dt=dt)
+
+
+def solve_from_mode(a: DampingPair, mode: ModeIndex, grid: Grid2D, tau: float,
+                    dt_factor: float = 0.5) -> SolveResult:
+    """Solve from the initial data (mode shape, 0) that generates every modal measurement."""
+    u0 = grid.sample(lambda x, y: mode_shape(mode, x, y))
+    return solve(u0, np.zeros_like(u0), a, grid, tau, dt_factor=dt_factor)
 
 
 # ---------------------------------------------------------------------------

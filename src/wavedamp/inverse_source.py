@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,6 +35,8 @@ __all__ = [
     "SourceBoundCheck",
     "source_bound_check",
 ]
+
+VANISHING_NORM = 1e-12  # dual and trace norms at or below this count as zero
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,17 @@ def _causal_matrix(lam: Modulation) -> np.ndarray:
     return mat
 
 
+def _anticausal_matrix(lam: Modulation) -> np.ndarray:
+    cached = getattr(lam, "_anticausal_matrix_cache", None)
+    if cached is not None:
+        return cached
+    w = trapezoid_weights(lam.steps + 1)
+    # adjoint of (K o W) under diag(w) pairing: rows scale by 1/w, columns by w
+    mat = _causal_matrix(lam).T * (w[None, :] / w[:, None])
+    object.__setattr__(lam, "_anticausal_matrix_cache", mat)
+    return mat
+
+
 def convolve_causal(lam: Modulation, sig: TimeSignal) -> TimeSignal:
     """(S h)(t) = int_0^t lam(t - s) h(s) ds; output vanishes at t = 0.
 
@@ -187,11 +199,7 @@ def convolve_anticausal(lam: Modulation, sig: TimeSignal) -> TimeSignal:
     sees).
     """
     _check_aligned(lam, sig)
-    m = sig.steps
-    w = trapezoid_weights(m + 1)
-    # adjoint of (K o W) under diag(w) pairing: rows scale by 1/w, columns by w
-    mat = _causal_matrix(lam).T * (w[None, :] / w[:, None])
-    return TimeSignal(mat @ sig.values, sig.tau)
+    return TimeSignal(_anticausal_matrix(lam) @ sig.values, sig.tau)
 
 
 def stability_factor(lam: Modulation) -> float:
@@ -237,13 +245,13 @@ class SourceBoundCheck:
 
 
 def source_bound_check(a: DampingPair, source: SourceSpec, tau: float, grid: Grid2D,
-                       dt_factor: float = 0.5, floor: float = 1e-12,
-                       modulation: Optional[Modulation] = None) -> SourceBoundCheck:
+                       dt_factor: float = 0.5) -> SourceBoundCheck:
     """Drive the zero-data problem with the source and compare norms.
 
     Runs the forward solver from rest, measures the boundary trace norm,
     computes the dual norm of the source load by the discrete Riesz solve,
-    and reports the ratio together with the Gronwall-normalized constant.
+    and reports the ratio together with the Gronwall-normalized constant
+    of the source's own modulation profile.
     """
     if a.minimum() <= 0:
         raise ValueError("source bound check needs a strictly positive damping")
@@ -251,14 +259,13 @@ def source_bound_check(a: DampingPair, source: SourceSpec, tau: float, grid: Gri
     result = solve(zeros, zeros, a, grid, tau, source=source, dt_factor=dt_factor)
     wnorm = riesz_solve(source.load, grid).vprime_norm
     trace_norm = result.trace.l2_norm()
-    if wnorm <= floor and trace_norm <= floor:
+    if wnorm <= VANISHING_NORM and trace_norm <= VANISHING_NORM:
         return SourceBoundCheck(wnorm=wnorm, trace_norm=trace_norm, ratio=0.0,
                                 c_emp=0.0, result=result)
-    if trace_norm <= floor:
+    if trace_norm <= VANISHING_NORM:
         raise ObservabilityFailure("nonzero source produced a vanishing boundary trace")
-    if modulation is None:
-        steps = result.times.shape[0] - 1
-        modulation = Modulation.from_callable(np.vectorize(source.profile), tau, steps)
+    steps = result.times.shape[0] - 1
+    modulation = Modulation.from_callable(np.vectorize(source.profile), tau, steps)
     ratio = wnorm / trace_norm
     return SourceBoundCheck(wnorm=wnorm, trace_norm=trace_norm, ratio=ratio,
                             c_emp=ratio / stability_factor(modulation), result=result)

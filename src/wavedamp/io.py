@@ -28,8 +28,6 @@ __all__ = [
     "read_trace_binary",
     "save_damping_csv",
     "load_damping_csv",
-    "write_signal_csv",
-    "write_observability_report",
     "write_manifest",
     "sha256_file",
 ]
@@ -133,31 +131,6 @@ def load_damping_csv(path) -> SampledFunction1D:
     if len(s_vals) < 3 or np.max(np.abs(s_arr - expected)) > 1e-9:
         raise ConfigError("damping_csv", f"{path} must sample uniform nodes on [0, 1]")
     return SampledFunction1D(np.asarray(values))
-
-
-def write_signal_csv(path, signal) -> Path:
-    """Long-format dump (t, i, value) of a vector-valued time signal."""
-
-    def rows():
-        for m, t in enumerate(signal.times.tolist()):
-            for i in range(signal.dim):
-                yield (t, i, float(signal.values[m, i]))
-
-    return write_csv(path, ["t", "i", "value"], rows())
-
-
-def write_observability_report(out_dir, report) -> Path:
-    """Per-probe ratio table plus a small JSON summary of the estimate."""
-    out_dir = Path(out_dir)
-    write_csv(out_dir / "observability_ratios.csv", ["mode_k", "mode_l", "ratio"],
-              [(mode.k, mode.l, float(r)) for mode, r in report.ratios])
-    summary = out_dir / "observability.json"
-    summary.write_text(json.dumps({
-        "kappa_est": report.kappa_est,
-        "tau": report.tau,
-        "grid_n": report.grid_n,
-    }, indent=2, sort_keys=True) + "\n")
-    return summary
 
 
 def sha256_file(path) -> str:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import RegimeError, ResolutionError
-from .forward import BoundaryTrace, SolveResult, solve
+from .forward import BoundaryTrace, SolveResult, solve_from_mode
 from .grid import Grid2D
 from .spectral import (
     DampingPair,
@@ -26,7 +26,6 @@ from .spectral import (
     SampledFunction1D,
     boundary_mode,
     eigenpair,
-    mode_shape,
     project_onto_modes,
     trapezoid_weights,
 )
@@ -51,6 +50,9 @@ __all__ = [
     "fit_damping_least_squares",
 ]
 
+PHI_FLOOR = 0.15  # smallest usable |boundary mode| for pointwise inversion
+FD_STEP = 1e-3  # relative finite-difference step of the Gauss-Newton Jacobian
+
 
 # ---------------------------------------------------------------------------
 # probing
@@ -59,15 +61,19 @@ __all__ = [
 class ModalMeasurement:
     """Difference trace between a damped and the undamped run of one probe.
 
-    noise_floor records the norm of the undamped reference trace, which is
-    analytically zero and therefore measures the discretization floor of
-    the probe.
+    reference is the undamped trace the damped one was differenced
+    against; it is analytically zero, so its norm (noise_floor) measures
+    the discretization floor of the probe.
     """
 
     mode: ModeIndex
     trace: BoundaryTrace
     trace_norm: float
-    noise_floor: float
+    reference: BoundaryTrace
+
+    @property
+    def noise_floor(self) -> float:
+        return self.reference.l2_norm()
 
 
 def _check_probe_resolution(grid: Grid2D, mode: ModeIndex):
@@ -82,22 +88,23 @@ def _check_probe_resolution(grid: Grid2D, mode: ModeIndex):
 def reference_solution(mode: ModeIndex, tau: float, grid: Grid2D,
                        dt_factor: float = 0.5) -> SolveResult:
     """Undamped forward run for one probe mode (the measurement reference)."""
-    u0 = grid.sample(lambda x, y: mode_shape(mode, x, y))
-    return solve(u0, np.zeros_like(u0), DampingPair.zero(), grid, tau, dt_factor=dt_factor)
+    return solve_from_mode(DampingPair.zero(), mode, grid, tau, dt_factor)
 
 
 def probe_mode(a: DampingPair, mode: ModeIndex, tau: float, grid: Grid2D,
                dt_factor: float = 0.5,
-               reference: Optional[SolveResult] = None) -> ModalMeasurement:
-    """Boundary measurement generated by initial data (mode shape, 0)."""
+               reference: Optional[BoundaryTrace] = None) -> ModalMeasurement:
+    """Boundary measurement generated by initial data (mode shape, 0).
+
+    reference is the undamped trace of the same probe; it is solved here
+    when not given.
+    """
     _check_probe_resolution(grid, mode)
     if reference is None:
-        reference = reference_solution(mode, tau, grid, dt_factor)
-    u0 = grid.sample(lambda x, y: mode_shape(mode, x, y))
-    damped = solve(u0, np.zeros_like(u0), a, grid, tau, dt_factor=dt_factor)
-    diff = damped.trace.difference(reference.trace)
+        reference = reference_solution(mode, tau, grid, dt_factor).trace
+    diff = solve_from_mode(a, mode, grid, tau, dt_factor).trace.difference(reference)
     return ModalMeasurement(mode=mode, trace=diff, trace_norm=diff.l2_norm(),
-                            noise_floor=reference.trace.l2_norm())
+                            reference=reference)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +161,7 @@ def time_project(meas: ModalMeasurement, envelope: str = "fitted"):
 
 
 def linearized_recover(y1: SampledFunction1D, y2: SampledFunction1D, mode: ModeIndex,
-                       guard: float = 0.2, phi_floor: float = 0.15) -> DampingPair:
+                       guard: float = 0.2) -> DampingPair:
     """Pointwise inversion of the linearized boundary relation.
 
     a_hat(s) = Y(s) / (sqrt(2) * omega * boundary mode(s)) away from the
@@ -171,7 +178,7 @@ def linearized_recover(y1: SampledFunction1D, y2: SampledFunction1D, mode: ModeI
         s = y.nodes
         phi = boundary_mode(k, s)
         usable = s <= 1.0 - guard
-        if np.min(np.abs(phi[usable])) < phi_floor:
+        if np.min(np.abs(phi[usable])) < PHI_FLOOR:
             raise ResolutionError(
                 f"boundary mode {k} nearly vanishes inside the unguarded region; "
                 "pointwise inversion unusable"
@@ -225,7 +232,7 @@ class GapEstimate:
 
 def estimate_gap(a: DampingPair, probe_budget: int, tau: float, grid: Grid2D,
                  dt_factor: float = 0.5,
-                 references: Optional[Dict[ModeIndex, SolveResult]] = None) -> GapEstimate:
+                 references: Optional[Dict[ModeIndex, BoundaryTrace]] = None) -> GapEstimate:
     """Max over probe modes of trace norm over graph norm of the probe."""
     if probe_budget < 0:
         raise ValueError("probe budget must be nonnegative")
@@ -351,7 +358,7 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
     modes = [ModeIndex(k, l) for k in range(probe_budget + 1) for l in range(probe_budget + 1)]
     if recovery_mode not in modes:
         modes.append(recovery_mode)
-    references = {mode: reference_solution(mode, tau, grid, dt_factor) for mode in modes}
+    references = {mode: reference_solution(mode, tau, grid, dt_factor).trace for mode in modes}
 
     m = min(member.minimum() for member in family)
     M = max(member.h1_sq_max() for member in family)
@@ -434,31 +441,26 @@ def _apply_correction(init: DampingPair, params: np.ndarray, order: int) -> Damp
 
 def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: DampingPair,
                               grid: Grid2D, tau: float, iters: int = 6, fit_order: int = 4,
-                              dt_factor: float = 0.5, fd_step: float = 1e-3,
-                              ) -> Tuple[DampingPair, GaussNewtonInfo]:
+                              dt_factor: float = 0.5) -> Tuple[DampingPair, GaussNewtonInfo]:
     """Gauss-Newton refinement of a damping estimate against trace data.
 
     The unknowns are boundary Fourier coefficients of a correction to the
     initial pair, up to fit_order per side; every candidate is projected
     back onto the constraint set (nonnegative, matching corner values)
-    before simulation.  Stops after `iters` rounds or three consecutive
-    non-improving steps and returns the best iterate seen.
+    before simulation.  Every simulated probe is differenced against the
+    reference its measurement carries.  Stops after `iters` rounds, three
+    consecutive non-improving steps or a zero residual, and returns the
+    best iterate seen; `converged` reports the zero residual only.
     """
     if not measurements:
         raise ValueError("need at least one measurement")
     if iters < 0:
         raise ValueError("iters must be nonnegative")
 
-    references = {}
-    for meas in measurements:
-        if meas.mode not in references:
-            references[meas.mode] = reference_solution(meas.mode, tau, grid, dt_factor)
-
     def residual(pair: DampingPair) -> np.ndarray:
         parts = []
         for meas in measurements:
-            sim = probe_mode(pair, meas.mode, tau, grid, dt_factor,
-                             reference=references[meas.mode])
+            sim = probe_mode(pair, meas.mode, tau, grid, dt_factor, reference=meas.reference)
             parts.append((sim.trace.normal_bottom - meas.trace.normal_bottom).ravel())
             parts.append((sim.trace.normal_left - meas.trace.normal_left).ravel())
         return np.concatenate(parts)
@@ -469,15 +471,13 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
     best_norm = float(np.linalg.norm(r))
     history = [best_norm]
     stalls = 0
-    converged = False
 
     for _ in range(iters):
         if best_norm == 0.0:
-            converged = True
             break
         jac = np.empty((r.shape[0], params.shape[0]))
         for p in range(params.shape[0]):
-            h = fd_step * max(1.0, abs(params[p]))
+            h = FD_STEP * max(1.0, abs(params[p]))
             bumped = params.copy()
             bumped[p] += h
             jac[:, p] = (residual(_apply_correction(init, bumped, fit_order)) - r) / h
@@ -504,8 +504,6 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
             stalls += 1
             if stalls >= 3:
                 break
-    else:
-        converged = True
 
-    info = GaussNewtonInfo(residuals=history, converged=converged, stalled=stalls >= 3)
+    info = GaussNewtonInfo(residuals=history, converged=best_norm == 0.0, stalled=stalls >= 3)
     return _apply_correction(init, best_params, fit_order), info

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import cg
 
 from .errors import NumericalError
 from .grid import Grid2D
@@ -23,10 +21,15 @@ from .spectral import trapezoid_weights
 
 __all__ = ["RieszResult", "stiffness_matrix", "riesz_solve"]
 
+CG_RTOL = 1e-12  # relative residual at which conjugate gradients stop
+CG_MAXITER_PER_NODE = 40  # iteration cap per grid node along one side
+
 
 @lru_cache(maxsize=8)
 def _assemble(n: int):
     """Stiffness matrix on the free sub-grid [0 .. n-2]^2, CSR format."""
+    import scipy.sparse as sp  # loaded on first use: no command needs it
+
     w = trapezoid_weights(n)
     e = np.ones(n)
     d1 = sp.diags([-e[:-1], e[:-1]], offsets=[0, 1], shape=(n - 1, n))
@@ -50,14 +53,15 @@ class RieszResult:
     vprime_norm: float
 
 
-def riesz_solve(load: np.ndarray, grid: Grid2D, rtol: float = 1e-12,
-                maxiter: int | None = None) -> RieszResult:
+def riesz_solve(load: np.ndarray, grid: Grid2D) -> RieszResult:
     """Riesz representative of the nodal load vector and its dual norm.
 
     `load` is an (n, n) array of functional values against the nodal
     basis, e.g. SourceSpec.load.  Conjugate gradients on the symmetric
     positive definite free-node system.
     """
+    from scipy.sparse.linalg import cg
+
     load = np.asarray(load, dtype=float)
     if load.shape != (grid.n, grid.n):
         raise ValueError("load must match the grid")
@@ -65,9 +69,7 @@ def riesz_solve(load: np.ndarray, grid: Grid2D, rtol: float = 1e-12,
     f = load.ravel()[idx]
     if not np.any(f):
         return RieszResult(z=np.zeros((grid.n, grid.n)), vprime_norm=0.0)
-    if maxiter is None:
-        maxiter = 40 * grid.n
-    z_free, info = cg(s, f, rtol=rtol, atol=0.0, maxiter=maxiter)
+    z_free, info = cg(s, f, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER_PER_NODE * grid.n)
     if info != 0:
         raise NumericalError(f"conjugate gradients did not converge (info = {info})")
     z = np.zeros(grid.n * grid.n)

@@ -47,6 +47,8 @@ __all__ = [
     "damping_compat_check",
 ]
 
+COMPAT_WINDOW_TOL = 1e-3  # dyadic-window contribution that marks a divergent corner integral
+
 
 # ---------------------------------------------------------------------------
 # quadrature helpers
@@ -289,12 +291,12 @@ class CompatIntegral:
     divergent: bool
 
 
-def compat_integral(g1: SampledFunction1D, g2: SampledFunction1D, window_tol: float = 1e-3) -> CompatIntegral:
+def compat_integral(g1: SampledFunction1D, g2: SampledFunction1D) -> CompatIntegral:
     """First-order corner compatibility integral int |g1 - g2|^2 dt / t.
 
     The quadrature runs on (t_1, 1) with t_1 the first positive node.
     Divergence is flagged when the three finest dyadic windows
-    (2^{-j-1}, 2^{-j}] each contribute more than `window_tol`: for an
+    (2^{-j-1}, 2^{-j}] each contribute more than COMPAT_WINDOW_TOL: for an
     integrable mismatch the window sums decay geometrically, while a
     corner mismatch contributes about |g1(0)-g2(0)|^2 ln 2 per window.
     """
@@ -315,7 +317,7 @@ def compat_integral(g1: SampledFunction1D, g2: SampledFunction1D, window_tol: fl
             break
         contributions.append(float(dx * q[in_window].sum()))
         j += 1
-    divergent = len(contributions) >= 3 and all(c > window_tol for c in contributions[-3:])
+    divergent = len(contributions) >= 3 and all(c > COMPAT_WINDOW_TOL for c in contributions[-3:])
     return CompatIntegral(value=value, divergent=divergent)
 
 
@@ -400,8 +402,7 @@ class DampingPair:
         return self.minimum() >= self.m_lower and self.h1_sq_max() <= self.M_upper
 
 
-def damping_compat_check(a: DampingPair, g1: SampledFunction1D, g2: SampledFunction1D,
-                         window_tol: float = 1e-3) -> bool:
+def damping_compat_check(a: DampingPair, g1: SampledFunction1D, g2: SampledFunction1D) -> bool:
     """Whether (a1 g1, a2 g2) still satisfies the corner compatibility.
 
     For a compatible pair (g1, g2) and a damping pair with matching corner
@@ -412,4 +413,4 @@ def damping_compat_check(a: DampingPair, g1: SampledFunction1D, g2: SampledFunct
         raise ValueError("g1 and g2 must share the sample grid")
     p1 = SampledFunction1D(a.a1.at(g1.nodes) * g1.values)
     p2 = SampledFunction1D(a.a2.at(g2.nodes) * g2.values)
-    return not compat_integral(p1, p2, window_tol=window_tol).divergent
+    return not compat_integral(p1, p2).divergent

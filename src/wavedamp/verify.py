@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import RegimeError
-from .forward import dissipation_residual, rellich_residual, solve
+from .forward import dissipation_residual, rellich_residual, solve_from_mode
 from .grid import Grid2D
 from .inverse_source import (
     Modulation,
@@ -106,8 +106,7 @@ def _dissipation_checks(scale) -> List[CheckResult]:
     for n in (65, 129):
         grid = Grid2D(n)
         a = DampingPair.constant(1.0)
-        u0 = grid.sample(lambda x, y: mode_shape(ModeIndex(0, 0), x, y))
-        res = solve(u0, np.zeros_like(u0), a, grid, 2.0)
+        res = solve_from_mode(a, ModeIndex(0, 0), grid, 2.0)
         residuals[n] = dissipation_residual(res, a)
     return [
         _result("dissipation.residual", residuals[65], 1e-2 * scale, "a=1, n=65"),
@@ -171,9 +170,7 @@ def _truncation_check(rng, scale) -> CheckResult:
 
 
 def _conservation_check(scale) -> CheckResult:
-    grid = Grid2D(65)
-    u0 = grid.sample(lambda x, y: mode_shape(ModeIndex(0, 0), x, y))
-    res = solve(u0, np.zeros_like(u0), DampingPair.zero(), grid, 4.0)
+    res = solve_from_mode(DampingPair.zero(), ModeIndex(0, 0), Grid2D(65), 4.0)
     drift = float(np.abs(res.energies - res.energies[0]).max() / res.energies[0])
     return _result("energy.conservation", drift, 1e-3 * scale, "a=0, n=65, tau=4")
 

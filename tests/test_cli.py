@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import wavedamp
 from wavedamp.cli import main
 from wavedamp.io import read_trace_binary
 
@@ -100,3 +105,12 @@ class TestVerifyCommand:
         rows = (out / "verify.csv").read_text().splitlines()
         assert rows[0] == "name,value,tolerance,passed"
         assert rows[1].startswith("energy.conservation,")
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is only needed by the Riesz solve, which no command reaches
+    code = "import sys, wavedamp.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(wavedamp.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"

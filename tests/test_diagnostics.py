@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from wavedamp.diagnostics import (
-    decay_bound_vs_floor,
-    estimate_observability,
-    fit_decay,
-)
+from wavedamp.diagnostics import estimate_observability, fit_decay
 from wavedamp.errors import ObservabilityFailure
 from wavedamp.forward import solve
 from wavedamp.grid import Grid2D
@@ -77,15 +73,3 @@ class TestObservability:
         with pytest.raises(ValueError):
             estimate_observability(DampingPair.constant(1.0), 4.0, [], Grid2D(33))
 
-
-class TestDecayBoundFamily:
-    def test_floor_monotonicity(self):
-        fits = []
-        for a_value in (0.5, 1.0, 2.0):
-            res = modal_run(65, a_value, 8.0)
-            fit = fit_decay(res.times, res.energies)
-            assert fit.omega_fit > 0
-            fits.append((a_value, fit))
-        bounds = decay_bound_vs_floor(fits)
-        values = [b for _, b in bounds]
-        assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))

@@ -12,6 +12,7 @@ from wavedamp.forward import (
     probe_equivalent_source,
     rellich_residual,
     solve,
+    solve_from_mode,
     step,
     stiffness_energy,
     weighted_l2_sq,
@@ -40,6 +41,15 @@ class TestScheme:
         res = solve(zero, zero, DampingPair.constant(0.7), grid, 0.5)
         assert np.all(res.final.u == 0.0)
         assert np.all(res.final.v == 0.0)
+
+    def test_solve_from_mode_starts_from_rest(self):
+        grid = Grid2D(33)
+        a = DampingPair.constant(0.3)
+        mode = ModeIndex(1, 0)
+        res = solve_from_mode(a, mode, grid, 0.5)
+        ref = solve(mode_field(grid, mode), np.zeros((33, 33)), a, grid, 0.5)
+        assert np.array_equal(res.trace.normal_bottom, ref.trace.normal_bottom)
+        assert np.array_equal(res.energies, ref.energies)
 
     def test_single_step_kernel_zero(self):
         grid = Grid2D(33)

@@ -86,6 +86,19 @@ class TestAnticausalConvolution:
             rhs = h.inner(convolve_anticausal(lam, g))
             assert abs(lhs - rhs) <= 1e-8 * h.l2_norm() * g.l2_norm()
 
+    def test_cached_matrix_is_per_modulation(self):
+        tau, steps = 3.0, 256
+        g = TimeSignal(np.random.default_rng(5).standard_normal((steps + 1, 2)), tau)
+        lam = Modulation.from_callable(lambda t: np.cos(2 * t), tau, steps)
+        first = convolve_anticausal(lam, g).values
+        assert np.array_equal(convolve_anticausal(lam, g).values, first)
+        other = Modulation.from_callable(lambda t: np.exp(-t), tau, steps)
+        second = convolve_anticausal(other, g).values
+        assert not np.allclose(second, first)
+        # a fresh modulation with the same samples builds its matrix anew
+        fresh = convolve_anticausal(Modulation(other.values, tau), g).values
+        assert np.array_equal(second, fresh)
+
     def test_discrete_injectivity_rank(self):
         steps = 128
         lam = Modulation.from_callable(lambda t: np.cos(2 * t), 1.0, steps)

@@ -70,37 +70,6 @@ class TestDampingCsv:
             load_damping_csv(bad)
 
 
-class TestSignalCsv:
-    def test_long_format(self, tmp_path):
-        from wavedamp.inverse_source import TimeSignal
-        from wavedamp.io import write_signal_csv
-
-        sig = TimeSignal(np.arange(8.0).reshape(4, 2), 3.0)
-        path = write_signal_csv(tmp_path / "sig.csv", sig)
-        rows = path.read_text().splitlines()
-        assert rows[0] == "t,i,value"
-        assert rows[1] == "0.0,0,0.0"
-        assert rows[2] == "0.0,1,1.0"
-        assert len(rows) == 1 + 4 * 2
-
-
-class TestObservabilityReport:
-    def test_ratio_table_and_summary(self, tmp_path):
-        from wavedamp.diagnostics import ObservabilityReport
-        from wavedamp.io import write_observability_report
-
-        report = ObservabilityReport(
-            kappa_est=1.5,
-            ratios=((ModeIndex(0, 0), 1.5), (ModeIndex(0, 1), 1.2)),
-            tau=4.0, grid_n=65)
-        summary = write_observability_report(tmp_path, report)
-        rows = (tmp_path / "observability_ratios.csv").read_text().splitlines()
-        assert rows[0] == "mode_k,mode_l,ratio"
-        assert rows[1] == "0,0,1.5"
-        data = json.loads(summary.read_text())
-        assert data == {"kappa_est": 1.5, "tau": 4.0, "grid_n": 65}
-
-
 class TestManifest:
     def test_lists_every_artifact_with_checksums(self, tmp_path):
         (tmp_path / "a.csv").write_text("x\n1\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavedamp.errors import RegimeError, ResolutionError
-from wavedamp.forward import BoundaryTrace
+from wavedamp.forward import BoundaryTrace, solve_from_mode
 from wavedamp.grid import Grid2D
 from wavedamp.reconstruct import (
     ModalMeasurement,
@@ -40,11 +40,13 @@ def synthetic_measurement(grid, mode, tau, profile_bottom, profile_left, steps=5
     sin_t = np.sin(omega * times)
     bottom = sin_t[:, None] * profile_bottom[None, :]
     left = sin_t[:, None] * profile_left[None, :]
+    zero = np.zeros_like(bottom)
     trace = BoundaryTrace(times=times, normal_bottom=bottom, normal_left=left,
-                          vel_bottom=np.zeros_like(bottom), vel_left=np.zeros_like(left),
-                          dt=dt, tau=tau)
+                          vel_bottom=zero, vel_left=zero, dt=dt, tau=tau)
+    reference = BoundaryTrace(times=times, normal_bottom=zero, normal_left=zero,
+                              vel_bottom=zero, vel_left=zero, dt=dt, tau=tau)
     return ModalMeasurement(mode=mode, trace=trace, trace_norm=trace.l2_norm(),
-                            noise_floor=0.0)
+                            reference=reference)
 
 
 class TestProbe:
@@ -76,8 +78,9 @@ class TestProbe:
         ref = reference_solution(mode, 4.0, grid)
         devs = {}
         for small in (0.025, 0.05):
-            m1 = probe_mode(DampingPair.constant(small), mode, 4.0, grid, reference=ref)
-            m2 = probe_mode(DampingPair.constant(2 * small), mode, 4.0, grid, reference=ref)
+            m1 = probe_mode(DampingPair.constant(small), mode, 4.0, grid, reference=ref.trace)
+            m2 = probe_mode(DampingPair.constant(2 * small), mode, 4.0, grid,
+                            reference=ref.trace)
             scale = np.abs(m2.trace.normal_bottom).max()
             devs[small] = np.abs(m2.trace.normal_bottom
                                  - 2 * m1.trace.normal_bottom).max() / scale
@@ -356,7 +359,33 @@ class TestGaussNewton:
         refined, info = fit_damping_least_squares([meas], zero, grid, 1.0,
                                                   iters=2, fit_order=1)
         assert info.residuals[0] == 0.0
+        assert info.converged
         assert np.all(refined.a1.values == 0.0)
+
+    def test_exhausted_iterations_are_not_converged(self):
+        grid = Grid2D(33)
+        meas = probe_mode(DampingPair.constant(0.1, n=33), ModeIndex(0, 0), 1.0, grid)
+        _, info = fit_damping_least_squares([meas], DampingPair.constant(0.05, n=33),
+                                            grid, 1.0, iters=1, fit_order=0)
+        assert len(info.residuals) == 2
+        assert info.residuals[-1] > 0.0
+        assert not info.converged
+        assert not info.stalled
+
+    def test_fit_differences_against_the_measurement_reference(self):
+        # data carrying a zero reference: a freshly solved undamped reference
+        # (nonzero at the discretization floor) would leave a residual
+        grid = Grid2D(33)
+        truth = DampingPair.constant(0.1, n=33)
+        mode = ModeIndex(0, 0)
+        assert reference_solution(mode, 1.0, grid).trace.l2_norm() > 0.0
+        damped = solve_from_mode(truth, mode, grid, 1.0).trace
+        meas = ModalMeasurement(mode=mode, trace=damped, trace_norm=damped.l2_norm(),
+                                reference=damped.difference(damped))
+        assert meas.noise_floor == 0.0
+        _, info = fit_damping_least_squares([meas], truth, grid, 1.0, iters=1, fit_order=0)
+        assert info.residuals == [0.0]
+        assert info.converged
 
     def test_needs_measurements(self):
         with pytest.raises(ValueError):
