@@ -60,13 +60,14 @@ def cmd_forward(config: ExperimentConfig) -> int:
     result = solve_from_mode(damping, mode, grid, config.tau, config.dt_factor)
     timings["solve"] = time.perf_counter() - t0
 
+    fit = fit_decay(result.times, result.energies) if damping.minimum() > 0 else None
+
+    t0 = time.perf_counter()
     write_energy_csv(out / "energy.csv", result.times, result.energies)
     write_trace_csv(out / "trace_bottom.csv", result.trace, "bottom")
     write_trace_csv(out / "trace_left.csv", result.trace, "left")
     write_trace_binary(out / "trace.bin", result.trace)
-
-    if damping.minimum() > 0:
-        fit = fit_decay(result.times, result.energies)
+    if fit is not None:
         (out / "decay.json").write_text(json.dumps({
             "M_fit": fit.M_fit,
             "omega_fit": fit.omega_fit,
@@ -74,6 +75,7 @@ def cmd_forward(config: ExperimentConfig) -> int:
             "relative_misfit": fit.relative_misfit,
             "window": list(fit.window),
         }, indent=2, sort_keys=True) + "\n")
+    timings["write"] = time.perf_counter() - t0
 
     write_manifest(out, config.canonical_text(), __version__, timings)
     print(f"forward run complete: {out}")

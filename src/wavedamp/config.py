@@ -46,9 +46,14 @@ class ExperimentConfig:
     sweep_epsilons: Tuple[float, ...] = (0.4, 0.2, 0.1, 0.05)
     calib_member: int = -1
     trunc_rate: float = 2.0
-    verify_tol_scale: float = 1.0
 
     def validate(self) -> "ExperimentConfig":
+        floats = [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self)
+                  if f.type in ("float", float)]
+        floats += [("sweep_epsilons", eps) for eps in self.sweep_epsilons]
+        for name, value in floats:
+            if not math.isfinite(value):
+                raise ConfigError(name, f"must be finite, got {value!r}")
         if self.n < 17:
             raise ConfigError("n", f"must be at least 17, got {self.n}")
         if not self.tau > 0:
@@ -81,8 +86,6 @@ class ExperimentConfig:
             raise ConfigError("calib_member", "index beyond the sweep family")
         if not self.trunc_rate > 0:
             raise ConfigError("trunc_rate", f"must be positive, got {self.trunc_rate}")
-        if not math.isfinite(self.verify_tol_scale) or self.verify_tol_scale < 0:
-            raise ConfigError("verify_tol_scale", "must be a nonnegative number")
         return self
 
     def build_damping(self) -> DampingPair:

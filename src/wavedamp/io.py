@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -124,8 +125,14 @@ def load_damping_csv(path) -> SampledFunction1D:
         parts = line.split(",")
         if len(parts) != 2:
             raise ConfigError("damping_csv", f"malformed row in {path}: {line!r}")
-        s_vals.append(float(parts[0]))
-        values.append(float(parts[1]))
+        try:
+            s_val, value = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ConfigError("damping_csv", f"non-numeric row in {path}: {line!r}") from exc
+        if not (math.isfinite(s_val) and math.isfinite(value)):
+            raise ConfigError("damping_csv", f"non-finite row in {path}: {line!r}")
+        s_vals.append(s_val)
+        values.append(value)
     s_arr = np.asarray(s_vals)
     expected = np.linspace(0.0, 1.0, len(s_vals))
     if len(s_vals) < 3 or np.max(np.abs(s_arr - expected)) > 1e-9:

@@ -448,9 +448,10 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
     initial pair, up to fit_order per side; every candidate is projected
     back onto the constraint set (nonnegative, matching corner values)
     before simulation.  Every simulated probe is differenced against the
-    reference its measurement carries.  Stops after `iters` rounds, three
-    consecutive non-improving steps or a zero residual, and returns the
-    best iterate seen; `converged` reports the zero residual only.
+    reference its measurement carries.  Stops after `iters` rounds, a zero
+    residual or the first round whose line search does not improve
+    (`stalled`), and returns the best iterate seen; `converged` reports
+    the zero residual only.
     """
     if not measurements:
         raise ValueError("need at least one measurement")
@@ -466,11 +467,10 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
         return np.concatenate(parts)
 
     params = np.zeros(2 * (fit_order + 1))
-    best_params = params.copy()
     r = residual(_apply_correction(init, params, fit_order))
     best_norm = float(np.linalg.norm(r))
     history = [best_norm]
-    stalls = 0
+    stalled = False
 
     for _ in range(iters):
         if best_norm == 0.0:
@@ -483,7 +483,7 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
             jac[:, p] = (residual(_apply_correction(init, bumped, fit_order)) - r) / h
         step_vec, *_ = np.linalg.lstsq(jac, -r, rcond=None)
 
-        improved = False
+        stalled = True
         scale = 1.0
         for _ in range(4):
             trial = params + scale * step_vec
@@ -491,19 +491,15 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
             norm_trial = float(np.linalg.norm(r_trial))
             if norm_trial < best_norm:
                 params = trial
-                best_params = trial.copy()
                 r = r_trial
                 best_norm = norm_trial
-                improved = True
+                stalled = False
                 break
             scale *= 0.5
         history.append(best_norm)
-        if improved:
-            stalls = 0
-        else:
-            stalls += 1
-            if stalls >= 3:
-                break
+        if stalled:
+            # params and r are unchanged, so a further round would repeat this one
+            break
 
-    info = GaussNewtonInfo(residuals=history, converged=best_norm == 0.0, stalled=stalls >= 3)
-    return _apply_correction(init, best_params, fit_order), info
+    info = GaussNewtonInfo(residuals=history, converged=best_norm == 0.0, stalled=stalled)
+    return _apply_correction(init, params, fit_order), info

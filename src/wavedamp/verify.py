@@ -1,9 +1,10 @@
 """Named invariant checks behind the `verify` command.
 
 Every check reports a measured value and a tolerance; the check passes
-when value <= tolerance.  Tolerances scale with the config's
-verify_tol_scale, so a zero scale forces the residual-type checks to
-fail, which is itself tested.
+when value <= tolerance.  This module is the one home of these
+invariants: the acceptance criteria on dissipation, adjoint and
+causality, Gronwall, Rellich and the multiplier bound read their
+verdicts from `run_checks` as well.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def _random_trig(rng, n=257, terms=6, decay=2.0, offset=0.0):
     return SampledFunction1D(vals)
 
 
-def _adjoint_checks(rng, scale) -> List[CheckResult]:
+def _adjoint_checks(rng) -> List[CheckResult]:
     tau, steps = 3.0, 2048
     lam = Modulation.from_callable(lambda t: np.cos(2.0 * t), tau, steps)
     worst = 0.0
@@ -85,12 +86,12 @@ def _adjoint_checks(rng, scale) -> List[CheckResult]:
     mismatches += int(np.count_nonzero(k0[cut:] != k2[cut:]))
 
     return [
-        _result("adjoint.identity", worst, 1e-8 * scale, "max relative defect, 100 pairs"),
-        _result("adjoint.causality", mismatches, 0.5 * scale, "bit-exact prefix/suffix count"),
+        _result("adjoint.identity", worst, 1e-8, "max relative defect, 100 pairs"),
+        _result("adjoint.causality", mismatches, 0.5, "bit-exact prefix/suffix count"),
     ]
 
 
-def _gronwall_check(rng, scale) -> CheckResult:
+def _gronwall_check(rng) -> CheckResult:
     tau, steps = 3.0, 512
     lam = Modulation.from_callable(lambda t: np.cos(2.0 * t), tau, steps)
     violations = 0
@@ -98,10 +99,10 @@ def _gronwall_check(rng, scale) -> CheckResult:
         sig = TimeSignal(rng.standard_normal(steps + 1), tau)
         if not gronwall_bound_check(lam, sig).holds:
             violations += 1
-    return _result("gronwall.violations", violations, 0.5 * scale, "50 seeded signals")
+    return _result("gronwall.violations", violations, 0.5, "50 seeded signals")
 
 
-def _dissipation_checks(scale) -> List[CheckResult]:
+def _dissipation_checks() -> List[CheckResult]:
     residuals = {}
     for n in (65, 129):
         grid = Grid2D(n)
@@ -109,13 +110,13 @@ def _dissipation_checks(scale) -> List[CheckResult]:
         res = solve_from_mode(a, ModeIndex(0, 0), grid, 2.0)
         residuals[n] = dissipation_residual(res, a)
     return [
-        _result("dissipation.residual", residuals[65], 1e-2 * scale, "a=1, n=65"),
-        _result("dissipation.refinement", residuals[129] / residuals[65], 0.30 * scale,
+        _result("dissipation.residual", residuals[65], 1e-2, "a=1, n=65"),
+        _result("dissipation.refinement", residuals[129] / residuals[65], 0.30,
                 "residual ratio n=129 over n=65"),
     ]
 
 
-def _rellich_checks(scale) -> List[CheckResult]:
+def _rellich_checks() -> List[CheckResult]:
     x0 = (1.25, 1.25)
     grid = Grid2D(65)
     r_const = rellich_residual(lambda x, y: np.ones_like(x), x0, grid)
@@ -128,14 +129,14 @@ def _rellich_checks(scale) -> List[CheckResult]:
                                   laplacian=lambda x, y: -lam * mode_shape(mode, x, y))
     worst_ratio = max(res[65] / res[33], res[129] / res[65])
     return [
-        _result("rellich.constant", r_const, 1e-8 * scale),
-        _result("rellich.linear", r_lin, 1e-8 * scale),
-        _result("rellich.monotone", worst_ratio, 0.95 * scale,
+        _result("rellich.constant", r_const, 1e-8),
+        _result("rellich.linear", r_lin, 1e-8),
+        _result("rellich.monotone", worst_ratio, 0.95,
                 "worst refinement ratio over 33/65/129"),
     ]
 
 
-def _multiplier_check(rng, scale) -> CheckResult:
+def _multiplier_check(rng) -> CheckResult:
     violations = 0
     worst_excess = -math.inf
     for _ in range(50):
@@ -146,11 +147,11 @@ def _multiplier_check(rng, scale) -> CheckResult:
         worst_excess = max(worst_excess, chk.lhs - chk.rhs)
         if not chk.holds:
             violations += 1
-    return _result("multiplier.violations", violations, 0.5 * scale,
+    return _result("multiplier.violations", violations, 0.5,
                    f"50 seeded triples, worst lhs-rhs = {worst_excess:.3e}")
 
 
-def _truncation_check(rng, scale) -> CheckResult:
+def _truncation_check(rng) -> CheckResult:
     violations = 0
     for _ in range(50):
         m = float(rng.uniform(0.1, 10.0))
@@ -166,13 +167,13 @@ def _truncation_check(rng, scale) -> CheckResult:
         bad_n1 = math.log(c_cal / m * delta) + rate * (n0 + 1) ** 2 > -2.0 * math.log(n0 + 1)
         if not (ok_n0 and bad_n1):
             violations += 1
-    return _result("n0.bracketing", violations, 0.5 * scale, "50 seeded valid configs")
+    return _result("n0.bracketing", violations, 0.5, "50 seeded valid configs")
 
 
-def _conservation_check(scale) -> CheckResult:
+def _conservation_check() -> CheckResult:
     res = solve_from_mode(DampingPair.zero(), ModeIndex(0, 0), Grid2D(65), 4.0)
     drift = float(np.abs(res.energies - res.energies[0]).max() / res.energies[0])
-    return _result("energy.conservation", drift, 1e-3 * scale, "a=0, n=65, tau=4")
+    return _result("energy.conservation", drift, 1e-3, "a=0, n=65, tau=4")
 
 
 def run_checks(config: Optional[ExperimentConfig] = None,
@@ -183,15 +184,14 @@ def run_checks(config: Optional[ExperimentConfig] = None,
     the same random vectors as a full one.
     """
     config = config or ExperimentConfig()
-    scale = config.verify_tol_scale
     groups = [
-        ("adjoint", lambda i: _adjoint_checks(np.random.default_rng([config.seed, i]), scale)),
-        ("gronwall", lambda i: [_gronwall_check(np.random.default_rng([config.seed, i]), scale)]),
-        ("dissipation", lambda i: _dissipation_checks(scale)),
-        ("rellich", lambda i: _rellich_checks(scale)),
-        ("multiplier", lambda i: [_multiplier_check(np.random.default_rng([config.seed, i]), scale)]),
-        ("n0", lambda i: [_truncation_check(np.random.default_rng([config.seed, i]), scale)]),
-        ("energy", lambda i: [_conservation_check(scale)]),
+        ("adjoint", lambda i: _adjoint_checks(np.random.default_rng([config.seed, i]))),
+        ("gronwall", lambda i: [_gronwall_check(np.random.default_rng([config.seed, i]))]),
+        ("dissipation", lambda i: _dissipation_checks()),
+        ("rellich", lambda i: _rellich_checks()),
+        ("multiplier", lambda i: [_multiplier_check(np.random.default_rng([config.seed, i]))]),
+        ("n0", lambda i: [_truncation_check(np.random.default_rng([config.seed, i]))]),
+        ("energy", lambda i: [_conservation_check()]),
     ]
     wanted = name_prefix.split(".")[0] if name_prefix else None
     checks: List[CheckResult] = []

@@ -5,10 +5,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import wavedamp
 from wavedamp.cli import main
 from wavedamp.io import read_trace_binary
+from wavedamp.verify import CheckResult
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -25,7 +27,8 @@ class TestForwardCommand:
         rows = (out / "energy.csv").read_text().splitlines()[1:]
         energies = np.array([float(r.split(",")[1]) for r in rows])
         assert np.abs(energies - energies[0]).max() / energies[0] < 1e-3
-        assert (out / "manifest.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["timings_seconds"]) == {"solve", "write"}
         dump = read_trace_binary(out / "trace.bin")
         assert dump["n"] == 33
 
@@ -44,6 +47,22 @@ class TestForwardCommand:
     def test_unknown_key_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "wavelength = 3\n")
         assert main(["forward", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("command, text, field", [
+    ("forward", "tau = inf\n", "tau"),
+    ("forward", "damping_base = nan\n", "damping_base"),
+    ("forward", "damping_slope1 = inf\n", "damping_slope1"),
+    ("sweep", "sweep_epsilons = nan,0.2\n", "sweep_epsilons"),
+    ("forward", "damping_kind = csv\ndamping_csv1 = {csv}\ndamping_csv2 = {csv}\n",
+     "damping_csv"),
+], ids=["tau", "damping_base", "damping_slope1", "sweep_epsilons", "damping_csv"])
+def test_non_finite_input_exit_2(tmp_path, capsys, command, text, field):
+    csv = tmp_path / "a.csv"
+    csv.write_text("s,value\n0.0,0.1\n0.5,nan\n1.0,0.1\n")
+    cfg = write_cfg(tmp_path, "n = 17\n" + text.format(csv=csv))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
 
 
 class TestReconstructCommand:
@@ -94,10 +113,13 @@ class TestVerifyCommand:
         assert "rellich.constant" in printed
         assert "adjoint.identity" not in printed
 
-    def test_zero_tolerance_fails(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "verify_tol_scale = 0.0\n")
-        assert main(["verify", "--config", cfg, "--filter", "dissipation"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+    def test_failed_check_exits_1(self, monkeypatch, capsys):
+        failing = CheckResult(name="demo.check", value=1.0, tolerance=0.5, passed=False)
+        monkeypatch.setattr("wavedamp.cli.run_checks", lambda config, name_prefix=None: [failing])
+        assert main(["verify"]) == 1
+        printed = capsys.readouterr().out
+        assert "demo.check  FAIL" in printed
+        assert "FAILED: demo.check" in printed
 
     def test_report_artifact(self, tmp_path):
         out = tmp_path / "v"

@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavedamp.config import ExperimentConfig, parse_config
 from wavedamp.errors import ConfigError
@@ -143,3 +146,23 @@ class TestConfig:
         built = cfg.build_damping()
         assert np.array_equal(built.a1.values, pair.a1.values)
         assert np.array_equal(built.a2.values, pair.a2.values)
+
+
+CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+FLOAT_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.type in ("float", float)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(CONFIG_KEYS),
+       raw=st.one_of(
+           st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max_size=30),
+           st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "1_0", "0x10", ",", "nan,0.2"])))
+def test_any_value_parses_or_names_its_field(key, raw):
+    # parsing only: nothing here builds a damping or runs a command
+    try:
+        cfg = parse_config(f"{key} = {raw}\n")
+    except ConfigError as err:
+        assert err.field in CONFIG_KEYS or err.field.startswith("line ")
+        return
+    assert all(math.isfinite(getattr(cfg, name)) for name in FLOAT_KEYS)
+    assert all(math.isfinite(eps) for eps in cfg.sweep_epsilons)

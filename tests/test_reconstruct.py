@@ -372,6 +372,29 @@ class TestGaussNewton:
         assert not info.converged
         assert not info.stalled
 
+    def test_failed_line_search_ends_the_fit(self, monkeypatch):
+        # a model trace that ignores the damping: zero Jacobian, zero step,
+        # so the first line search cannot improve and a second round would repeat it
+        grid = Grid2D(33)
+        mode = ModeIndex(0, 0)
+        meas = probe_mode(DampingPair.constant(0.1, n=33), mode, 1.0, grid)
+        frozen = probe_mode(DampingPair.constant(0.05, n=33), mode, 1.0, grid)
+        calls = []
+
+        def fake_probe(pair, *args, **kwargs):
+            calls.append(pair)
+            return frozen
+
+        monkeypatch.setattr("wavedamp.reconstruct.probe_mode", fake_probe)
+        _, info = fit_damping_least_squares([meas], DampingPair.constant(0.05, n=33),
+                                            grid, 1.0, iters=3, fit_order=0)
+        assert len(info.residuals) == 2
+        assert info.residuals[1] == info.residuals[0] > 0.0
+        assert info.stalled
+        assert not info.converged
+        # one initial residual, two Jacobian columns, four line-search trials
+        assert len(calls) == 7
+
     def test_fit_differences_against_the_measurement_reference(self):
         # data carrying a zero reference: a freshly solved undamped reference
         # (nonzero at the discretization floor) would leave a residual
