@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wavedamp.diagnostics import estimate_observability, fit_decay
+from wavedamp.errors import ObservabilityFailure
 from wavedamp.forward import solve
 from wavedamp.grid import Grid2D
 from wavedamp.spectral import DampingPair, ModeIndex, mode_shape
@@ -49,6 +50,18 @@ class TestFitDecay:
 
 
 class TestObservability:
+    PROBES = [ModeIndex(k, l) for k in range(3) for l in range(3)]
+
+    def test_kappa_baseline_and_grid_stability(self):
+        rep65 = estimate_observability(DampingPair.constant(1.0), 4.0, self.PROBES, Grid2D(65))
+        rep129 = estimate_observability(DampingPair.constant(1.0), 4.0, self.PROBES, Grid2D(129))
+        assert rep65.kappa_est == pytest.approx(1.41411, rel=1e-4)
+        assert abs(rep65.kappa_est - rep129.kappa_est) / rep129.kappa_est < 0.05
+
+    def test_zero_damping_fails(self):
+        with pytest.raises(ObservabilityFailure):
+            estimate_observability(DampingPair.zero(), 4.0, [ModeIndex(0, 0)], Grid2D(65))
+
     def test_kappa_monotone_in_horizon(self):
         grid = Grid2D(65)
         a = DampingPair.constant(1.0)

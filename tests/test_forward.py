@@ -151,6 +151,15 @@ class TestDissipationIdentity:
         res = solve(zero, zero, DampingPair.constant(1.0), grid, 1.0)
         assert dissipation_residual(res, DampingPair.constant(1.0)) == 0.0
 
+    def test_residual_refines_at_second_order(self, damped_run):
+        grid65, a, res65 = damped_run
+        r65 = dissipation_residual(res65, a)
+        grid = Grid2D(129)
+        res129 = solve(mode_field(grid), np.zeros((129, 129)), a, grid, 2.0)
+        r129 = dissipation_residual(res129, a)
+        assert r65 < 1e-2
+        assert r129 < r65 / 3.3
+
     def test_trace_matches_damping_relation(self, damped_run):
         grid, a, res = damped_run
         # both sides record d_nu u and -a v; they agree at O(h) pointwise
@@ -190,6 +199,20 @@ class TestSources:
 
 class TestRellich:
     X0 = (1.25, 1.25)
+
+    def test_constant_field(self):
+        assert rellich_residual(lambda x, y: np.ones_like(x), self.X0, Grid2D(65)) < 1e-8
+
+    def test_linear_field(self):
+        assert rellich_residual(lambda x, y: x, self.X0, Grid2D(65)) < 1e-8
+
+    def test_mode_residual_decreases(self):
+        mode = ModeIndex(0, 0)
+        lam = eigenpair(mode).eigenvalue
+        vals = [rellich_residual(lambda x, y: mode_shape(mode, x, y), self.X0, Grid2D(n),
+                                 laplacian=lambda x, y: -lam * mode_shape(mode, x, y))
+                for n in (33, 65, 129)]
+        assert vals[0] > vals[1] > vals[2]
 
     def test_interior_x0_rejected(self):
         with pytest.raises(ValueError):

@@ -75,6 +75,17 @@ class TestAnticausalConvolution:
         k_head = convolve_anticausal(lam, TimeSignal(h_head, 3.0)).values
         assert np.array_equal(k_ref[200:], k_head[200:])
 
+    def test_adjoint_identity(self):
+        tau, steps = 3.0, 2048
+        lam = Modulation.from_callable(lambda t: np.cos(2 * t), tau, steps)
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            h = TimeSignal(rng.standard_normal(steps + 1), tau)
+            g = TimeSignal(rng.standard_normal(steps + 1), tau)
+            lhs = convolve_causal(lam, h).inner(g)
+            rhs = h.inner(convolve_anticausal(lam, g))
+            assert abs(lhs - rhs) <= 1e-8 * h.l2_norm() * g.l2_norm()
+
     def test_cached_matrix_is_per_modulation(self):
         tau, steps = 3.0, 256
         g = TimeSignal(np.random.default_rng(5).standard_normal((steps + 1, 2)), tau)
@@ -137,6 +148,13 @@ class TestGronwall:
         bump = np.exp(-40 * (t - 1.5) ** 2)
         chk = gronwall_bound_check(lam, TimeSignal(bump, 3.0))
         assert chk.holds
+
+    def test_seeded_family(self):
+        lam = Modulation.from_callable(lambda t: np.cos(2 * t), 3.0, 512)
+        rng = np.random.default_rng(99)
+        for _ in range(50):
+            sig = TimeSignal(rng.standard_normal(513), 3.0)
+            assert gronwall_bound_check(lam, sig).holds
 
 
 class TestSourceBound:
