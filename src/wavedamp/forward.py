@@ -82,27 +82,24 @@ class WaveState:
 
 @dataclass
 class BoundaryTrace:
-    """Space-time samples of the outward normal derivative on the damped sides.
+    """The measurement: space-time samples of the outward normal derivative.
 
     normal_bottom[m, i] holds d_nu u at (x_i, 0, t_m) and normal_left[m, j]
-    at (0, y_j, t_m), both from one-sided second-order differences.  The
-    centered boundary velocities are recorded alongside so the damping
-    relation d_nu u = -a v can be cross-checked on the measurement itself.
+    at (0, y_j, t_m), both from one-sided second-order differences on the
+    damped sides.  The boundary velocities are not part of the measurement;
+    they are a diagnostic of the solver and live on SolveResult.
     """
 
     times: np.ndarray
     normal_bottom: np.ndarray
     normal_left: np.ndarray
-    vel_bottom: np.ndarray
-    vel_left: np.ndarray
     dt: float
     tau: float
 
     def __post_init__(self):
         m, n = self.normal_bottom.shape
-        for arr in (self.normal_left, self.vel_bottom, self.vel_left):
-            if arr.shape != (m, n):
-                raise ValueError("trace arrays must share one (steps+1, n) shape")
+        if self.normal_left.shape != (m, n):
+            raise ValueError("trace arrays must share one (steps+1, n) shape")
         if self.times.shape != (m,):
             raise ValueError("times length must match the step count")
         if not np.isfinite(self.l2_norm()):
@@ -127,8 +124,6 @@ class BoundaryTrace:
             times=self.times,
             normal_bottom=self.normal_bottom - other.normal_bottom,
             normal_left=self.normal_left - other.normal_left,
-            vel_bottom=self.vel_bottom - other.vel_bottom,
-            vel_left=self.vel_left - other.vel_left,
             dt=self.dt,
             tau=self.tau,
         )
@@ -141,20 +136,11 @@ class SourceSpec:
     load[i, j] is the forcing functional evaluated at the nodal basis
     function of (i, j), i.e. already integrated against quadrature
     weights.  For a plain L2 source f this is h^2 * w_ij * f_ij; for a
-    boundary functional it is the side quadrature of the density, and the
-    defining damping pair and mode index ride along.
+    boundary functional it is the side quadrature of the density.
     """
 
     profile: Callable[[float], float]
     load: np.ndarray
-    label: str = "source"
-    damping: Optional[DampingPair] = None
-    mode: Optional[ModeIndex] = None
-
-    @classmethod
-    def from_field(cls, f: np.ndarray, grid: Grid2D, profile, label: str = "field source") -> "SourceSpec":
-        load = grid.h ** 2 * grid.quad_weights * np.asarray(f, dtype=float)
-        return cls(profile=profile, load=load, label=label)
 
 
 def mode_boundary_source(a: DampingPair, mode: ModeIndex, grid: Grid2D,
@@ -174,8 +160,7 @@ def mode_boundary_source(a: DampingPair, mode: ModeIndex, grid: Grid2D,
     if profile is None:
         omega = pair.omega
         profile = lambda t: math.cos(omega * t)
-    return SourceSpec(profile=profile, load=load, damping=a, mode=mode,
-                      label=f"mode ({mode.k},{mode.l}) boundary source")
+    return SourceSpec(profile=profile, load=load)
 
 
 def probe_equivalent_source(a: DampingPair, mode: ModeIndex, grid: Grid2D) -> SourceSpec:
@@ -189,9 +174,7 @@ def probe_equivalent_source(a: DampingPair, mode: ModeIndex, grid: Grid2D) -> So
     """
     base = mode_boundary_source(a, mode, grid)
     omega = eigenpair(mode).omega
-    return SourceSpec(profile=lambda t: math.sin(omega * t), load=-base.load,
-                      damping=a, mode=mode,
-                      label=f"mode ({mode.k},{mode.l}) probe-equivalent source")
+    return SourceSpec(profile=lambda t: math.sin(omega * t), load=-base.load)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +294,16 @@ def _normal_trace(u: np.ndarray, h: float):
 
 @dataclass
 class SolveResult:
+    """One forward run: the measured trace plus the solver's diagnostics.
+
+    vel_bottom/vel_left hold the centered velocities on the damped sides,
+    which only the dissipation identity reads.
+    """
+
     final: WaveState
     trace: BoundaryTrace
+    vel_bottom: np.ndarray
+    vel_left: np.ndarray
     times: np.ndarray
     energies: np.ndarray
     staggered_times: np.ndarray
@@ -392,9 +383,10 @@ def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: flo
         raise NumericalError("final field contains non-finite values")
 
     trace = BoundaryTrace(times=times, normal_bottom=tr_bottom, normal_left=tr_left,
-                          vel_bottom=vel_bottom, vel_left=vel_left, dt=dt, tau=tau)
+                          dt=dt, tau=tau)
     final = WaveState(u=u_curr, v=v_final, t=float(times[-1]))
-    return SolveResult(final=final, trace=trace, times=times, energies=energies,
+    return SolveResult(final=final, trace=trace, vel_bottom=vel_bottom, vel_left=vel_left,
+                       times=times, energies=energies,
                        staggered_times=dt * (np.arange(steps) + 0.5),
                        staggered_energies=stag_energy, grid=grid, dt=dt)
 
@@ -424,8 +416,8 @@ def dissipation_residual(result: SolveResult, a: DampingPair) -> float:
     worst = 0.0
     for m in range(1, e.shape[0] - 1):
         dedt = (e[m + 1] - e[m - 1]) / (2.0 * dt)
-        flux = boundary_damping_flux(a1n, a2n, result.trace.vel_bottom[m],
-                                     result.trace.vel_left[m], grid.h)
+        flux = boundary_damping_flux(a1n, a2n, result.vel_bottom[m],
+                                     result.vel_left[m], grid.h)
         worst = max(worst, abs(dedt + flux))
     return worst
 

@@ -12,6 +12,7 @@ corners touching a Dirichlet side are Dirichlet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,11 +46,13 @@ class Grid2D:
         x, y = self.meshgrid()
         return np.asarray(fn(x, y), dtype=float)
 
-    @property
+    @cached_property
     def quad_weights(self) -> np.ndarray:
-        """Tensor trapezoid weights (spacing excluded)."""
+        """Tensor trapezoid weights (spacing excluded), built once and read-only."""
         w = trapezoid_weights(self.n)
-        return w[:, None] * w[None, :]
+        weights = w[:, None] * w[None, :]
+        weights.flags.writeable = False
+        return weights
 
     def zero_dirichlet(self, u: np.ndarray) -> np.ndarray:
         """Pin the Dirichlet sides x = 1 and y = 1 in place."""

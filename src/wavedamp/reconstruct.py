@@ -59,7 +59,7 @@ FD_STEP = 1e-3  # relative finite-difference step of the Gauss-Newton Jacobian
 
 @dataclass
 class ModalMeasurement:
-    """Difference trace between a damped and the undamped run of one probe.
+    """Normal-derivative trace of one probe: the damped minus the undamped run.
 
     reference is the undamped trace the damped one was differenced
     against; it is analytically zero, so its norm (noise_floor) measures
@@ -223,11 +223,17 @@ def graph_norm(mode: ModeIndex) -> float:
 
 @dataclass
 class GapEstimate:
-    """Finite-probe lower bound used as the working operator-gap estimate."""
+    """Finite-probe lower bound used as the working operator-gap estimate.
 
-    value: float
-    probe_budget: int
-    per_probe: tuple
+    measurements holds each probe mode's measurement, keyed by mode in probing order.
+    """
+
+    measurements: Dict[ModeIndex, ModalMeasurement]
+
+    @property
+    def value(self) -> float:
+        """Largest ratio of trace norm to graph norm among the probes."""
+        return max(meas.trace_norm / graph_norm(mode) for mode, meas in self.measurements.items())
 
 
 def estimate_gap(a: DampingPair, probe_budget: int, tau: float, grid: Grid2D,
@@ -236,15 +242,13 @@ def estimate_gap(a: DampingPair, probe_budget: int, tau: float, grid: Grid2D,
     """Max over probe modes of trace norm over graph norm of the probe."""
     if probe_budget < 0:
         raise ValueError("probe budget must be nonnegative")
-    per_probe = []
+    measurements = {}
     for k in range(probe_budget + 1):
         for l in range(probe_budget + 1):
             mode = ModeIndex(k, l)
             ref = references.get(mode) if references else None
-            meas = probe_mode(a, mode, tau, grid, dt_factor, reference=ref)
-            per_probe.append((mode, meas.trace_norm / graph_norm(mode)))
-    value = max(r for _, r in per_probe)
-    return GapEstimate(value=value, probe_budget=probe_budget, per_probe=tuple(per_probe))
+            measurements[mode] = probe_mode(a, mode, tau, grid, dt_factor, reference=ref)
+    return GapEstimate(measurements)
 
 
 def select_truncation(c_cal: float, m: float, trunc_rate: float, delta: float) -> int:
@@ -355,9 +359,13 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
     if len(family) < 2:
         raise ValueError("a sweep needs at least two members")
 
+    # the recovery reuses the gap's measurement: an unusable recovery mode fails before any solve
+    zero = SampledFunction1D(np.zeros(grid.n))
+    linearized_recover(zero, zero, recovery_mode, guard)
     modes = [ModeIndex(k, l) for k in range(probe_budget + 1) for l in range(probe_budget + 1)]
     if recovery_mode not in modes:
-        modes.append(recovery_mode)
+        raise ResolutionError(f"recovery mode ({recovery_mode.k}, {recovery_mode.l}) lies "
+                              f"outside the probe set of budget {probe_budget}")
     references = {mode: reference_solution(mode, tau, grid, dt_factor).trace for mode in modes}
 
     m = min(member.minimum() for member in family)
@@ -365,12 +373,10 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
     if m <= 0:
         raise ValueError("sweep family must be strictly positive for the stability bound")
 
-    raw = []
-    for eps, member in zip(epsilons, family):
+    def member_record(eps: float, member: DampingPair) -> dict:
+        # the member's measurements are released on return, before the next member probes
         gap = estimate_gap(member, probe_budget, tau, grid, dt_factor, references=references)
-        meas = probe_mode(member, recovery_mode, tau, grid, dt_factor,
-                          reference=references[recovery_mode])
-        y1, y2 = time_project(meas)
+        y1, y2 = time_project(gap.measurements[recovery_mode])
         estimate = linearized_recover(y1, y2, recovery_mode, guard)
         recon_err = damping_l2_error(estimate, member, guard)
         c_emp = 0.0
@@ -378,8 +384,10 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
             coeffs = project_onto_modes(component, trunc_order)
             for k, coeff in enumerate(coeffs.coeffs):
                 c_emp = max(c_emp, coefficient_bound_constant(coeff, k, m, M, gap.value, tau))
-        raw.append({"eps": eps, "member": member, "delta": gap.value,
-                    "a_l2": member.l2_norm(), "recon": recon_err, "c_emp": c_emp})
+        return {"eps": eps, "member": member, "delta": gap.value,
+                "a_l2": member.l2_norm(), "recon": recon_err, "c_emp": c_emp}
+
+    raw = [member_record(eps, member) for eps, member in zip(epsilons, family)]
 
     if calib_index is None:
         calib_index = max(range(len(raw)), key=lambda i: raw[i]["a_l2"])

@@ -339,7 +339,6 @@ class DampingPair:
     a2: SampledFunction1D
     m_lower: float = 0.0
     M_upper: float = math.inf
-    holder_exponent: float = 1.0
     corner_tol: float = 1e-12
 
     def __post_init__(self):
@@ -347,8 +346,6 @@ class DampingPair:
             raise ValueError("m_lower must be nonnegative")
         if self.M_upper <= 0:
             raise ValueError("M_upper must be positive")
-        if not 0.5 < self.holder_exponent <= 1.0:
-            raise ValueError("holder_exponent must lie in (1/2, 1]")
         gap = abs(self.a1.values[0] - self.a2.values[0])
         if gap > self.corner_tol:
             raise ValueError(f"corner mismatch |a1(0) - a2(0)| = {gap:.3e} exceeds tolerance")
@@ -380,7 +377,6 @@ class DampingPair:
             SampledFunction1D(factor * self.a2.values),
             m_lower=factor * self.m_lower,
             M_upper=self.M_upper,
-            holder_exponent=self.holder_exponent,
             corner_tol=self.corner_tol,
         )
 

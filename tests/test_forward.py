@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavedamp.errors import NumericalError
 from wavedamp.forward import (
+    BoundaryTrace,
     damping_rate,
     dissipation_residual,
     energy,
@@ -102,6 +105,56 @@ class TestScheme:
         np.testing.assert_allclose(res.final.u, res_sw.final.u.T, atol=1e-13)
         np.testing.assert_allclose(res.trace.normal_bottom, res_sw.trace.normal_left, atol=1e-13)
 
+    def test_trace_holds_only_the_measurement(self, damped_run):
+        _, _, res = damped_run
+        names = [f.name for f in dataclasses.fields(BoundaryTrace)]
+        assert names == ["times", "normal_bottom", "normal_left", "dt", "tau"]
+        assert res.vel_bottom.shape == res.vel_left.shape == res.trace.normal_bottom.shape
+
+    def test_quad_weights_built_once_and_read_only(self):
+        grid = Grid2D(17)
+        w = grid.quad_weights
+        assert grid.quad_weights is w
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
+
+
+LINEARITY_MODES = [ModeIndex(k, l) for k in range(2) for l in range(2)]
+coefficient = st.floats(-1.0, 1.0)
+modal_data = st.lists(coefficient, min_size=2 * len(LINEARITY_MODES),
+                      max_size=2 * len(LINEARITY_MODES))
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=coefficient, beta=coefficient, u_coeffs=modal_data, w_coeffs=modal_data,
+       damping=st.floats(0.0, 2.0))
+def test_trace_is_linear_in_initial_data(alpha, beta, u_coeffs, w_coeffs, damping):
+    grid = Grid2D(17)
+    a = DampingPair.constant(damping)
+    shapes = [mode_field(grid, mode) for mode in LINEARITY_MODES]
+
+    def initial_data(coeffs):
+        k = len(shapes)
+        return (sum(c * f for c, f in zip(coeffs[:k], shapes)),
+                sum(c * f for c, f in zip(coeffs[k:], shapes)))
+
+    u0, u1 = initial_data(u_coeffs)
+    w0, w1 = initial_data(w_coeffs)
+    ru = solve(u0, u1, a, grid, 0.5)
+    rw = solve(w0, w1, a, grid, 0.5)
+    rc = solve(alpha * u0 + beta * w0, alpha * u1 + beta * w1, a, grid, 0.5)
+    # an undamped trace is a cancellation at the discretization floor, so its
+    # roundoff is measured against the size of the data (the energy norm);
+    # below the smallest normal double, underflow decides
+    data_scale = max(math.sqrt(2.0 * rc.energies[0]), abs(alpha) * math.sqrt(2.0 * ru.energies[0]),
+                     abs(beta) * math.sqrt(2.0 * rw.energies[0]))
+    for side in ("normal_bottom", "normal_left"):
+        lhs = getattr(rc.trace, side)
+        rhs = alpha * getattr(ru.trace, side) + beta * getattr(rw.trace, side)
+        scale = max(data_scale, np.abs(lhs).max(), np.abs(alpha * getattr(ru.trace, side)).max(),
+                    np.abs(beta * getattr(rw.trace, side)).max())
+        assert np.abs(lhs - rhs).max() <= 1e-12 * scale + np.finfo(float).tiny
+
 
 class TestEnergy:
     def test_mode_energy_values(self):
@@ -164,7 +217,7 @@ class TestDissipationIdentity:
         grid, a, res = damped_run
         # both sides record d_nu u and -a v; they agree at O(h) pointwise
         interior = np.abs(res.trace.normal_bottom[1:-1, :-1]
-                          + a.a1.at(grid.nodes)[:-1] * res.trace.vel_bottom[1:-1, :-1]).max()
+                          + a.a1.at(grid.nodes)[:-1] * res.vel_bottom[1:-1, :-1]).max()
         assert interior < 4.0 * grid.h
 
 

@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from wavedamp.errors import RegimeError, ResolutionError
-from wavedamp.forward import BoundaryTrace, solve_from_mode
+from wavedamp.forward import BoundaryTrace, solve, solve_from_mode
 from wavedamp.grid import Grid2D
 from wavedamp.reconstruct import (
     ModalMeasurement,
@@ -41,10 +42,8 @@ def synthetic_measurement(grid, mode, tau, profile_bottom, profile_left, steps=5
     bottom = sin_t[:, None] * profile_bottom[None, :]
     left = sin_t[:, None] * profile_left[None, :]
     zero = np.zeros_like(bottom)
-    trace = BoundaryTrace(times=times, normal_bottom=bottom, normal_left=left,
-                          vel_bottom=zero, vel_left=zero, dt=dt, tau=tau)
-    reference = BoundaryTrace(times=times, normal_bottom=zero, normal_left=zero,
-                              vel_bottom=zero, vel_left=zero, dt=dt, tau=tau)
+    trace = BoundaryTrace(times=times, normal_bottom=bottom, normal_left=left, dt=dt, tau=tau)
+    reference = BoundaryTrace(times=times, normal_bottom=zero, normal_left=zero, dt=dt, tau=tau)
     return ModalMeasurement(mode=mode, trace=trace, trace_norm=trace.l2_norm(),
                             reference=reference)
 
@@ -199,6 +198,23 @@ class TestGap:
         v129 = estimate_gap(a, 2, 4.0, Grid2D(129)).value
         assert abs(v65 - v129) / v129 < 0.05
 
+    def test_keeps_the_measurement_of_each_probe(self):
+        grid = Grid2D(33)
+        a = DampingPair.constant(0.2)
+        modes = [ModeIndex(k, l) for k in range(2) for l in range(2)]
+        refs = {mode: reference_solution(mode, 1.0, grid).trace for mode in modes}
+        gap = estimate_gap(a, 1, 1.0, grid, references=refs)
+        assert list(gap.measurements) == modes
+        ratios = []
+        for mode in modes:
+            kept = gap.measurements[mode]
+            fresh = probe_mode(a, mode, 1.0, grid, reference=refs[mode])
+            assert kept.reference is refs[mode]
+            assert np.array_equal(kept.trace.normal_bottom, fresh.trace.normal_bottom)
+            assert np.array_equal(kept.trace.normal_left, fresh.trace.normal_left)
+            ratios.append(fresh.trace_norm / graph_norm(mode))
+        assert gap.value == max(ratios)
+
     def test_graph_norm_value(self):
         lam = eigenpair(ModeIndex(0, 0)).eigenvalue
         assert graph_norm(ModeIndex(0, 0)) == pytest.approx(math.sqrt(lam + lam * lam))
@@ -272,6 +288,23 @@ class TestCoefficientBound:
         assert val == pytest.approx(0.3 ** 2 / (2.0 ** 2 / 0.5 * 0.5) * math.exp(-lam))
 
 
+def count_sweep_calls(monkeypatch):
+    """Record every forward solve and every probed mode from here on."""
+    solves, probes = [], []
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    def counting_probe(a, mode, *args, **kwargs):
+        probes.append(mode)
+        return probe_mode(a, mode, *args, **kwargs)
+
+    monkeypatch.setattr("wavedamp.forward.solve", counting_solve)
+    monkeypatch.setattr("wavedamp.reconstruct.probe_mode", counting_probe)
+    return solves, probes
+
+
 @pytest.fixture(scope="module")
 def small_sweep():
     grid = Grid2D(33)
@@ -304,6 +337,37 @@ class TestSweep:
     def test_coefficient_constant_calibration_dominates(self, small_sweep):
         records, context = small_sweep
         assert context.c_emp_cal == pytest.approx(max(r.c_emp for r in records))
+
+    def test_each_probe_mode_solved_once_per_member(self, monkeypatch):
+        grid = Grid2D(17)
+        eps = [0.4, 0.2]
+        family = [DampingPair.constant(0.1).scaled(e) for e in eps]
+        budget = 1
+        solves, probes = count_sweep_calls(monkeypatch)
+        stability_sweep(family, eps, 1.0, grid, probe_budget=budget)
+        assert len(solves) == (budget + 1) ** 2 * (len(family) + 1)
+        assert Counter(probes) == {ModeIndex(k, l): len(family)
+                                   for k in range(budget + 1) for l in range(budget + 1)}
+
+    def test_unusable_recovery_mode_rejected_before_any_solve(self, monkeypatch):
+        grid = Grid2D(33)
+        family = [DampingPair.constant(0.1).scaled(e) for e in (0.4, 0.2)]
+        solves, _ = count_sweep_calls(monkeypatch)
+        with pytest.raises(ResolutionError, match="nearly vanishes"):
+            stability_sweep(family, [0.4, 0.2], 1.0, grid, probe_budget=1,
+                            recovery_mode=ModeIndex(1, 0))
+        assert solves == []
+
+    def test_recovery_mode_outside_probe_set_rejected_before_any_solve(self, monkeypatch):
+        # on 17 nodes the samples of boundary mode 5 stay clear of its zeros,
+        # so only the probe-set check stops it
+        grid = Grid2D(17)
+        family = [DampingPair.constant(0.1).scaled(e) for e in (0.4, 0.2)]
+        solves, _ = count_sweep_calls(monkeypatch)
+        with pytest.raises(ResolutionError, match="outside the probe set"):
+            stability_sweep(family, [0.4, 0.2], 1.0, grid, probe_budget=0,
+                            recovery_mode=ModeIndex(5, 0))
+        assert solves == []
 
     def test_family_size_enforced(self):
         grid = Grid2D(33)
