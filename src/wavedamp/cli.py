@@ -27,6 +27,7 @@ from .io import (
     write_trace_csv,
 )
 from .reconstruct import (
+    check_recovery_mode,
     damping_l2_error,
     fit_damping_least_squares,
     linearized_recover,
@@ -88,6 +89,7 @@ def cmd_reconstruct(config: ExperimentConfig) -> int:
     grid = Grid2D(config.n)
     truth = config.build_damping()
     mode = ModeIndex(config.probe_k, config.probe_l)
+    check_recovery_mode(mode, grid, config.guard)
 
     t0 = time.perf_counter()
     meas = probe_mode(truth, mode, config.tau, grid, dt_factor=config.dt_factor)

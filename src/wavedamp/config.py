@@ -16,11 +16,17 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ConfigError
+from .forward import CFL_LIMIT, step_count
 from .spectral import DampingPair, SampledFunction1D
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config"]
 
 DAMPING_KINDS = ("zero", "constant", "affine", "csv")
+# Caps checked before anything is allocated, so an oversized run exits 2
+# instead of failing in the allocator.  n^2 * steps bounds the work of one
+# solve: 1.9e8 for n = 257 at tau = 4, dt_factor = 0.5.
+MAX_N = 1025
+MAX_NODE_STEPS = 5e8
 
 
 @dataclass
@@ -54,12 +60,18 @@ class ExperimentConfig:
         for name, value in floats:
             if not math.isfinite(value):
                 raise ConfigError(name, f"must be finite, got {value!r}")
-        if self.n < 17:
-            raise ConfigError("n", f"must be at least 17, got {self.n}")
+        if not 17 <= self.n <= MAX_N:
+            raise ConfigError("n", f"must lie in [17, {MAX_N}], got {self.n}")
         if not self.tau > 0:
             raise ConfigError("tau", f"must be positive, got {self.tau}")
         if not 0.0 < self.dt_factor <= 0.5:
             raise ConfigError("dt_factor", f"must lie in (0, 0.5], got {self.dt_factor}")
+        h = 1.0 / (self.n - 1)
+        # the first test keeps step_count finite for an extreme tau / dt_factor
+        if (self.tau / (self.dt_factor * CFL_LIMIT * h) > MAX_NODE_STEPS
+                or self.n ** 2 * step_count(self.tau, h, self.dt_factor) > MAX_NODE_STEPS):
+            raise ConfigError("tau", f"n^2 * steps of one solve exceeds {MAX_NODE_STEPS:.0e}; "
+                                     "lower n or tau, or raise dt_factor")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed", "must fit in an unsigned 64-bit integer")
         if self.damping_kind not in DAMPING_KINDS:

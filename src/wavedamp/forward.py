@@ -41,8 +41,10 @@ __all__ = [
     "damping_rate",
     "step",
     "start_step",
+    "step_count",
     "solve",
     "solve_from_mode",
+    "mode_field",
     "energy",
     "stiffness_energy",
     "weighted_l2_sq",
@@ -191,7 +193,7 @@ def stiffness_energy(u: np.ndarray, grid: Grid2D) -> float:
 
 
 def _stiffness_bilinear(u: np.ndarray, w: np.ndarray, grid: Grid2D) -> float:
-    tw = trapezoid_weights(grid.n)
+    tw = grid.side_weights
     du_x = u[1:, :] - u[:-1, :]
     dw_x = w[1:, :] - w[:-1, :]
     du_y = u[:, 1:] - u[:, :-1]
@@ -216,27 +218,53 @@ def energy(state: WaveState, grid: Grid2D) -> float:
 
 
 def boundary_damping_flux(a1_nodes: np.ndarray, a2_nodes: np.ndarray,
-                          v_bottom: np.ndarray, v_left: np.ndarray, h: float) -> float:
+                          v_bottom: np.ndarray, v_left: np.ndarray, grid: Grid2D) -> float:
     """Trapezoid quadrature of a * v^2 over the damped sides."""
-    w = trapezoid_weights(a1_nodes.shape[0]) * h
+    w = grid.side_weights * grid.h
     return float((w * a1_nodes * v_bottom ** 2).sum() + (w * a2_nodes * v_left ** 2).sum())
 
 
 # ---------------------------------------------------------------------------
 # scheme kernels
 
-def _mirror_laplacian(u: np.ndarray, h: float) -> np.ndarray:
+def _mirror_laplacian(u: np.ndarray, h: float, lap: Optional[np.ndarray] = None,
+                      work: Optional[np.ndarray] = None) -> np.ndarray:
     """5-point Laplacian with even reflection across y = 0 and x = 0.
 
     Valid on all non-Dirichlet nodes; Dirichlet rows are pinned by the
-    caller and never read back.
+    caller and never read back.  The result is written into lap, and work
+    holds the second differences; both are fresh (n, n) arrays when not given,
+    and work must be C-contiguous.
     """
-    lap = np.zeros_like(u)
-    lap[1:-1, :] += u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]
-    lap[0, :] += 2.0 * (u[1, :] - u[0, :])
-    lap[:, 1:-1] += u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]
-    lap[:, 0] += 2.0 * (u[:, 1] - u[:, 0])
-    return lap / (h * h)
+    lap = np.empty(u.shape) if lap is None else lap
+    work = np.empty(u.shape) if work is None else work
+    lap.fill(0.0)
+    rows = work[1:-1, :]
+    np.multiply(2.0, u[1:-1, :], out=rows)
+    np.subtract(u[2:, :], rows, out=rows)
+    np.add(rows, u[:-2, :], out=rows)
+    lap[1:-1, :] += rows
+    edge = work[0, :]
+    np.subtract(u[1, :], u[0, :], out=edge)
+    np.multiply(2.0, edge, out=edge)
+    lap[0, :] += edge
+    # second differences along y over the flattened field, so every pass is
+    # contiguous; the differences that wrap around a row end land in columns
+    # 0 and n-1 and are replaced by -0.0, which adds nothing (x + -0.0 == x)
+    flat = u.reshape(-1)
+    cols = work.reshape(-1, copy=False)[1:-1]
+    np.multiply(2.0, flat[1:-1], out=cols)
+    np.subtract(flat[2:], cols, out=cols)
+    np.add(cols, flat[:-2], out=cols)
+    work[:, 0] = -0.0
+    work[:, -1] = -0.0
+    lap += work
+    edge = work[:, 0]
+    np.subtract(u[:, 1], u[:, 0], out=edge)
+    np.multiply(2.0, edge, out=edge)
+    lap[:, 0] += edge
+    np.divide(lap, h * h, out=lap)
+    return lap
 
 
 def damping_rate(a: DampingPair, grid: Grid2D) -> np.ndarray:
@@ -253,23 +281,54 @@ def _check_cfl(dt: float, h: float):
         raise NumericalError(f"dt = {dt:.3e} violates the CFL bound {CFL_LIMIT * h:.3e}")
 
 
+class _Leapfrog:
+    """The in-place leapfrog update with its per-solve coefficients and work buffers.
+
+    Every operation is the one numpy evaluates for
+    (2 u - (1 - half) u_prev + dt^2 acc) / (1 + half), in the same order, so
+    the update is bit-identical to that expression; folding the coefficients
+    would change the rounding.
+    """
+
+    def __init__(self, dt: float, grid: Grid2D, gam: np.ndarray,
+                 source: Optional[SourceSpec], accel_load: Optional[np.ndarray]):
+        half = 0.5 * dt * gam
+        self.one_minus = 1.0 - half
+        self.one_plus = 1.0 + half
+        self.dt2 = dt * dt
+        self.grid = grid
+        self.source = source
+        self.accel_load = accel_load
+        self.lap = np.empty((grid.n, grid.n))
+        self.work = np.empty((grid.n, grid.n))
+
+    def __call__(self, u: np.ndarray, u_prev: np.ndarray, t: float,
+                 out: np.ndarray) -> np.ndarray:
+        acc = _mirror_laplacian(u, self.grid.h, self.lap, self.work)
+        if self.source is not None:
+            np.multiply(self.source.profile(t), self.accel_load, out=self.work)
+            np.add(acc, self.work, out=acc)
+        np.multiply(2.0, u, out=out)
+        np.multiply(self.one_minus, u_prev, out=self.work)
+        np.subtract(out, self.work, out=out)
+        np.multiply(self.dt2, acc, out=acc)
+        np.add(out, acc, out=out)
+        np.divide(out, self.one_plus, out=out)
+        return self.grid.zero_dirichlet(out)
+
+
 def step(u: np.ndarray, u_prev: np.ndarray, t: float, dt: float, grid: Grid2D,
          gam: np.ndarray, source: Optional[SourceSpec] = None,
          accel_load: Optional[np.ndarray] = None) -> np.ndarray:
-    """One leapfrog step u^{m-1}, u^m -> u^{m+1} at time t = m dt.
+    """One leapfrog step u^{m-1}, u^m -> u^{m+1} at time t = m dt, into a fresh array.
 
     The boundary friction uses the centered velocity
     (u^{m+1} - u^{m-1}) / (2 dt), solved pointwise.
     """
     _check_cfl(dt, grid.h)
-    acc = _mirror_laplacian(u, grid.h)
-    if source is not None:
-        if accel_load is None:
-            accel_load = source.load / (grid.h ** 2 * grid.quad_weights)
-        acc = acc + source.profile(t) * accel_load
-    half = 0.5 * dt * gam
-    u_next = (2.0 * u - (1.0 - half) * u_prev + dt * dt * acc) / (1.0 + half)
-    return grid.zero_dirichlet(u_next)
+    if source is not None and accel_load is None:
+        accel_load = source.load / (grid.h ** 2 * grid.quad_weights)
+    return _Leapfrog(dt, grid, gam, source, accel_load)(u, u_prev, t, np.empty(u.shape))
 
 
 def start_step(u0: np.ndarray, u1: np.ndarray, dt: float, grid: Grid2D,
@@ -296,30 +355,44 @@ def _normal_trace(u: np.ndarray, h: float):
 class SolveResult:
     """One forward run: the measured trace plus the solver's diagnostics.
 
-    vel_bottom/vel_left hold the centered velocities on the damped sides,
-    which only the dissipation identity reads.
+    trace, times and final are always recorded.  The diagnostics are
+    recorded only by a solve with diagnostics=True and are None otherwise:
+    energies (integer-step energy, read by the forward command and the
+    energy checks), staggered_times/staggered_energies (the series carrying
+    the exact dissipation identity) and vel_bottom/vel_left (the centered
+    velocities on the damped sides, which only the dissipation identity
+    reads).
     """
 
     final: WaveState
     trace: BoundaryTrace
-    vel_bottom: np.ndarray
-    vel_left: np.ndarray
+    vel_bottom: Optional[np.ndarray]
+    vel_left: Optional[np.ndarray]
     times: np.ndarray
-    energies: np.ndarray
-    staggered_times: np.ndarray
-    staggered_energies: np.ndarray
+    energies: Optional[np.ndarray]
+    staggered_times: Optional[np.ndarray]
+    staggered_energies: Optional[np.ndarray]
     grid: Grid2D
     dt: float
 
 
-def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: float,
-          source: Optional[SourceSpec] = None, dt_factor: float = 0.5) -> SolveResult:
-    """Advance the damped wave problem to time tau with full bookkeeping.
+def step_count(tau: float, h: float, dt_factor: float) -> int:
+    """Number of leapfrog steps a solve takes to reach tau on spacing h."""
+    return max(2, int(math.ceil(tau / (dt_factor * CFL_LIMIT * h))))
 
-    Records, at every integer step, the total energy, the normal-derivative
-    trace on both damped sides, and the centered boundary velocities; also
-    records the staggered energy series carrying the exact dissipation
-    identity.
+
+def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: float,
+          source: Optional[SourceSpec] = None, dt_factor: float = 0.5,
+          diagnostics: bool = True) -> SolveResult:
+    """Advance the damped wave problem to time tau.
+
+    Records, at every integer step, the normal-derivative trace on both
+    damped sides.  With diagnostics, it also records the total energy and
+    the centered boundary velocities at every integer step, and the
+    staggered energy series carrying the exact dissipation identity; these
+    cost about twice the step itself.  A caller that reads only the trace
+    (every probe, reference and observability estimate) passes
+    diagnostics=False; the trace is bit-identical either way.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -335,41 +408,54 @@ def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: flo
     grid.zero_dirichlet(u1)
 
     h = grid.h
-    steps = max(2, int(math.ceil(tau / (dt_factor * CFL_LIMIT * h))))
+    steps = step_count(tau, h, dt_factor)
     dt = tau / steps
+    _check_cfl(dt, h)
     gam = damping_rate(a, grid)
     accel_load = None
     if source is not None:
         accel_load = source.load / (h ** 2 * grid.quad_weights)
+    kernel = _Leapfrog(dt, grid, gam, source, accel_load)
 
     n = grid.n
     times = dt * np.arange(steps + 1)
-    energies = np.empty(steps + 1)
     tr_bottom = np.empty((steps + 1, n))
     tr_left = np.empty((steps + 1, n))
-    vel_bottom = np.empty((steps + 1, n))
-    vel_left = np.empty((steps + 1, n))
-    stag_energy = np.empty(steps)
+    energies = vel_bottom = vel_left = stag_energy = stag_times = None
+    if diagnostics:
+        energies = np.empty(steps + 1)
+        vel_bottom = np.empty((steps + 1, n))
+        vel_left = np.empty((steps + 1, n))
+        stag_energy = np.empty(steps)
+        stag_times = dt * (np.arange(steps) + 0.5)
 
     def record(m, u, v):
-        energies[m] = 0.5 * (stiffness_energy(u, grid) + weighted_l2_sq(v, grid))
         tr_bottom[m], tr_left[m] = _normal_trace(u, h)
-        vel_bottom[m] = v[:, 0]
-        vel_left[m] = v[0, :]
+        if diagnostics:
+            energies[m] = 0.5 * (stiffness_energy(u, grid) + weighted_l2_sq(v, grid))
+            vel_bottom[m] = v[:, 0]
+            vel_left[m] = v[0, :]
+
+    def record_staggered(m, u_new, u_old):
+        stag_energy[m] = 0.5 * (weighted_l2_sq((u_new - u_old) / dt, grid)
+                                + _stiffness_bilinear(u_new, u_old, grid))
 
     record(0, u0, u1)
+    # three rotating field buffers; u0 is a private copy, so it may be overwritten
     u_prev = u0
     u_curr = start_step(u0, u1, dt, grid, gam, source, accel_load)
-    stag_energy[0] = 0.5 * (weighted_l2_sq((u_curr - u_prev) / dt, grid)
-                            + _stiffness_bilinear(u_curr, u_prev, grid))
+    u_next = np.empty_like(u_curr)
+    if diagnostics:
+        record_staggered(0, u_curr, u_prev)
 
     for m in range(1, steps):
-        u_next = step(u_curr, u_prev, times[m], dt, grid, gam, source, accel_load)
-        v_c = (u_next - u_prev) / (2.0 * dt)
-        record(m, u_curr, v_c)
-        stag_energy[m] = 0.5 * (weighted_l2_sq((u_next - u_curr) / dt, grid)
-                                + _stiffness_bilinear(u_next, u_curr, grid))
-        u_prev, u_curr = u_curr, u_next
+        kernel(u_curr, u_prev, times[m], u_next)
+        if diagnostics:
+            record(m, u_curr, (u_next - u_prev) / (2.0 * dt))
+            record_staggered(m, u_next, u_curr)
+        else:
+            record(m, u_curr, None)
+        u_prev, u_curr, u_next = u_curr, u_next, u_prev
         if m % 128 == 0 and not np.isfinite(u_curr).all():
             raise NumericalError(f"field blew up at step {m} (t = {times[m]:.3f})")
 
@@ -386,16 +472,21 @@ def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: flo
                           dt=dt, tau=tau)
     final = WaveState(u=u_curr, v=v_final, t=float(times[-1]))
     return SolveResult(final=final, trace=trace, vel_bottom=vel_bottom, vel_left=vel_left,
-                       times=times, energies=energies,
-                       staggered_times=dt * (np.arange(steps) + 0.5),
+                       times=times, energies=energies, staggered_times=stag_times,
                        staggered_energies=stag_energy, grid=grid, dt=dt)
 
 
+def mode_field(mode: ModeIndex, grid: Grid2D) -> np.ndarray:
+    """The mode shape sampled on the grid and pinned on the Dirichlet sides."""
+    return grid.zero_dirichlet(grid.sample(lambda x, y: mode_shape(mode, x, y)))
+
+
 def solve_from_mode(a: DampingPair, mode: ModeIndex, grid: Grid2D, tau: float,
-                    dt_factor: float = 0.5) -> SolveResult:
+                    dt_factor: float = 0.5, diagnostics: bool = True) -> SolveResult:
     """Solve from the initial data (mode shape, 0) that generates every modal measurement."""
-    u0 = grid.sample(lambda x, y: mode_shape(mode, x, y))
-    return solve(u0, np.zeros_like(u0), a, grid, tau, dt_factor=dt_factor)
+    u0 = mode_field(mode, grid)
+    return solve(u0, np.zeros_like(u0), a, grid, tau, dt_factor=dt_factor,
+                 diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +508,7 @@ def dissipation_residual(result: SolveResult, a: DampingPair) -> float:
     for m in range(1, e.shape[0] - 1):
         dedt = (e[m + 1] - e[m - 1]) / (2.0 * dt)
         flux = boundary_damping_flux(a1n, a2n, result.vel_bottom[m],
-                                     result.vel_left[m], grid.h)
+                                     result.vel_left[m], grid)
         worst = max(worst, abs(dedt + flux))
     return worst
 

@@ -47,9 +47,16 @@ class Grid2D:
         return np.asarray(fn(x, y), dtype=float)
 
     @cached_property
+    def side_weights(self) -> np.ndarray:
+        """1-D trapezoid weights along a side (spacing excluded), built once and read-only."""
+        weights = trapezoid_weights(self.n)
+        weights.flags.writeable = False
+        return weights
+
+    @cached_property
     def quad_weights(self) -> np.ndarray:
         """Tensor trapezoid weights (spacing excluded), built once and read-only."""
-        w = trapezoid_weights(self.n)
+        w = self.side_weights
         weights = w[:, None] * w[None, :]
         weights.flags.writeable = False
         return weights

@@ -40,6 +40,7 @@ __all__ = [
     "probe_mode",
     "time_project",
     "linearized_recover",
+    "check_recovery_mode",
     "estimate_gap",
     "graph_norm",
     "select_truncation",
@@ -87,8 +88,8 @@ def _check_probe_resolution(grid: Grid2D, mode: ModeIndex):
 
 def reference_solution(mode: ModeIndex, tau: float, grid: Grid2D,
                        dt_factor: float = 0.5) -> SolveResult:
-    """Undamped forward run for one probe mode (the measurement reference)."""
-    return solve_from_mode(DampingPair.zero(), mode, grid, tau, dt_factor)
+    """Undamped forward run for one probe mode (the measurement reference), trace only."""
+    return solve_from_mode(DampingPair.zero(), mode, grid, tau, dt_factor, diagnostics=False)
 
 
 def probe_mode(a: DampingPair, mode: ModeIndex, tau: float, grid: Grid2D,
@@ -102,7 +103,8 @@ def probe_mode(a: DampingPair, mode: ModeIndex, tau: float, grid: Grid2D,
     _check_probe_resolution(grid, mode)
     if reference is None:
         reference = reference_solution(mode, tau, grid, dt_factor).trace
-    diff = solve_from_mode(a, mode, grid, tau, dt_factor).trace.difference(reference)
+    damped = solve_from_mode(a, mode, grid, tau, dt_factor, diagnostics=False)
+    diff = damped.trace.difference(reference)
     return ModalMeasurement(mode=mode, trace=diff, trace_norm=diff.l2_norm(),
                             reference=reference)
 
@@ -194,6 +196,16 @@ def linearized_recover(y1: SampledFunction1D, y2: SampledFunction1D, mode: ModeI
     np.clip(a1, 0.0, None, out=a1)
     np.clip(a2, 0.0, None, out=a2)
     return DampingPair(SampledFunction1D(a1), SampledFunction1D(a2), corner_tol=1e-9)
+
+
+def check_recovery_mode(mode: ModeIndex, grid: Grid2D, guard: float = 0.2):
+    """Raise linearized_recover's ResolutionError for a mode it cannot invert.
+
+    Runs the inversion on zero samples of the grid, so a caller can reject
+    the mode before it solves anything.
+    """
+    zero = SampledFunction1D(np.zeros(grid.n))
+    linearized_recover(zero, zero, mode, guard)
 
 
 def damping_l2_error(estimate: DampingPair, truth: DampingPair, guard: float = 0.2) -> float:
@@ -360,8 +372,7 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
         raise ValueError("a sweep needs at least two members")
 
     # the recovery reuses the gap's measurement: an unusable recovery mode fails before any solve
-    zero = SampledFunction1D(np.zeros(grid.n))
-    linearized_recover(zero, zero, recovery_mode, guard)
+    check_recovery_mode(recovery_mode, grid, guard)
     modes = [ModeIndex(k, l) for k in range(probe_budget + 1) for l in range(probe_budget + 1)]
     if recovery_mode not in modes:
         raise ResolutionError(f"recovery mode ({recovery_mode.k}, {recovery_mode.l}) lies "

@@ -65,6 +65,21 @@ def test_non_finite_input_exit_2(tmp_path, capsys, command, text, field):
     assert f"'{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, field", [
+    ("n = 1026\ntau = 0.001\n", "n"),
+    ("n = 100000000\n", "n"),
+    ("n = 257\ntau = 11.0\n", "tau"),
+    ("n = 17\ntau = 1e300\ndt_factor = 1e-300\n", "tau"),
+])
+def test_oversized_run_exit_2_before_any_solve(tmp_path, monkeypatch, capsys, text, field):
+    # a missing cap would reach the solver; fail there instead of allocating
+    monkeypatch.setattr(wavedamp.cli, "solve_from_mode",
+                        lambda *a, **k: pytest.fail("an oversized run reached the solver"))
+    cfg = write_cfg(tmp_path, text)
+    assert main(["forward", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
 class TestReconstructCommand:
     def test_zero_damping_flags_noise_floor(self, tmp_path):
         cfg = write_cfg(tmp_path, "n = 33\ntau = 2.0\ndamping_kind = zero\ngn_iters = 0\n")
@@ -83,6 +98,17 @@ class TestReconstructCommand:
         assert summary["linearized_error_l2"] < 0.15
         assert (out / "recon_a1.csv").exists()
         assert (out / "fourier_coeffs.csv").exists()
+
+
+    def test_unusable_probe_mode_fails_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        solves = []
+        real_solve = wavedamp.forward.solve
+        monkeypatch.setattr(wavedamp.forward, "solve",
+                            lambda *a, **k: solves.append(1) or real_solve(*a, **k))
+        cfg = write_cfg(tmp_path, "n = 33\ntau = 1.0\nprobe_k = 1\n")
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rec")]) == 1
+        assert "nearly vanishes" in capsys.readouterr().err
+        assert solves == []
 
 
 class TestSweepCommand:

@@ -22,7 +22,7 @@ from wavedamp.forward import (
     WaveState,
 )
 from wavedamp.grid import Grid2D
-from wavedamp.spectral import DampingPair, ModeIndex, eigenpair, mode_shape
+from wavedamp.spectral import DampingPair, ModeIndex, SampledFunction1D, eigenpair, mode_shape
 
 
 def mode_field(grid, mode=ModeIndex(0, 0)):
@@ -117,6 +117,48 @@ class TestScheme:
         assert grid.quad_weights is w
         with pytest.raises(ValueError):
             w[0, 0] = 1.0
+        ws = grid.side_weights
+        assert grid.side_weights is ws
+        with pytest.raises(ValueError):
+            ws[0] = 1.0
+
+    def test_step_matches_the_plain_expression(self):
+        # the in-place kernel keeps numpy's operation order, so it gives the bits
+        # of the plain leapfrog expression on the plain mirror Laplacian
+        grid = Grid2D(33)
+        h = grid.h
+        a = DampingPair.constant(0.4)
+        gam = damping_rate(a, grid)
+        source = mode_boundary_source(a, ModeIndex(1, 0), grid)
+        u_prev = mode_field(grid, ModeIndex(1, 2))
+        u = 0.9 * u_prev + 0.1 * mode_field(grid)
+        dt = 0.4 * h
+        lap = np.zeros_like(u)
+        lap[1:-1, :] += u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]
+        lap[0, :] += 2.0 * (u[1, :] - u[0, :])
+        lap[:, 1:-1] += u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]
+        lap[:, 0] += 2.0 * (u[:, 1] - u[:, 0])
+        lap = lap / (h * h)
+        half = 0.5 * dt * gam
+        for src in (None, source):
+            acc = lap
+            if src is not None:
+                acc = acc + src.profile(0.3) * (src.load / (h ** 2 * grid.quad_weights))
+            expected = grid.zero_dirichlet(
+                (2.0 * u - (1.0 - half) * u_prev + dt * dt * acc) / (1.0 + half))
+            assert np.array_equal(step(u, u_prev, 0.3, dt, grid, gam, src), expected)
+
+    def test_positional_step_returns_a_fresh_array(self):
+        # the benchmark's step-kernel timing calls step(u, u_prev, t, dt, grid, gam)
+        grid = Grid2D(17)
+        gam = damping_rate(DampingPair.constant(0.4), grid)
+        u_prev = mode_field(grid)
+        u = 0.5 * u_prev
+        first = step(u, u_prev, 0.0, 0.3 * grid.h, grid, gam)
+        second = step(u, u_prev, 0.0, 0.3 * grid.h, grid, gam)
+        assert np.array_equal(first, second)
+        for other in (u, u_prev, second):
+            assert not np.shares_memory(first, other)
 
 
 LINEARITY_MODES = [ModeIndex(k, l) for k in range(2) for l in range(2)]
@@ -154,6 +196,30 @@ def test_trace_is_linear_in_initial_data(alpha, beta, u_coeffs, w_coeffs, dampin
         scale = max(data_scale, np.abs(lhs).max(), np.abs(alpha * getattr(ru.trace, side)).max(),
                     np.abs(beta * getattr(rw.trace, side)).max())
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale + np.finfo(float).tiny
+
+
+PROBE_MODES = [ModeIndex(k, l) for k in range(3) for l in range(3)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([17, 33]), base=st.floats(0.0, 1.0), slope1=st.floats(0.0, 1.0),
+       slope2=st.floats(0.0, 1.0), mode=st.sampled_from(PROBE_MODES),
+       tau=st.floats(0.05, 1.0), forced=st.booleans())
+def test_lean_solve_records_the_full_solves_trace(n, base, slope1, slope2, mode, tau, forced):
+    grid = Grid2D(n)
+    s = np.linspace(0.0, 1.0, 257)
+    a = DampingPair(SampledFunction1D(base + slope1 * s), SampledFunction1D(base + slope2 * s))
+    source = mode_boundary_source(a, mode, grid) if forced else None
+    u0 = mode_field(grid, mode)
+    full = solve(u0, np.zeros_like(u0), a, grid, tau, source=source)
+    lean = solve(u0, np.zeros_like(u0), a, grid, tau, source=source, diagnostics=False)
+    assert np.array_equal(lean.trace.normal_bottom, full.trace.normal_bottom)
+    assert np.array_equal(lean.trace.normal_left, full.trace.normal_left)
+    assert np.array_equal(lean.times, full.times)
+    assert np.array_equal(lean.final.u, full.final.u)
+    for name in ("energies", "staggered_times", "staggered_energies", "vel_bottom", "vel_left"):
+        assert getattr(lean, name) is None
+        assert getattr(full, name) is not None
 
 
 class TestEnergy:
