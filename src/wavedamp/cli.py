@@ -129,7 +129,7 @@ def cmd_reconstruct(config: ExperimentConfig) -> int:
         save_damping_csv(out / "refined_a2.csv", refined.a2)
         summary["refined_error_l2"] = damping_l2_error(refined, truth, config.guard)
         summary["gn_residuals"] = info.residuals
-        summary["gn_stalled"] = info.stalled
+        summary["gn_termination"] = info.termination
 
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     write_manifest(out, config.canonical_text(), __version__, timings)

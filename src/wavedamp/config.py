@@ -24,9 +24,13 @@ __all__ = ["ExperimentConfig", "parse_config", "load_config"]
 DAMPING_KINDS = ("zero", "constant", "affine", "csv")
 # Caps checked before anything is allocated, so an oversized run exits 2
 # instead of failing in the allocator.  n^2 * steps bounds the work of one
-# solve: 1.9e8 for n = 257 at tau = 4, dt_factor = 0.5.
+# solve: 1.9e8 for n = 257 at tau = 4, dt_factor = 0.5.  n * (steps + 1)
+# bounds the memory of one trace, 16 bytes per value for its two sides
+# (80 MB at the cap; a probe holds three traces): 7.4e5 for n = 257 at
+# tau = 4, while n = 17 under the work cap alone could reach 2.9e7.
 MAX_N = 1025
 MAX_NODE_STEPS = 5e8
+MAX_TRACE_VALUES = 5e6
 
 
 @dataclass
@@ -72,6 +76,9 @@ class ExperimentConfig:
                 or self.n ** 2 * step_count(self.tau, h, self.dt_factor) > MAX_NODE_STEPS):
             raise ConfigError("tau", f"n^2 * steps of one solve exceeds {MAX_NODE_STEPS:.0e}; "
                                      "lower n or tau, or raise dt_factor")
+        if self.n * (step_count(self.tau, h, self.dt_factor) + 1) > MAX_TRACE_VALUES:
+            raise ConfigError("tau", f"n * (steps + 1) of one trace exceeds "
+                                     f"{MAX_TRACE_VALUES:.0e}; lower tau, or raise dt_factor")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed", "must fit in an unsigned 64-bit integer")
         if self.damping_kind not in DAMPING_KINDS:

@@ -391,8 +391,8 @@ def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: flo
     the centered boundary velocities at every integer step, and the
     staggered energy series carrying the exact dissipation identity; these
     cost about twice the step itself.  A caller that reads only the trace
-    (every probe, reference and observability estimate) passes
-    diagnostics=False; the trace is bit-identical either way.
+    (every probe, reference, observability estimate and source bound
+    check) passes diagnostics=False; the trace is bit-identical either way.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ObservabilityFailure
-from .forward import SolveResult, SourceSpec, solve
+from .forward import SourceSpec, solve
 from .grid import Grid2D
 from .riesz import riesz_solve
 from .spectral import DampingPair, trapezoid_weights
@@ -241,7 +241,6 @@ class SourceBoundCheck:
     trace_norm: float
     ratio: float
     c_emp: float
-    result: SolveResult
 
 
 def source_bound_check(a: DampingPair, source: SourceSpec, tau: float, grid: Grid2D,
@@ -256,16 +255,16 @@ def source_bound_check(a: DampingPair, source: SourceSpec, tau: float, grid: Gri
     if a.minimum() <= 0:
         raise ValueError("source bound check needs a strictly positive damping")
     zeros = np.zeros((grid.n, grid.n))
-    result = solve(zeros, zeros, a, grid, tau, source=source, dt_factor=dt_factor)
+    result = solve(zeros, zeros, a, grid, tau, source=source, dt_factor=dt_factor,
+                   diagnostics=False)
     wnorm = riesz_solve(source.load, grid).vprime_norm
     trace_norm = result.trace.l2_norm()
     if wnorm <= VANISHING_NORM and trace_norm <= VANISHING_NORM:
-        return SourceBoundCheck(wnorm=wnorm, trace_norm=trace_norm, ratio=0.0,
-                                c_emp=0.0, result=result)
+        return SourceBoundCheck(wnorm=wnorm, trace_norm=trace_norm, ratio=0.0, c_emp=0.0)
     if trace_norm <= VANISHING_NORM:
         raise ObservabilityFailure("nonzero source produced a vanishing boundary trace")
     steps = result.times.shape[0] - 1
     modulation = Modulation.from_callable(np.vectorize(source.profile), tau, steps)
     ratio = wnorm / trace_norm
     return SourceBoundCheck(wnorm=wnorm, trace_norm=trace_norm, ratio=ratio,
-                            c_emp=ratio / stability_factor(modulation), result=result)
+                            c_emp=ratio / stability_factor(modulation))

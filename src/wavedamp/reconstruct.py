@@ -53,6 +53,7 @@ __all__ = [
 
 PHI_FLOOR = 0.15  # smallest usable |boundary mode| for pointwise inversion
 FD_STEP = 1e-3  # relative finite-difference step of the Gauss-Newton Jacobian
+GN_RTOL = 1e-3  # smallest predicted relative decrease that earns another Gauss-Newton round
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +432,33 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
 
 @dataclass
 class GaussNewtonInfo:
+    """Residual norm history of a Gauss-Newton fit and why it stopped.
+
+    termination is one of
+    - "zero_residual": the residual reached zero;
+    - "stalled": the last round's line search did not improve;
+    - "tolerance": the last round's Jacobian predicts that another round
+      lowers the residual by less than GN_RTOL relative;
+    - "max_iters": the round cap stopped a fit that still predicted a gain.
+    """
+
     residuals: List[float]
-    converged: bool
-    stalled: bool
+    termination: str
+
+    @property
+    def converged(self) -> bool:
+        return self.termination == "zero_residual"
+
+    @property
+    def stalled(self) -> bool:
+        return self.termination == "stalled"
+
+
+def _predicted_decrease(jac: np.ndarray, r: np.ndarray) -> float:
+    """Relative decrease of |r| that the linear model r + jac s promises at its best step."""
+    step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+    norm = float(np.linalg.norm(r))
+    return (norm - float(np.linalg.norm(r + jac @ step))) / norm
 
 
 def _apply_correction(init: DampingPair, params: np.ndarray, order: int) -> DampingPair:
@@ -467,10 +492,13 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
     initial pair, up to fit_order per side; every candidate is projected
     back onto the constraint set (nonnegative, matching corner values)
     before simulation.  Every simulated probe is differenced against the
-    reference its measurement carries.  Stops after `iters` rounds, a zero
-    residual or the first round whose line search does not improve
-    (`stalled`), and returns the best iterate seen; `converged` reports
-    the zero residual only.
+    reference its measurement carries.  After each round that improves,
+    the round's Jacobian, reused at the accepted residual, predicts the
+    next round's decrease without a further solve; the fit stops when that
+    prediction falls below GN_RTOL relative.  It also stops at a zero
+    residual, at the first round whose line search does not improve, or
+    after `iters` rounds, and returns the best iterate seen with the
+    reason in `GaussNewtonInfo.termination`.
     """
     if not measurements:
         raise ValueError("need at least one measurement")
@@ -489,11 +517,9 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
     r = residual(_apply_correction(init, params, fit_order))
     best_norm = float(np.linalg.norm(r))
     history = [best_norm]
-    stalled = False
+    termination = "zero_residual" if best_norm == 0.0 else "max_iters"
 
-    for _ in range(iters):
-        if best_norm == 0.0:
-            break
+    for _ in range(iters if best_norm > 0.0 else 0):
         jac = np.empty((r.shape[0], params.shape[0]))
         for p in range(params.shape[0]):
             h = FD_STEP * max(1.0, abs(params[p]))
@@ -502,7 +528,7 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
             jac[:, p] = (residual(_apply_correction(init, bumped, fit_order)) - r) / h
         step_vec, *_ = np.linalg.lstsq(jac, -r, rcond=None)
 
-        stalled = True
+        improved = False
         scale = 1.0
         for _ in range(4):
             trial = params + scale * step_vec
@@ -512,13 +538,20 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
                 params = trial
                 r = r_trial
                 best_norm = norm_trial
-                stalled = False
+                improved = True
                 break
             scale *= 0.5
         history.append(best_norm)
-        if stalled:
+        if not improved:
             # params and r are unchanged, so a further round would repeat this one
+            termination = "stalled"
+            break
+        if best_norm == 0.0:
+            termination = "zero_residual"
+            break
+        if _predicted_decrease(jac, r) < GN_RTOL:
+            termination = "tolerance"
             break
 
-    info = GaussNewtonInfo(residuals=history, converged=best_norm == 0.0, stalled=stalled)
+    info = GaussNewtonInfo(residuals=history, termination=termination)
     return _apply_correction(init, params, fit_order), info

@@ -70,6 +70,8 @@ def test_non_finite_input_exit_2(tmp_path, capsys, command, text, field):
     ("n = 100000000\n", "n"),
     ("n = 257\ntau = 11.0\n", "tau"),
     ("n = 17\ntau = 1e300\ndt_factor = 1e-300\n", "tau"),
+    # under the work cap (n^2 * steps = 2.6e8) but over the trace cap (1.5e7 values)
+    ("n = 17\ntau = 20000.0\n", "tau"),
 ])
 def test_oversized_run_exit_2_before_any_solve(tmp_path, monkeypatch, capsys, text, field):
     # a missing cap would reach the solver; fail there instead of allocating

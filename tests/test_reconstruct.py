@@ -8,6 +8,7 @@ from wavedamp.errors import RegimeError, ResolutionError
 from wavedamp.forward import BoundaryTrace, solve, solve_from_mode
 from wavedamp.grid import Grid2D
 from wavedamp.reconstruct import (
+    GN_RTOL,
     ModalMeasurement,
     coefficient_bound_constant,
     damping_l2_error,
@@ -424,6 +425,7 @@ class TestGaussNewton:
                                                   iters=2, fit_order=1)
         assert info.residuals[0] == 0.0
         assert info.converged
+        assert info.termination == "zero_residual"
         assert np.all(refined.a1.values == 0.0)
 
     def test_exhausted_iterations_are_not_converged(self):
@@ -433,6 +435,7 @@ class TestGaussNewton:
                                             grid, 1.0, iters=1, fit_order=0)
         assert len(info.residuals) == 2
         assert info.residuals[-1] > 0.0
+        assert info.termination == "max_iters"
         assert not info.converged
         assert not info.stalled
 
@@ -455,6 +458,7 @@ class TestGaussNewton:
         assert len(info.residuals) == 2
         assert info.residuals[1] == info.residuals[0] > 0.0
         assert info.stalled
+        assert info.termination == "stalled"
         assert not info.converged
         # one initial residual, two Jacobian columns, four line-search trials
         assert len(calls) == 7
@@ -473,6 +477,71 @@ class TestGaussNewton:
         _, info = fit_damping_least_squares([meas], truth, grid, 1.0, iters=1, fit_order=0)
         assert info.residuals == [0.0]
         assert info.converged
+        assert info.termination == "zero_residual"
+
+    @staticmethod
+    def _affine_fit_inputs():
+        grid = Grid2D(33)
+        truth = DampingPair.from_callables(lambda s: 0.1 * (1 + s / 2),
+                                           lambda s: 0.1 * np.ones_like(s), n=33)
+        mode = ModeIndex(0, 0)
+        meas = probe_mode(truth, mode, 1.0, grid)
+        y1, y2 = time_project(meas)
+        return grid, meas, linearized_recover(y1, y2, mode)
+
+    def test_tolerance_ends_the_fit_at_its_last_solve(self, monkeypatch):
+        grid, meas, estimate = self._affine_fit_inputs()
+        events = []  # the damping of each solve, None for each least-squares solve
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr("wavedamp.forward.solve",
+                            lambda u0, u1, a, *r, **k: events.append(a) or solve(u0, u1, a, *r, **k))
+        monkeypatch.setattr("numpy.linalg.lstsq",
+                            lambda *a, **k: events.append(None) or lstsq(*a, **k))
+        refined, info = fit_damping_least_squares([meas], estimate, grid, 1.0,
+                                                  iters=6, fit_order=1)
+        params = 4
+        rounds = len(info.residuals) - 1
+        assert info.termination == "tolerance"
+        assert 1 <= rounds < 6
+        assert not info.converged and not info.stalled
+        # each round: a solve per Jacobian column, the step's lstsq, the line-search
+        # trials, then the prediction's lstsq
+        runs = [len(run) for run in "".join("|" if a is None else "s" for a in events).split("|")]
+        assert len(runs) == 2 * rounds + 1
+        assert runs[0] == 1 + params and runs[2:-1:2] == [params] * (rounds - 1)
+        trials = runs[1::2]
+        assert all(1 <= t <= 4 for t in trials)
+        solved = [a for a in events if a is not None]
+        assert len(solved) == 1 + rounds * params + sum(trials)
+        # the stop costs no solve: the accepted trial, the first solve of the
+        # returned pair, is the last one
+        first = next(i for i, a in enumerate(solved)
+                     if np.array_equal(a.a1.values, refined.a1.values)
+                     and np.array_equal(a.a2.values, refined.a2.values))
+        assert first == len(solved) - 1
+
+    def test_tolerance_stop_is_true(self):
+        # a round restarted from the returned pair gains less than the tolerance
+        grid, meas, estimate = self._affine_fit_inputs()
+        refined, info = fit_damping_least_squares([meas], estimate, grid, 1.0,
+                                                  iters=6, fit_order=1)
+        assert info.termination == "tolerance"
+        _, again = fit_damping_least_squares([meas], refined, grid, 1.0, iters=1, fit_order=1)
+        assert again.residuals[0] == info.residuals[-1]
+        first, last = again.residuals[0], again.residuals[-1]
+        assert (first - last) / first < GN_RTOL
+
+    def test_no_rounds_allowed_is_max_iters(self, monkeypatch):
+        grid = Grid2D(33)
+        meas = probe_mode(DampingPair.constant(0.1, n=33), ModeIndex(0, 0), 1.0, grid)
+        solves = []
+        monkeypatch.setattr("wavedamp.forward.solve",
+                            lambda *a, **k: solves.append(1) or solve(*a, **k))
+        _, info = fit_damping_least_squares([meas], DampingPair.constant(0.05, n=33),
+                                            grid, 1.0, iters=0, fit_order=0)
+        assert info.termination == "max_iters"
+        assert len(info.residuals) == 1 and info.residuals[0] > 0.0
+        assert len(solves) == 1
 
     def test_needs_measurements(self):
         with pytest.raises(ValueError):
