@@ -133,6 +133,16 @@ class TestSweepCommand:
         deltas = [float(r.split(",")[2]) for r in rows[1:]]
         assert deltas == sorted(deltas, reverse=True)
 
+    def test_unusable_probe_mode_fails_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        solves = []
+        real_solve = wavedamp.forward.solve
+        monkeypatch.setattr(wavedamp.forward, "solve",
+                            lambda *a, **k: solves.append(1) or real_solve(*a, **k))
+        cfg = write_cfg(tmp_path, "n = 33\ntau = 1.0\nprobe_k = 1\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
+        assert "nearly vanishes" in capsys.readouterr().err
+        assert solves == []
+
 
 class TestVerifyCommand:
     def test_filter_prefix(self, tmp_path, capsys):

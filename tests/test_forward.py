@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wavedamp.errors import NumericalError
 from wavedamp.forward import (
     BoundaryTrace,
+    boundary_damping_flux,
     damping_rate,
     dissipation_residual,
     energy,
@@ -17,6 +18,7 @@ from wavedamp.forward import (
     solve,
     solve_from_mode,
     step,
+    step_count,
     stiffness_energy,
     weighted_l2_sq,
     WaveState,
@@ -123,8 +125,9 @@ class TestScheme:
             ws[0] = 1.0
 
     def test_step_matches_the_plain_expression(self):
-        # the in-place kernel keeps numpy's operation order, so it gives the bits
-        # of the plain leapfrog expression on the plain mirror Laplacian
+        # the kernel evaluates the folded expression alpha u + beta S(u) - gamma u_prev
+        # (+ profile(t) load) in that order, so it gives those bits; the plain leapfrog
+        # expression divides by 1 + half instead, so it agrees only to roundoff
         grid = Grid2D(33)
         h = grid.h
         a = DampingPair.constant(0.4)
@@ -133,20 +136,27 @@ class TestScheme:
         u_prev = mode_field(grid, ModeIndex(1, 2))
         u = 0.9 * u_prev + 0.1 * mode_field(grid)
         dt = 0.4 * h
-        lap = np.zeros_like(u)
-        lap[1:-1, :] += u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]
-        lap[0, :] += 2.0 * (u[1, :] - u[0, :])
-        lap[:, 1:-1] += u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]
-        lap[:, 0] += 2.0 * (u[:, 1] - u[:, 0])
-        lap = lap / (h * h)
+        neighbours = np.zeros_like(u)
+        neighbours[:, 1:-1] = u[:, :-2] + u[:, 2:]
+        neighbours[:, 0] = 2.0 * u[:, 1]
+        neighbours[1:-1, :] = neighbours[1:-1, :] + u[:-2, :] + u[2:, :]
+        neighbours[0, :] += 2.0 * u[1, :]
         half = 0.5 * dt * gam
+        one_plus = 1.0 + half
+        r = dt * dt / (h * h)
+        alpha = grid.zero_dirichlet((2.0 - 4.0 * r) / one_plus)
+        beta = grid.zero_dirichlet(r / one_plus)
+        gamma = grid.zero_dirichlet((1.0 - half) / one_plus)
+        accel_load = source.load / (h ** 2 * grid.quad_weights)
+        load = grid.zero_dirichlet((dt * dt / one_plus) * accel_load)
         for src in (None, source):
-            acc = lap
+            folded = alpha * u + beta * neighbours - gamma * u_prev
             if src is not None:
-                acc = acc + src.profile(0.3) * (src.load / (h ** 2 * grid.quad_weights))
-            expected = grid.zero_dirichlet(
-                (2.0 * u - (1.0 - half) * u_prev + dt * dt * acc) / (1.0 + half))
-            assert np.array_equal(step(u, u_prev, 0.3, dt, grid, gam, src), expected)
+                folded = folded + src.profile(0.3) * load
+            stepped = step(u, u_prev, 0.3, dt, grid, gam, src)
+            assert np.array_equal(stepped, grid.zero_dirichlet(folded))
+            plain = plain_step(u, u_prev, 0.3, dt, grid, gam, src)
+            assert np.abs(stepped - plain).max() <= 1e-13 * np.abs(u).max()
 
     def test_positional_step_returns_a_fresh_array(self):
         # the benchmark's step-kernel timing calls step(u, u_prev, t, dt, grid, gam)
@@ -159,6 +169,63 @@ class TestScheme:
         assert np.array_equal(first, second)
         for other in (u, u_prev, second):
             assert not np.shares_memory(first, other)
+
+
+def plain_laplacian(u, h):
+    """The mirrored 5-point Laplacian as plain strided second differences."""
+    lap = np.zeros_like(u)
+    lap[1:-1, :] += u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]
+    lap[0, :] += 2.0 * (u[1, :] - u[0, :])
+    lap[:, 1:-1] += u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]
+    lap[:, 0] += 2.0 * (u[:, 1] - u[:, 0])
+    return lap / (h * h)
+
+
+def plain_step(u, u_prev, t, dt, grid, gam, source=None):
+    """The unfolded leapfrog expression (2 u - (1 - half) u_prev + dt^2 acc) / (1 + half)."""
+    half = 0.5 * dt * gam
+    acc = plain_laplacian(u, grid.h)
+    if source is not None:
+        acc = acc + source.profile(t) * (source.load / (grid.h ** 2 * grid.quad_weights))
+    return grid.zero_dirichlet((2.0 * u - (1.0 - half) * u_prev + dt * dt * acc) / (1.0 + half))
+
+
+def plain_trace(u0, a, grid, tau):
+    """Trace rows (bottom, left) of a solve from (u0, 0) by a loop of the plain expression."""
+    steps = step_count(tau, grid.h, 0.5)
+    dt = tau / steps
+    gam = damping_rate(a, grid)
+    h = grid.h
+
+    def normal(u):
+        return np.concatenate(((3.0 * u[:, 0] - 4.0 * u[:, 1] + u[:, 2]) / (2.0 * h),
+                               (3.0 * u[0, :] - 4.0 * u[1, :] + u[2, :]) / (2.0 * h)))
+
+    u_prev = u0
+    u = grid.zero_dirichlet(u0 + 0.5 * dt * dt * plain_laplacian(u0, h))
+    rows = [normal(u_prev), normal(u)]
+    for m in range(1, steps):
+        u_prev, u = u, plain_step(u, u_prev, m * dt, dt, grid, gam)
+        rows.append(normal(u))
+    return np.array(rows)
+
+
+PROBE_MODES = [ModeIndex(k, l) for k in range(3) for l in range(3)]
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_solve_stays_within_roundoff_of_the_plain_scheme(n):
+    # the folded kernel and the plain expression round differently; over a
+    # whole solve the traces drift apart by roundoff only
+    grid = Grid2D(n)
+    a = DampingPair.from_callables(lambda s: 0.3 + 0.2 * s, lambda s: 0.3 + 0.1 * s ** 2)
+    for mode in PROBE_MODES:
+        u0 = mode_field(grid, mode)
+        grid.zero_dirichlet(u0)
+        res = solve(u0, np.zeros_like(u0), a, grid, 1.0, diagnostics=False)
+        ref = plain_trace(u0, a, grid, 1.0)
+        got = np.hstack((res.trace.normal_bottom, res.trace.normal_left))
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 LINEARITY_MODES = [ModeIndex(k, l) for k in range(2) for l in range(2)]
@@ -198,9 +265,6 @@ def test_trace_is_linear_in_initial_data(alpha, beta, u_coeffs, w_coeffs, dampin
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale + np.finfo(float).tiny
 
 
-PROBE_MODES = [ModeIndex(k, l) for k in range(3) for l in range(3)]
-
-
 @settings(max_examples=25, deadline=None)
 @given(n=st.sampled_from([17, 33]), base=st.floats(0.0, 1.0), slope1=st.floats(0.0, 1.0),
        slope2=st.floats(0.0, 1.0), mode=st.sampled_from(PROBE_MODES),
@@ -220,6 +284,30 @@ def test_lean_solve_records_the_full_solves_trace(n, base, slope1, slope2, mode,
     for name in ("energies", "staggered_times", "staggered_energies", "vel_bottom", "vel_left"):
         assert getattr(lean, name) is None
         assert getattr(full, name) is not None
+
+
+coefficient_part = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([17, 33]), base=coefficient_part, slope1=coefficient_part,
+       slope2=coefficient_part, curve1=coefficient_part, curve2=coefficient_part,
+       mode=st.sampled_from(PROBE_MODES), tau=st.floats(0.05, 1.0))
+def test_staggered_energy_identity(n, base, slope1, slope2, curve1, curve2, mode, tau):
+    # (E^{m+1/2} - E^{m-1/2}) / dt = -sum_boundary a v_c^2 holds to roundoff for
+    # every nonnegative damping, so the staggered energy never increases
+    assume(max(slope1, slope2, curve1, curve2) >= 0.01)
+    grid = Grid2D(n)
+    s = np.linspace(0.0, 1.0, 257)
+    a = DampingPair(SampledFunction1D(base + slope1 * s + curve1 * s ** 2),
+                    SampledFunction1D(base + slope2 * s + curve2 * s ** 2))
+    res = solve_from_mode(a, mode, grid, tau)
+    a1n, a2n = a.a1.at(grid.nodes), a.a2.at(grid.nodes)
+    stag = res.staggered_energies
+    flux = np.array([boundary_damping_flux(a1n, a2n, res.vel_bottom[m], res.vel_left[m], grid)
+                     for m in range(1, stag.shape[0])])
+    assert np.abs(np.diff(stag) / res.dt + flux).max() <= 1e-11 * stag[0]
+    assert np.diff(stag).max() <= 0.0
 
 
 class TestEnergy:
