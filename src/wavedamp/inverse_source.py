@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ObservabilityFailure
 from .forward import SourceSpec, solve
@@ -146,32 +147,26 @@ def _check_aligned(lam: Modulation, sig: TimeSignal):
 
 
 def _causal_matrix(lam: Modulation) -> np.ndarray:
+    """Trapezoid quadrature of the causal convolution as a lower-triangular matrix.
+
+    Entry [t, s] is lam(t - s) dt for s <= t, halved on the diagonal and in
+    column 0 (the trapezoid end weights of each row), with [0, 0] zero and
+    every entry above the diagonal an exact zero.  The Toeplitz pattern is a
+    strided view of the zero-padded samples; scaling it by dt copies it
+    into the matrix.
+    """
     cached = getattr(lam, "_causal_matrix_cache", None)
     if cached is not None:
         return cached
     m = lam.steps
-    dt = lam.dt
+    padded = np.concatenate([np.zeros(m), lam.values])
+    # row t of the reversed windows reads padded[m + t - s] = lam(t - s), zero for s > t
+    mat = sliding_window_view(padded, m + 1)[:, ::-1] * lam.dt
     idx = np.arange(m + 1)
-    kernel = lam.values[np.clip(idx[:, None] - idx[None, :], 0, m)]
-    weights = np.zeros((m + 1, m + 1))
-    lower = idx[None, :] <= idx[:, None]
-    weights[lower] = dt
-    weights[idx, idx] = 0.5 * dt
-    weights[1:, 0] = 0.5 * dt
-    weights[0, 0] = 0.0
-    mat = np.where(lower, kernel * weights, 0.0)
+    mat[idx, idx] *= 0.5
+    mat[1:, 0] *= 0.5
+    mat[0, 0] = 0.0
     object.__setattr__(lam, "_causal_matrix_cache", mat)
-    return mat
-
-
-def _anticausal_matrix(lam: Modulation) -> np.ndarray:
-    cached = getattr(lam, "_anticausal_matrix_cache", None)
-    if cached is not None:
-        return cached
-    w = trapezoid_weights(lam.steps + 1)
-    # adjoint of (K o W) under diag(w) pairing: rows scale by 1/w, columns by w
-    mat = _causal_matrix(lam).T * (w[None, :] / w[:, None])
-    object.__setattr__(lam, "_anticausal_matrix_cache", mat)
     return mat
 
 
@@ -188,9 +183,11 @@ def convolve_causal(lam: Modulation, sig: TimeSignal) -> TimeSignal:
 def convolve_anticausal(lam: Modulation, sig: TimeSignal) -> TimeSignal:
     """(S* h)(t) = int_t^tau lam(s - t) h(s) ds.
 
-    Built as the exact discrete adjoint of convolve_causal under the
-    trapezoid inner product of L2((0, tau); Y), so the adjoint identity
-    holds to roundoff and row t only touches samples at s >= t
+    Computed as (K^T (w h)) / w with K the causal matrix of convolve_causal
+    and w the trapezoid weights: the exact discrete adjoint of
+    convolve_causal under the trapezoid inner product of L2((0, tau); Y), so
+    the adjoint identity holds to roundoff.  Row t of K^T holds exact zeros
+    at s < t, so the output at t only touches samples at s >= t
     (anticausality is bit-exact).  Every interior sample matches the
     trapezoid quadrature of the defining integral; the two end samples
     carry O(dt) quadrature defects (the value at tau keeps its trapezoid
@@ -199,7 +196,8 @@ def convolve_anticausal(lam: Modulation, sig: TimeSignal) -> TimeSignal:
     sees).
     """
     _check_aligned(lam, sig)
-    return TimeSignal(_anticausal_matrix(lam) @ sig.values, sig.tau)
+    w = trapezoid_weights(lam.steps + 1)[:, None]
+    return TimeSignal((_causal_matrix(lam).T @ (w * sig.values)) / w, sig.tau)
 
 
 def stability_factor(lam: Modulation) -> float:

@@ -1,9 +1,12 @@
-"""The program names the benchmark's tracing looks up must keep existing.
+"""The program names and results the benchmark relies on must keep holding.
 
 perfbench/tracing.py wraps wavedamp functions by module and name and times
 the step kernel directly; a rename in wavedamp would break the benchmark
 without failing any other test.  The tracer is loaded but never installed,
-since installing rebinds the wavedamp modules in place.
+since installing rebinds the wavedamp modules in place.  Every `verify`
+operation of the benchmark also runs the closed-form convolution check of
+perfbench/checks.py, which a change to convolve_causal or TimeSignal could
+break while the program's own tests still pass.
 """
 
 import importlib
@@ -12,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +24,17 @@ def tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def checks():
+    # checks.py imports its sibling workloads.py as a top-level module
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
     return module
 
 
@@ -37,3 +52,9 @@ def test_step_kernel_names_exist():
     for name in ("step", "start_step", "damping_rate"):
         assert callable(getattr(forward, name, None)), f"wavedamp.forward.{name}"
     assert isinstance(forward.CFL_LIMIT, float)
+
+
+def test_verify_closed_form_check_passes(checks):
+    from wavedamp import inverse_source
+
+    assert checks.convolve_closed_form_defect(inverse_source) <= checks.CLOSED_FORM_TOL

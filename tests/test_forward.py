@@ -1,12 +1,17 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wavedamp.errors import NumericalError
 from wavedamp.forward import (
+    _mirror_second_difference,
+    _neighbour_sum,
+    _stiffness_bilinear,
     BoundaryTrace,
     boundary_damping_flux,
     damping_rate,
@@ -17,6 +22,7 @@ from wavedamp.forward import (
     rellich_residual,
     solve,
     solve_from_mode,
+    start_step,
     step,
     step_count,
     stiffness_energy,
@@ -24,7 +30,14 @@ from wavedamp.forward import (
     WaveState,
 )
 from wavedamp.grid import Grid2D
-from wavedamp.spectral import DampingPair, ModeIndex, SampledFunction1D, eigenpair, mode_shape
+from wavedamp.spectral import (
+    DampingPair,
+    ModeIndex,
+    SampledFunction1D,
+    eigenpair,
+    mode_shape,
+    trapezoid_weights,
+)
 
 
 def mode_field(grid, mode=ModeIndex(0, 0)):
@@ -367,6 +380,18 @@ class TestDissipationIdentity:
         assert r65 < 1e-2
         assert r129 < r65 / 3.3
 
+    def test_matches_the_per_step_flux(self):
+        grid = Grid2D(33)
+        s = np.linspace(0.0, 1.0, 257)
+        a = DampingPair(SampledFunction1D(0.5 + 0.5 * s), SampledFunction1D(0.5 + 0.3 * s ** 2))
+        res = solve(mode_field(grid, ModeIndex(1, 0)), np.zeros((33, 33)), a, grid, 1.0)
+        a1n, a2n = a.a1.at(grid.nodes), a.a2.at(grid.nodes)
+        e = res.energies
+        loop = max(abs((e[m + 1] - e[m - 1]) / (2.0 * res.dt)
+                       + boundary_damping_flux(a1n, a2n, res.vel_bottom[m], res.vel_left[m], grid))
+                   for m in range(1, e.shape[0] - 1))
+        assert abs(dissipation_residual(res, a) - loop) <= 1e-12 * loop
+
     def test_trace_matches_damping_relation(self, damped_run):
         grid, a, res = damped_run
         # both sides record d_nu u and -a v; they agree at O(h) pointwise
@@ -432,3 +457,57 @@ class TestStiffnessForm:
         u = mode_field(grid, ModeIndex(0, 0))
         lam = eigenpair(ModeIndex(0, 0)).eigenvalue
         assert stiffness_energy(u, grid) == pytest.approx(lam, rel=1e-4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.sampled_from([5, 17, 33]))
+def test_stiffness_form_by_summation_by_parts(data, n):
+    # B(x, u) = sum q x (4 u - S(u)) for x vanishing on the Dirichlet sides
+    # magnitudes kept where products of two entries stay normal floats
+    magnitude = st.floats(1e-6, 1e3)
+    entry = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda v: -v))
+    field = arrays(float, (n, n), elements=entry, fill=entry)
+    x, u = data.draw(field), data.draw(field)
+    for f in (x, u):
+        f[-1, :] = 0.0
+        f[:, -1] = 0.0
+    second = _mirror_second_difference(u, np.empty((n, n)), np.empty((n, n)))
+    by_sum = 4.0 * u - _neighbour_sum(u, np.empty((n, n)))
+    assert np.abs(second - by_sum)[:-1, :-1].max() <= 1e-14 * np.abs(u).max()
+    weights = trapezoid_weights(n)
+    grid = types.SimpleNamespace(side_weights=weights)  # Grid2D needs n >= 17
+    lhs = _stiffness_bilinear(x, u, grid)
+    rhs = float((np.outer(weights, weights) * x * second).sum())
+    scale = math.sqrt(_stiffness_bilinear(x, x, grid)) * math.sqrt(_stiffness_bilinear(u, u, grid))
+    assert abs(lhs - rhs) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_diagnostics_match_a_per_step_recomputation(n):
+    grid = Grid2D(n)
+    s = np.linspace(0.0, 1.0, 257)
+    a = DampingPair(SampledFunction1D(0.3 + 0.5 * s), SampledFunction1D(0.3 + 0.2 * s ** 2))
+    source = mode_boundary_source(a, ModeIndex(1, 0), grid)
+    u0 = grid.zero_dirichlet(mode_field(grid, ModeIndex(1, 1)))
+    u1 = grid.zero_dirichlet(0.7 * mode_field(grid, ModeIndex(0, 1)))
+    res = solve(u0, u1, a, grid, 0.5, source=source)
+
+    # replay the solve step by step, keeping every field
+    dt, times = res.dt, res.times
+    gam = damping_rate(a, grid)
+    fields = [u0, start_step(u0, u1, dt, grid, gam, source)]
+    for m in range(1, times.shape[0] - 1):
+        fields.append(step(fields[m], fields[m - 1], times[m], dt, grid, gam, source))
+    assert np.array_equal(fields[-1], res.final.u)
+
+    velocities = [u1] + [(fields[m + 1] - fields[m - 1]) / (2.0 * dt)
+                         for m in range(1, len(fields) - 1)] + [res.final.v]
+    energies = [energy(WaveState(u=f, v=v, t=t), grid)
+                for f, v, t in zip(fields, velocities, times)]
+    staggered = [0.5 * (weighted_l2_sq((new - old) / dt, grid) + _stiffness_bilinear(new, old, grid))
+                 for new, old in zip(fields[1:], fields[:-1])]
+    e0 = energies[0]
+    assert np.abs(res.energies - energies).max() <= 1e-13 * e0
+    assert np.abs(res.staggered_energies - staggered).max() <= 1e-13 * e0
+    assert np.array_equal(res.vel_bottom, [v[:, 0] for v in velocities])
+    assert np.array_equal(res.vel_left, [v[0, :] for v in velocities])

@@ -7,6 +7,7 @@ from wavedamp.forward import SourceSpec, mode_boundary_source
 from wavedamp.grid import Grid2D
 from wavedamp.inverse_source import (
     Modulation,
+    _causal_matrix,
     TimeSignal,
     convolve_anticausal,
     convolve_causal,
@@ -56,6 +57,25 @@ class TestCausalConvolution:
         assert np.array_equal(s_ref[:301], s_tail[:301])
 
 
+def explicit_causal_matrix(lam):
+    """lam(t - s) times the trapezoid weight of s in row t, on the lower triangle."""
+    m, dt = lam.steps, lam.dt
+    mat = np.zeros((m + 1, m + 1))
+    for t in range(1, m + 1):
+        for s in range(t + 1):
+            weight = 0.5 * dt if s in (0, t) else dt
+            mat[t, s] = lam.values[t - s] * weight
+    return mat
+
+
+@pytest.mark.parametrize("steps", [2, 3, 17, 512])
+def test_strided_matrix_matches_the_explicit_formula(steps):
+    lam = Modulation.from_callable(lambda t: np.cos(2 * t) + 0.3 * t, 3.0, steps)
+    mat = _causal_matrix(lam)
+    assert np.array_equal(mat, explicit_causal_matrix(lam))
+    assert mat.flags.c_contiguous
+
+
 class TestAnticausalConvolution:
     def test_unit_kernel(self):
         lam = constant_modulation()
@@ -98,6 +118,15 @@ class TestAnticausalConvolution:
         # a fresh modulation with the same samples builds its matrix anew
         fresh = convolve_anticausal(Modulation(other.values, tau), g).values
         assert np.array_equal(second, fresh)
+
+    def test_batched_signal_matches_separate_columns(self):
+        tau, steps, k = 3.0, 512, 7
+        lam = Modulation.from_callable(lambda t: np.cos(2 * t), tau, steps)
+        g = np.random.default_rng(11).standard_normal((steps + 1, k))
+        batched = convolve_anticausal(lam, TimeSignal(g, tau)).values
+        for col in range(k):
+            single = convolve_anticausal(lam, TimeSignal(g[:, col], tau)).values[:, 0]
+            assert np.abs(batched[:, col] - single).max() <= 1e-14 * np.abs(single).max()
 
     def test_discrete_injectivity_rank(self):
         steps = 128
