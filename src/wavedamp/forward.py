@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .spectral import DampingPair, ModeIndex, eigenpair, mode_shape, trapezoid_w
 
 __all__ = [
     "CFL_LIMIT",
+    "BATCH_NODE_CAP",
     "WaveState",
     "BoundaryTrace",
     "SourceSpec",
@@ -43,7 +44,9 @@ __all__ = [
     "start_step",
     "step_count",
     "solve",
+    "solve_batch",
     "solve_from_mode",
+    "solve_modes",
     "mode_field",
     "energy",
     "stiffness_energy",
@@ -55,6 +58,7 @@ __all__ = [
 ]
 
 CFL_LIMIT = 1.0 / math.sqrt(2.0)
+BATCH_NODE_CAP = 45000  # most nodes, members * n^2, that one batch steps at once
 
 
 # ---------------------------------------------------------------------------
@@ -230,22 +234,23 @@ def boundary_damping_flux(a1_nodes: np.ndarray, a2_nodes: np.ndarray,
 def _neighbour_sum(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Sum of the four neighbours of each node, with even reflection across y = 0 and x = 0.
 
-    Valid on all non-Dirichlet nodes; the Dirichlet row and column of out
-    hold finite values that the caller pins.  Each interior sum is
+    u is one (n, n) field or a (B, n, n) stack of them.  Valid on all
+    non-Dirichlet nodes; the Dirichlet row and column of out hold finite
+    values that the caller pins.  Each interior sum is
     ((y-neighbours) + lower x-neighbour) + upper x-neighbour.  The
-    y-neighbours are added over the flattened field, so that pass is
-    contiguous; the sums that wrap around a row end land in columns 0 and
-    n-1, which are then overwritten.  out must be C-contiguous and must
-    not share memory with u.
+    y-neighbours are added over the whole flattened stack, so that pass is
+    contiguous; the sums that wrap around a row end (or from one member
+    into the next) land in columns 0 and n-1, which are then overwritten.
+    out must be C-contiguous and must not share memory with u.
     """
     flat = u.reshape(-1)
     np.add(flat[:-2], flat[2:], out=out.reshape(-1, copy=False)[1:-1])
-    np.multiply(2.0, u[:, 1], out=out[:, 0])
-    out[:, -1] = 0.0
-    inner = out[1:-1]
-    np.add(inner, u[:-2], out=inner)
-    np.add(inner, u[2:], out=inner)
-    out[0] += 2.0 * u[1]
+    np.multiply(2.0, u[..., 1], out=out[..., 0])
+    out[..., -1] = 0.0
+    inner = out[..., 1:-1, :]
+    np.add(inner, u[..., :-2, :], out=inner)
+    np.add(inner, u[..., 2:, :], out=inner)
+    out[..., 0, :] += 2.0 * u[..., 1, :]
     return out
 
 
@@ -312,10 +317,15 @@ class _Leapfrog:
     (2 u - (1 - half) u_prev + dt^2 (lap u + accel_load)) / (1 + half) with
     the division folded into the coefficients, so the two agree to roundoff
     rather than bit for bit.
+
+    The fields are shaped `shape`: one (n, n) field or a (B, n, n) batch.
+    gam is (n, n) when every member has the same damping, so the
+    coefficients broadcast over the batch, and (B, n, n) when they differ.
     """
 
     def __init__(self, dt: float, grid: Grid2D, gam: np.ndarray,
-                 source: Optional[SourceSpec], accel_load: Optional[np.ndarray]):
+                 source: Optional[SourceSpec], accel_load: Optional[np.ndarray],
+                 shape: Tuple[int, ...]):
         half = 0.5 * dt * gam
         one_plus = 1.0 + half
         r = dt * dt / (grid.h * grid.h)
@@ -326,7 +336,7 @@ class _Leapfrog:
         if source is not None:
             self.load = grid.zero_dirichlet((dt * dt / one_plus) * accel_load)
         self.grid = grid
-        self.work = np.empty((grid.n, grid.n))
+        self.work = np.empty(shape)
 
     def __call__(self, u: np.ndarray, u_prev: np.ndarray, t: float,
                  out: np.ndarray) -> np.ndarray:
@@ -355,7 +365,8 @@ def step(u: np.ndarray, u_prev: np.ndarray, t: float, dt: float, grid: Grid2D,
     _check_cfl(dt, grid.h)
     if source is not None and accel_load is None:
         accel_load = source.load / (grid.h ** 2 * grid.quad_weights)
-    return _Leapfrog(dt, grid, gam, source, accel_load)(u, u_prev, t, np.empty(u.shape))
+    kernel = _Leapfrog(dt, grid, gam, source, accel_load, u.shape)
+    return kernel(u, u_prev, t, np.empty(u.shape))
 
 
 def start_step(u0: np.ndarray, u1: np.ndarray, dt: float, grid: Grid2D,
@@ -467,6 +478,85 @@ def step_count(tau: float, h: float, dt_factor: float) -> int:
     return max(2, int(math.ceil(tau / (dt_factor * CFL_LIMIT * h))))
 
 
+def _time_step(tau: float, h: float, dt_factor: float) -> Tuple[int, float]:
+    """Step count and step of a solve to tau, checked against the CFL bound."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    if not 0.0 < dt_factor <= 0.5:
+        raise ValueError("dt_factor must lie in (0, 1/2]")
+    steps = step_count(tau, h, dt_factor)
+    dt = tau / steps
+    _check_cfl(dt, h)
+    return steps, dt
+
+
+def _pinned_copy(u, grid: Grid2D, ndim: int) -> np.ndarray:
+    """A private float copy of initial data: (n, n), or (B, n, n) for ndim = 3, pinned on the Dirichlet sides."""
+    u = np.array(u, dtype=float)
+    if u.ndim != ndim or u.shape[-2:] != (grid.n, grid.n) or u.size == 0:
+        raise ValueError("initial fields must match the grid")
+    if grid.on_dirichlet_max(u) > 1e-9:
+        raise ValueError("initial data must vanish on the Dirichlet sides")
+    return grid.zero_dirichlet(u)
+
+
+def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam: np.ndarray, grid: Grid2D,
+                   steps: int, dt: float, traces: np.ndarray,
+                   source: Optional[SourceSpec] = None, accel_load: Optional[np.ndarray] = None,
+                   log: Optional[_EnergyLog] = None):
+    """The time loop of every solve, over one (n, n) field or a (B, n, n) batch.
+
+    Records each member's trace at every integer step into traces, shaped
+    (B, 2, steps + 1, n) with B = 1 for a single field: traces[b, 0] is
+    member b's bottom trace and traces[b, 1] its left trace.  The energy log
+    is kept only for a single field.  u0 is overwritten.  Returns the step
+    times and the last two fields, u^steps and u^(steps - 1).
+    """
+    members = traces.shape[0]
+    kernel = _Leapfrog(dt, grid, gam, source, accel_load, u0.shape)
+    times = dt * np.arange(steps + 1)
+    stencil_index = _trace_stencil(grid.n)
+    stencil = np.empty((members,) + stencil_index.shape)
+    stencil_weights = np.array([3.0, -4.0, 1.0]) / (2.0 * grid.h)
+
+    def record(m, u):
+        # the indices are in range; mode "clip" writes straight into out, "raise" buffers.
+        # matmul applies the weights as np.dot does, bit for bit (einsum does not)
+        np.take(u.reshape(members, -1), stencil_index, axis=1, out=stencil, mode="clip")
+        np.matmul(stencil_weights, stencil, out=traces[:, :, m])
+
+    record(0, u0)
+    if log is not None:
+        log.energy(0, u0, u1, 1.0)
+    # three rotating field buffers; u0 is a private copy, so it may be overwritten
+    u_prev = u0
+    u_curr = start_step(u0, u1, dt, grid, gam, source, accel_load)
+    u_next = np.empty_like(u_curr)
+    if log is not None:
+        log.staggered_energy(0, u_curr, u_prev)
+
+    for m in range(1, steps):
+        kernel(u_curr, u_prev, times[m], u_next)
+        record(m, u_curr)
+        if log is not None:
+            log.step(m, u_next, u_curr, u_prev)
+        u_prev, u_curr, u_next = u_curr, u_next, u_prev
+        if m % 128 == 0 and not np.isfinite(u_curr).all():
+            raise NumericalError(f"field blew up at step {m} (t = {times[m]:.3f})")
+
+    record(steps, u_curr)
+    if not np.isfinite(u_curr).all():
+        raise NumericalError("final field contains non-finite values")
+    return times, u_curr, u_prev
+
+
+def _member_traces(traces: np.ndarray, times: np.ndarray, dt: float,
+                   tau: float) -> List[BoundaryTrace]:
+    """One BoundaryTrace per member of a (B, 2, steps + 1, n) buffer, each a view of it."""
+    return [BoundaryTrace(times=times, normal_bottom=member[0], normal_left=member[1],
+                          dt=dt, tau=tau) for member in traces]
+
+
 def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: float,
           source: Optional[SourceSpec] = None, dt_factor: float = 0.5,
           diagnostics: bool = True) -> SolveResult:
@@ -476,87 +566,70 @@ def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: flo
     damped sides.  With diagnostics, it also records the total energy and
     the centered boundary velocities at every integer step, and the
     staggered energy series carrying the exact dissipation identity.  A
-    caller that reads only the trace (every probe, reference, observability
-    estimate and source bound check) passes diagnostics=False; the trace is
-    bit-identical either way.
+    caller that reads only the trace passes diagnostics=False; the trace is
+    bit-identical either way.  A solve is a batch of one of the loop that
+    solve_batch runs, with the initial velocity, source, final state and
+    diagnostics that only a single solve carries.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if not 0.0 < dt_factor <= 0.5:
-        raise ValueError("dt_factor must lie in (0, 1/2]")
-    u0 = np.array(u0, dtype=float)
-    u1 = np.array(u1, dtype=float)
-    if u0.shape != (grid.n, grid.n) or u1.shape != (grid.n, grid.n):
-        raise ValueError("initial fields must match the grid")
-    if grid.on_dirichlet_max(u0) > 1e-9 or grid.on_dirichlet_max(u1) > 1e-9:
-        raise ValueError("initial data must vanish on the Dirichlet sides")
-    grid.zero_dirichlet(u0)
-    grid.zero_dirichlet(u1)
-
-    h = grid.h
-    steps = step_count(tau, h, dt_factor)
-    dt = tau / steps
-    _check_cfl(dt, h)
+    steps, dt = _time_step(tau, grid.h, dt_factor)
+    u0 = _pinned_copy(u0, grid, 2)
+    u1 = _pinned_copy(u1, grid, 2)
     gam = damping_rate(a, grid)
     accel_load = None
     if source is not None:
-        accel_load = source.load / (h ** 2 * grid.quad_weights)
-    kernel = _Leapfrog(dt, grid, gam, source, accel_load)
-
-    n = grid.n
-    times = dt * np.arange(steps + 1)
-    tr_bottom = np.empty((steps + 1, n))
-    tr_left = np.empty((steps + 1, n))
-    stencil_index = _trace_stencil(n)
-    stencil = np.empty(stencil_index.shape)
-    stencil_weights = np.array([3.0, -4.0, 1.0]) / (2.0 * h)
+        accel_load = source.load / (grid.h ** 2 * grid.quad_weights)
+    traces = np.empty((1, 2, steps + 1, grid.n))
     log = _EnergyLog(steps, dt, grid) if diagnostics else None
-
-    def record(m, u):
-        # the indices are in range; mode "clip" writes straight into out, "raise" buffers
-        np.take(u.reshape(-1), stencil_index, out=stencil, mode="clip")
-        np.dot(stencil_weights, stencil[0], out=tr_bottom[m])
-        np.dot(stencil_weights, stencil[1], out=tr_left[m])
-
-    record(0, u0)
-    if diagnostics:
-        log.energy(0, u0, u1, 1.0)
-    # three rotating field buffers; u0 is a private copy, so it may be overwritten
-    u_prev = u0
-    u_curr = start_step(u0, u1, dt, grid, gam, source, accel_load)
-    u_next = np.empty_like(u_curr)
-    if diagnostics:
-        log.staggered_energy(0, u_curr, u_prev)
-
-    for m in range(1, steps):
-        kernel(u_curr, u_prev, times[m], u_next)
-        record(m, u_curr)
-        if diagnostics:
-            log.step(m, u_next, u_curr, u_prev)
-        u_prev, u_curr, u_next = u_curr, u_next, u_prev
-        if m % 128 == 0 and not np.isfinite(u_curr).all():
-            raise NumericalError(f"field blew up at step {m} (t = {times[m]:.3f})")
+    times, u_curr, u_prev = _leapfrog_loop(u0, u1, gam, grid, steps, dt, traces,
+                                           source, accel_load, log)
 
     # close the staggered velocity to second order at the final time
-    acc_end = _mirror_laplacian(u_curr, h)
+    acc_end = _mirror_laplacian(u_curr, grid.h)
     if source is not None:
         acc_end = acc_end + source.profile(float(times[-1])) * accel_load
     v_final = ((u_curr - u_prev) / dt + 0.5 * dt * acc_end) / (1.0 + 0.5 * dt * gam)
-    record(steps, u_curr)
-    if diagnostics:
-        log.energy(steps, u_curr, v_final, 1.0)
-    if not np.isfinite(u_curr).all():
-        raise NumericalError("final field contains non-finite values")
-
-    trace = BoundaryTrace(times=times, normal_bottom=tr_bottom, normal_left=tr_left,
-                          dt=dt, tau=tau)
+    trace = _member_traces(traces, times, dt, tau)[0]
     final = WaveState(u=u_curr, v=v_final, t=float(times[-1]))
     if not diagnostics:
         return SolveResult(final=final, trace=trace, times=times, grid=grid, dt=dt)
+    log.energy(steps, u_curr, v_final, 1.0)
     return SolveResult(final=final, trace=trace, times=times, grid=grid, dt=dt,
                        energies=log.energies, staggered_times=log.staggered_times,
                        staggered_energies=log.staggered_energies,
                        vel_bottom=log.vel_bottom, vel_left=log.vel_left)
+
+
+def solve_batch(u0: np.ndarray, dampings: Sequence[DampingPair], grid: Grid2D, tau: float,
+                dt_factor: float = 0.5, out: Optional[np.ndarray] = None) -> List[BoundaryTrace]:
+    """Traces of a batch of solves from rest, one member per initial displacement u0[b].
+
+    u0 is shaped (B, n, n).  dampings holds one pair that every member
+    shares, or one pair per member.  Member b's trace is bit-identical to
+    that of solve(u0[b], 0, its pair, grid, tau, dt_factor=dt_factor).  The
+    members step together, at most BATCH_NODE_CAP // n^2 at a time, and
+    record into out, shaped (B, 2, steps + 1, n) and allocated when None:
+    out[b, 0] is member b's bottom trace and out[b, 1] its left trace, and
+    the returned traces are views of out.
+    """
+    steps, dt = _time_step(tau, grid.h, dt_factor)
+    u0 = _pinned_copy(u0, grid, 3)
+    members = u0.shape[0]
+    if len(dampings) not in (1, members):
+        raise ValueError("need one damping pair for the whole batch or one per member")
+    shape = (members, 2, steps + 1, grid.n)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"trace buffer must be shaped {shape}, got {out.shape}")
+    gams = [damping_rate(a, grid) for a in dampings]
+    chunk = max(1, BATCH_NODE_CAP // grid.n ** 2)
+    for start in range(0, members, chunk):
+        stop = min(start + chunk, members)
+        gam = gams[0] if len(gams) == 1 else np.stack(gams[start:stop])
+        fields = u0[start:stop]
+        times, _, _ = _leapfrog_loop(fields, np.zeros_like(fields), gam, grid, steps, dt,
+                                     out[start:stop])
+    return _member_traces(out, times, dt, tau)
 
 
 def mode_field(mode: ModeIndex, grid: Grid2D) -> np.ndarray:
@@ -570,6 +643,21 @@ def solve_from_mode(a: DampingPair, mode: ModeIndex, grid: Grid2D, tau: float,
     u0 = mode_field(mode, grid)
     return solve(u0, np.zeros_like(u0), a, grid, tau, dt_factor=dt_factor,
                  diagnostics=diagnostics)
+
+
+def solve_modes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], grid: Grid2D,
+                tau: float, dt_factor: float = 0.5,
+                out: Optional[np.ndarray] = None) -> List[BoundaryTrace]:
+    """Traces of the solves from (mode shape, 0), one per damping pair and mode, as one batch.
+
+    The members run damping-major: member i * len(modes) + j solves
+    modes[j] under dampings[i].  A single damping pair is shared by every
+    member, so its coefficients are built once.  out is solve_batch's.
+    """
+    fields = np.stack([mode_field(mode, grid) for mode in modes])
+    per_member = dampings if len(dampings) == 1 else [a for a in dampings for _ in modes]
+    return solve_batch(np.tile(fields, (len(dampings), 1, 1)), per_member, grid, tau,
+                       dt_factor, out)
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,10 @@ class Grid2D:
         return weights
 
     def zero_dirichlet(self, u: np.ndarray) -> np.ndarray:
-        """Pin the Dirichlet sides x = 1 and y = 1 in place."""
-        u[-1, :] = 0.0
-        u[:, -1] = 0.0
+        """Pin the Dirichlet sides x = 1 and y = 1 in place, of one field or a (B, n, n) stack."""
+        u[..., -1, :] = 0.0
+        u[..., :, -1] = 0.0
         return u
 
     def on_dirichlet_max(self, u: np.ndarray) -> float:
-        return float(max(np.abs(u[-1, :]).max(), np.abs(u[:, -1]).max()))
+        return float(max(np.abs(u[..., -1, :]).max(), np.abs(u[..., :, -1]).max()))

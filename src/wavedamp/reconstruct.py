@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import RegimeError, ResolutionError
-from .forward import BoundaryTrace, SolveResult, solve_from_mode
+from .forward import BoundaryTrace, SolveResult, solve_from_mode, solve_modes
 from .grid import Grid2D
 from .spectral import (
     DampingPair,
@@ -37,7 +37,9 @@ __all__ = [
     "SweepContext",
     "GaussNewtonInfo",
     "reference_solution",
+    "reference_traces",
     "probe_mode",
+    "probe_modes",
     "time_project",
     "linearized_recover",
     "check_recovery_mode",
@@ -93,21 +95,69 @@ def reference_solution(mode: ModeIndex, tau: float, grid: Grid2D,
     return solve_from_mode(DampingPair.zero(), mode, grid, tau, dt_factor, diagnostics=False)
 
 
+def _solve_probes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], tau: float,
+                  grid: Grid2D, dt_factor: float,
+                  out: Optional[np.ndarray] = None) -> List[BoundaryTrace]:
+    """solve_modes over the probe modes, after checking that the grid resolves each."""
+    for mode in modes:
+        _check_probe_resolution(grid, mode)
+    return solve_modes(dampings, modes, grid, tau, dt_factor, out)
+
+
+def reference_traces(modes: Sequence[ModeIndex], tau: float, grid: Grid2D,
+                     dt_factor: float = 0.5) -> Dict[ModeIndex, BoundaryTrace]:
+    """Undamped traces of the probe modes, solved as one batch."""
+    traces = solve_modes([DampingPair.zero()], modes, grid, tau, dt_factor)
+    return dict(zip(modes, traces))
+
+
+def _measurement(mode: ModeIndex, damped: BoundaryTrace,
+                 reference: BoundaryTrace) -> ModalMeasurement:
+    """The measurement damped - reference, formed in place on the damped trace's arrays.
+
+    The same bits as damped.difference(reference), without a second trace-sized copy.
+    """
+    if damped.normal_bottom.shape != reference.normal_bottom.shape:
+        raise ValueError("traces must come from matching discretizations")
+    np.subtract(damped.normal_bottom, reference.normal_bottom, out=damped.normal_bottom)
+    np.subtract(damped.normal_left, reference.normal_left, out=damped.normal_left)
+    diff = BoundaryTrace(times=damped.times, normal_bottom=damped.normal_bottom,
+                         normal_left=damped.normal_left, dt=damped.dt, tau=damped.tau)
+    return ModalMeasurement(mode=mode, trace=diff, trace_norm=diff.l2_norm(),
+                            reference=reference)
+
+
+def probe_modes(a: DampingPair, modes: Sequence[ModeIndex], tau: float, grid: Grid2D,
+                dt_factor: float = 0.5,
+                references: Optional[Dict[ModeIndex, BoundaryTrace]] = None,
+                ) -> Dict[ModeIndex, ModalMeasurement]:
+    """Measurements of several probe modes under one damping, solved as one batch.
+
+    references maps a mode to its undamped trace; the modes it lacks are
+    solved here, as a second batch.
+    """
+    modes = list(modes)
+    damped = _solve_probes([a], modes, tau, grid, dt_factor)
+    refs = dict(references) if references else {}
+    missing = [mode for mode in modes if mode not in refs]
+    if missing:
+        refs.update(reference_traces(missing, tau, grid, dt_factor))
+    return {mode: _measurement(mode, trace, refs[mode]) for mode, trace in zip(modes, damped)}
+
+
 def probe_mode(a: DampingPair, mode: ModeIndex, tau: float, grid: Grid2D,
                dt_factor: float = 0.5,
                reference: Optional[BoundaryTrace] = None) -> ModalMeasurement:
     """Boundary measurement generated by initial data (mode shape, 0).
 
-    reference is the undamped trace of the same probe; it is solved here
-    when not given.
+    reference is the undamped trace of the same probe; when not given, it
+    is solved here, in one batch of two with the damped probe.
     """
-    _check_probe_resolution(grid, mode)
-    if reference is None:
-        reference = reference_solution(mode, tau, grid, dt_factor).trace
-    damped = solve_from_mode(a, mode, grid, tau, dt_factor, diagnostics=False)
-    diff = damped.trace.difference(reference)
-    return ModalMeasurement(mode=mode, trace=diff, trace_norm=diff.l2_norm(),
-                            reference=reference)
+    if reference is not None:
+        damped, = _solve_probes([a], [mode], tau, grid, dt_factor)
+    else:
+        reference, damped = _solve_probes([DampingPair.zero(), a], [mode], tau, grid, dt_factor)
+    return _measurement(mode, damped, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +302,15 @@ class GapEstimate:
 def estimate_gap(a: DampingPair, probe_budget: int, tau: float, grid: Grid2D,
                  dt_factor: float = 0.5,
                  references: Optional[Dict[ModeIndex, BoundaryTrace]] = None) -> GapEstimate:
-    """Max over probe modes of trace norm over graph norm of the probe."""
+    """Max over probe modes of trace norm over graph norm of the probe.
+
+    The modes {0..probe_budget}^2 are probed as one batch; references maps
+    a mode to its undamped trace, and the modes it lacks are solved here.
+    """
     if probe_budget < 0:
         raise ValueError("probe budget must be nonnegative")
-    measurements = {}
-    for k in range(probe_budget + 1):
-        for l in range(probe_budget + 1):
-            mode = ModeIndex(k, l)
-            ref = references.get(mode) if references else None
-            measurements[mode] = probe_mode(a, mode, tau, grid, dt_factor, reference=ref)
-    return GapEstimate(measurements)
+    modes = [ModeIndex(k, l) for k in range(probe_budget + 1) for l in range(probe_budget + 1)]
+    return GapEstimate(probe_modes(a, modes, tau, grid, dt_factor, references))
 
 
 def select_truncation(c_cal: float, m: float, trunc_rate: float, delta: float) -> int:
@@ -378,7 +427,7 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
     if recovery_mode not in modes:
         raise ResolutionError(f"recovery mode ({recovery_mode.k}, {recovery_mode.l}) lies "
                               f"outside the probe set of budget {probe_budget}")
-    references = {mode: reference_solution(mode, tau, grid, dt_factor).trace for mode in modes}
+    references = reference_traces(modes, tau, grid, dt_factor)
 
     m = min(member.minimum() for member in family)
     M = max(member.h1_sq_max() for member in family)
@@ -505,13 +554,29 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
     if iters < 0:
         raise ValueError("iters must be nonnegative")
 
+    modes = [meas.mode for meas in measurements]
+    size = sum(2 * meas.trace.normal_bottom.size for meas in measurements)
+
+    def residuals(pairs: List[DampingPair], out: np.ndarray) -> np.ndarray:
+        """Each pair's residual, simulated minus measured traces in measurement order, into out's rows.
+
+        The traces are solved as one batch straight into out, shaped
+        (len(pairs), residual length); the probe's reference and the data
+        are then subtracted in place, which rounds as (damped - reference) - data.
+        """
+        sims = out.reshape(len(pairs), len(modes), 2, -1, grid.n)
+        _solve_probes(pairs, modes, tau, grid, dt_factor,
+                      out=sims.reshape(-1, *sims.shape[2:]))
+        for j, meas in enumerate(measurements):
+            for side, ref, data in ((0, meas.reference.normal_bottom, meas.trace.normal_bottom),
+                                    (1, meas.reference.normal_left, meas.trace.normal_left)):
+                sim = sims[:, j, side]
+                np.subtract(sim, ref, out=sim)
+                np.subtract(sim, data, out=sim)
+        return out
+
     def residual(pair: DampingPair) -> np.ndarray:
-        parts = []
-        for meas in measurements:
-            sim = probe_mode(pair, meas.mode, tau, grid, dt_factor, reference=meas.reference)
-            parts.append((sim.trace.normal_bottom - meas.trace.normal_bottom).ravel())
-            parts.append((sim.trace.normal_left - meas.trace.normal_left).ravel())
-        return np.concatenate(parts)
+        return residuals([pair], np.empty((1, size)))[0]
 
     params = np.zeros(2 * (fit_order + 1))
     r = residual(_apply_correction(init, params, fit_order))
@@ -520,12 +585,18 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
     termination = "zero_residual" if best_norm == 0.0 else "max_iters"
 
     for _ in range(iters if best_norm > 0.0 else 0):
-        jac = np.empty((r.shape[0], params.shape[0]))
+        # the columns' traces are solved as one batch straight into the Jacobian's storage
+        steps_h = np.empty(params.shape[0])
+        bumped_pairs = []
         for p in range(params.shape[0]):
-            h = FD_STEP * max(1.0, abs(params[p]))
+            steps_h[p] = FD_STEP * max(1.0, abs(params[p]))
             bumped = params.copy()
-            bumped[p] += h
-            jac[:, p] = (residual(_apply_correction(init, bumped, fit_order)) - r) / h
+            bumped[p] += steps_h[p]
+            bumped_pairs.append(_apply_correction(init, bumped, fit_order))
+        columns = residuals(bumped_pairs, np.empty((params.shape[0], size)))
+        np.subtract(columns, r, out=columns)
+        np.divide(columns, steps_h[:, None], out=columns)
+        jac = columns.T
         step_vec, *_ = np.linalg.lstsq(jac, -r, rcond=None)
 
         improved = False

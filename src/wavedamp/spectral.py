@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -222,12 +223,29 @@ class SobolevNorms:
     h_half: float
 
 
+@lru_cache(maxsize=8)
+def _masked_inverse_distance(n: int, midpoints: bool, power: int) -> np.ndarray:
+    """|x_i - x_j|^(-power) over the n uniform nodes of [0, 1], or over their n - 1 cell midpoints.
+
+    The diagonal holds 0.  Built once per sample count and read-only.
+    """
+    s = np.linspace(0.0, 1.0, n)
+    if midpoints:
+        s = 0.5 * (s[1:] + s[:-1])
+    dist = np.abs(s[:, None] - s[None, :])
+    np.fill_diagonal(dist, np.inf)
+    inverse = dist ** -power
+    inverse.flags.writeable = False
+    return inverse
+
+
 def sobolev_norms(f: SampledFunction1D) -> SobolevNorms:
     """Discrete L2, H1 and H^{1/2} norms of an interval sample.
 
     The half-order norm uses the double-integral form
     (||f||_{L2}^2 + iint |f(x)-f(y)|^2 / |x-y|^2 dx dy)^{1/2},
-    discretized on the cell-midpoint grid so the diagonal is excluded.
+    discretized on the cell-midpoint grid so the diagonal is excluded (its
+    inverse squared distance is held as 0).
     """
     v = f.values
     dx = f.dx
@@ -236,11 +254,9 @@ def sobolev_norms(f: SampledFunction1D) -> SobolevNorms:
     h1sq = l2sq + integrate(dv * dv, dx)
 
     mid = 0.5 * (v[1:] + v[:-1])
-    xm = 0.5 * (f.nodes[1:] + f.nodes[:-1])
     diff = mid[:, None] - mid[None, :]
-    dist = xm[:, None] - xm[None, :]
-    mask = ~np.eye(mid.shape[0], dtype=bool)
-    semi_sq = float((dx * dx * (diff[mask] ** 2 / dist[mask] ** 2)).sum())
+    np.multiply(diff, diff, out=diff)
+    semi_sq = dx * dx * float(np.vdot(diff, _masked_inverse_distance(f.n, True, 2)))
     return SobolevNorms(
         l2=math.sqrt(l2sq),
         h1=math.sqrt(h1sq),
@@ -249,15 +265,17 @@ def sobolev_norms(f: SampledFunction1D) -> SobolevNorms:
 
 
 def holder_seminorm(f: SampledFunction1D, alpha: float) -> float:
-    """sup over sample pairs of |f(x) - f(y)| / |x - y|^alpha."""
+    """sup over sample pairs of |f(x) - f(y)| / |x - y|^alpha.
+
+    The pairs x = y contribute 0, through the 0 on the diagonal of the
+    cached inverse distance.
+    """
     if not 0.5 < alpha <= 1.0:
         raise ValueError("alpha must lie in (1/2, 1]")
     v = f.values
-    s = f.nodes
     diff = np.abs(v[:, None] - v[None, :])
-    dist = np.abs(s[:, None] - s[None, :])
-    mask = ~np.eye(f.n, dtype=bool)
-    return float(np.max(diff[mask] / dist[mask] ** alpha)) if f.n > 1 else 0.0
+    np.multiply(diff, _masked_inverse_distance(f.n, False, 1) ** alpha, out=diff)
+    return float(np.max(diff))
 
 
 @dataclass(frozen=True)

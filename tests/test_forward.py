@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wavedamp import forward
 from wavedamp.errors import NumericalError
 from wavedamp.forward import (
     _mirror_second_difference,
@@ -21,6 +22,7 @@ from wavedamp.forward import (
     probe_equivalent_source,
     rellich_residual,
     solve,
+    solve_batch,
     solve_from_mode,
     start_step,
     step,
@@ -321,6 +323,71 @@ def test_staggered_energy_identity(n, base, slope1, slope2, curve1, curve2, mode
                      for m in range(1, stag.shape[0])])
     assert np.abs(np.diff(stag) / res.dt + flux).max() <= 1e-11 * stag[0]
     assert np.diff(stag).max() <= 0.0
+
+
+def affine_quadratic(base, slope, curve):
+    s = np.linspace(0.0, 1.0, 257)
+    return SampledFunction1D(base + slope * s + curve * s ** 2)
+
+
+member_damping = st.tuples(coefficient_part, coefficient_part, coefficient_part,
+                           coefficient_part, coefficient_part)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([17, 33]), modes=st.lists(st.sampled_from(PROBE_MODES), min_size=1,
+                                                     max_size=4),
+       dampings=st.lists(member_damping, min_size=4, max_size=4), shared=st.booleans(),
+       tau=st.floats(0.05, 1.0), chunk=st.integers(1, 4))
+def test_batch_matches_sequential_solves(n, modes, dampings, shared, tau, chunk):
+    # a cap of chunk * n^2 nodes splits a larger batch into consecutive chunks
+    grid = Grid2D(n)
+    pairs = [DampingPair(affine_quadratic(base, slope1, curve1), affine_quadratic(base, slope2, curve2))
+             for base, slope1, slope2, curve1, curve2 in dampings[:len(modes)]]
+    if shared:
+        pairs = pairs[:1]
+    u0 = np.stack([mode_field(grid, mode) for mode in modes])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forward, "BATCH_NODE_CAP", chunk * n * n)
+        traces = solve_batch(u0, pairs, grid, tau)
+    assert len(traces) == len(modes)
+    for b, trace in enumerate(traces):
+        alone = solve(u0[b], np.zeros((n, n)), pairs[0 if shared else b], grid, tau,
+                      diagnostics=False).trace
+        assert np.array_equal(trace.normal_bottom, alone.normal_bottom)
+        assert np.array_equal(trace.normal_left, alone.normal_left)
+        assert np.array_equal(trace.times, alone.times)
+        assert (trace.dt, trace.tau) == (alone.dt, alone.tau)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_batch_rejects_data_off_the_dirichlet_sides(shared):
+    grid = Grid2D(17)
+    u0 = np.stack([mode_field(grid), np.ones((17, 17))])
+    pairs = [DampingPair.constant(0.1)] * (1 if shared else 2)
+    with pytest.raises(ValueError, match="Dirichlet"):
+        solve_batch(u0, pairs, grid, 0.5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([17, 33]), base=coefficient_part, slope1=coefficient_part,
+       slope2=coefficient_part, curve1=coefficient_part, curve2=coefficient_part,
+       mode=st.sampled_from(PROBE_MODES), tau=st.floats(0.05, 1.0))
+def test_axis_swap_symmetry_property(n, base, slope1, slope2, curve1, curve2, mode, tau):
+    # swapping a1 <-> a2 and the mode (k, l) -> (l, k) transposes the problem, so the
+    # bottom and left traces trade places; the neighbour sum adds the two axes in a
+    # fixed order, so they agree to roundoff, not bit for bit.  That roundoff has the
+    # size of the data, so under a weak damping, whose trace is small, it is measured
+    # against the data's energy norm (as in the linearity property above)
+    grid = Grid2D(n)
+    a1, a2 = affine_quadratic(base, slope1, curve1), affine_quadratic(base, slope2, curve2)
+    trace = solve_from_mode(DampingPair(a1, a2), mode, grid, tau, diagnostics=False).trace
+    swapped = solve_from_mode(DampingPair(a2, a1), ModeIndex(mode.l, mode.k), grid, tau,
+                              diagnostics=False).trace
+    scale = max(np.abs(trace.normal_bottom).max(), np.abs(trace.normal_left).max(),
+                math.sqrt(stiffness_energy(mode_field(grid, mode), grid)))
+    assert np.abs(trace.normal_bottom - swapped.normal_left).max() <= 1e-12 * scale
+    assert np.abs(trace.normal_left - swapped.normal_bottom).max() <= 1e-12 * scale
 
 
 class TestEnergy:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wavedamp.errors import RegimeError, ResolutionError
-from wavedamp.forward import BoundaryTrace, solve, solve_from_mode
+from wavedamp.forward import BoundaryTrace, solve_from_mode, solve_modes
 from wavedamp.grid import Grid2D
 from wavedamp.reconstruct import (
     GN_RTOL,
@@ -289,21 +289,16 @@ class TestCoefficientBound:
         assert val == pytest.approx(0.3 ** 2 / (2.0 ** 2 / 0.5 * 0.5) * math.exp(-lam))
 
 
-def count_sweep_calls(monkeypatch):
-    """Record every forward solve and every probed mode from here on."""
-    solves, probes = [], []
+def count_probe_solves(monkeypatch, members=None):
+    """Record the (damping, mode) of every member of every batched probe solve from here on."""
+    members = [] if members is None else members
 
-    def counting_solve(*args, **kwargs):
-        solves.append(1)
-        return solve(*args, **kwargs)
+    def counting_solve_modes(dampings, modes, *args, **kwargs):
+        members.extend((a, mode) for a in dampings for mode in modes)
+        return solve_modes(dampings, modes, *args, **kwargs)
 
-    def counting_probe(a, mode, *args, **kwargs):
-        probes.append(mode)
-        return probe_mode(a, mode, *args, **kwargs)
-
-    monkeypatch.setattr("wavedamp.forward.solve", counting_solve)
-    monkeypatch.setattr("wavedamp.reconstruct.probe_mode", counting_probe)
-    return solves, probes
+    monkeypatch.setattr("wavedamp.reconstruct.solve_modes", counting_solve_modes)
+    return members
 
 
 @pytest.fixture(scope="module")
@@ -344,16 +339,19 @@ class TestSweep:
         eps = [0.4, 0.2]
         family = [DampingPair.constant(0.1).scaled(e) for e in eps]
         budget = 1
-        solves, probes = count_sweep_calls(monkeypatch)
+        solves = count_probe_solves(monkeypatch)
         stability_sweep(family, eps, 1.0, grid, probe_budget=budget)
         assert len(solves) == (budget + 1) ** 2 * (len(family) + 1)
-        assert Counter(probes) == {ModeIndex(k, l): len(family)
-                                   for k in range(budget + 1) for l in range(budget + 1)}
+        modes = [ModeIndex(k, l) for k in range(budget + 1) for l in range(budget + 1)]
+        probes = [mode for a, mode in solves if a.minimum() > 0.0]
+        references = [mode for a, mode in solves if a.minimum() == 0.0]
+        assert Counter(probes) == {mode: len(family) for mode in modes}
+        assert Counter(references) == {mode: 1 for mode in modes}
 
     def test_unusable_recovery_mode_rejected_before_any_solve(self, monkeypatch):
         grid = Grid2D(33)
         family = [DampingPair.constant(0.1).scaled(e) for e in (0.4, 0.2)]
-        solves, _ = count_sweep_calls(monkeypatch)
+        solves = count_probe_solves(monkeypatch)
         with pytest.raises(ResolutionError, match="nearly vanishes"):
             stability_sweep(family, [0.4, 0.2], 1.0, grid, probe_budget=1,
                             recovery_mode=ModeIndex(1, 0))
@@ -364,7 +362,7 @@ class TestSweep:
         # so only the probe-set check stops it
         grid = Grid2D(17)
         family = [DampingPair.constant(0.1).scaled(e) for e in (0.4, 0.2)]
-        solves, _ = count_sweep_calls(monkeypatch)
+        solves = count_probe_solves(monkeypatch)
         with pytest.raises(ResolutionError, match="outside the probe set"):
             stability_sweep(family, [0.4, 0.2], 1.0, grid, probe_budget=0,
                             recovery_mode=ModeIndex(5, 0))
@@ -445,14 +443,19 @@ class TestGaussNewton:
         grid = Grid2D(33)
         mode = ModeIndex(0, 0)
         meas = probe_mode(DampingPair.constant(0.1, n=33), mode, 1.0, grid)
-        frozen = probe_mode(DampingPair.constant(0.05, n=33), mode, 1.0, grid)
+        frozen = solve_from_mode(DampingPair.constant(0.05, n=33), mode, grid, 1.0).trace
         calls = []
 
-        def fake_probe(pair, *args, **kwargs):
-            calls.append(pair)
-            return frozen
+        def fake_solve_modes(dampings, modes, grid, tau, dt_factor=0.5, out=None):
+            # every member, the batched Jacobian columns too, records the frozen trace
+            calls.extend(a for a in dampings for _ in modes)
+            out[:, 0] = frozen.normal_bottom
+            out[:, 1] = frozen.normal_left
+            return [BoundaryTrace(times=frozen.times, normal_bottom=member[0],
+                                  normal_left=member[1], dt=frozen.dt, tau=tau)
+                    for member in out]
 
-        monkeypatch.setattr("wavedamp.reconstruct.probe_mode", fake_probe)
+        monkeypatch.setattr("wavedamp.reconstruct.solve_modes", fake_solve_modes)
         _, info = fit_damping_least_squares([meas], DampingPair.constant(0.05, n=33),
                                             grid, 1.0, iters=3, fit_order=0)
         assert len(info.residuals) == 2
@@ -491,10 +494,9 @@ class TestGaussNewton:
 
     def test_tolerance_ends_the_fit_at_its_last_solve(self, monkeypatch):
         grid, meas, estimate = self._affine_fit_inputs()
-        events = []  # the damping of each solve, None for each least-squares solve
+        events = []  # (damping, mode) of each solved member, None for each least-squares solve
         lstsq = np.linalg.lstsq
-        monkeypatch.setattr("wavedamp.forward.solve",
-                            lambda u0, u1, a, *r, **k: events.append(a) or solve(u0, u1, a, *r, **k))
+        count_probe_solves(monkeypatch, events)
         monkeypatch.setattr("numpy.linalg.lstsq",
                             lambda *a, **k: events.append(None) or lstsq(*a, **k))
         refined, info = fit_damping_least_squares([meas], estimate, grid, 1.0,
@@ -504,14 +506,14 @@ class TestGaussNewton:
         assert info.termination == "tolerance"
         assert 1 <= rounds < 6
         assert not info.converged and not info.stalled
-        # each round: a solve per Jacobian column, the step's lstsq, the line-search
+        # each round: a batch member per Jacobian column, the step's lstsq, the line-search
         # trials, then the prediction's lstsq
         runs = [len(run) for run in "".join("|" if a is None else "s" for a in events).split("|")]
         assert len(runs) == 2 * rounds + 1
         assert runs[0] == 1 + params and runs[2:-1:2] == [params] * (rounds - 1)
         trials = runs[1::2]
         assert all(1 <= t <= 4 for t in trials)
-        solved = [a for a in events if a is not None]
+        solved = [event[0] for event in events if event is not None]
         assert len(solved) == 1 + rounds * params + sum(trials)
         # the stop costs no solve: the accepted trial, the first solve of the
         # returned pair, is the last one
@@ -534,9 +536,7 @@ class TestGaussNewton:
     def test_no_rounds_allowed_is_max_iters(self, monkeypatch):
         grid = Grid2D(33)
         meas = probe_mode(DampingPair.constant(0.1, n=33), ModeIndex(0, 0), 1.0, grid)
-        solves = []
-        monkeypatch.setattr("wavedamp.forward.solve",
-                            lambda *a, **k: solves.append(1) or solve(*a, **k))
+        solves = count_probe_solves(monkeypatch)
         _, info = fit_damping_least_squares([meas], DampingPair.constant(0.05, n=33),
                                             grid, 1.0, iters=0, fit_order=0)
         assert info.termination == "max_iters"

@@ -19,6 +19,7 @@ from wavedamp.spectral import (
     project_onto_modes,
     sobolev_norms,
     synthesize_from_modes,
+    _masked_inverse_distance,
 )
 
 
@@ -210,6 +211,30 @@ class TestHolder:
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
             holder_seminorm(sampled(lambda s: s), 0.5)
+
+
+@pytest.mark.parametrize("n", [17, 257])
+def test_cached_distance_weights_match_the_direct_formula(n):
+    # the direct formulas build the distances and the off-diagonal mask on every call
+    rng = np.random.default_rng(n)
+    f = SampledFunction1D(np.cumsum(rng.normal(size=n)) / n)
+    v, s, dx = f.values, f.nodes, f.dx
+    mid, xm = 0.5 * (v[1:] + v[:-1]), 0.5 * (s[1:] + s[:-1])
+    off = ~np.eye(n - 1, dtype=bool)
+    semi_sq = float((dx * dx * ((mid[:, None] - mid[None, :])[off] ** 2
+                                / (xm[:, None] - xm[None, :])[off] ** 2)).sum())
+    norms = sobolev_norms(f)
+    assert norms.h_half == pytest.approx(math.sqrt(norms.l2 ** 2 + semi_sq), rel=1e-12)
+    off = ~np.eye(n, dtype=bool)
+    for alpha in (0.55, 0.8, 1.0):
+        direct = np.max(np.abs(v[:, None] - v[None, :])[off]
+                        / np.abs(s[:, None] - s[None, :])[off] ** alpha)
+        assert holder_seminorm(f, alpha) == pytest.approx(direct, rel=1e-12)
+    for midpoints, power in ((True, 2), (False, 1)):
+        cached = _masked_inverse_distance(n, midpoints, power)
+        assert cached is _masked_inverse_distance(n, midpoints, power)
+        assert not cached.flags.writeable
+        assert np.all(np.diag(cached) == 0.0)
 
 
 class TestMultiplierBound:
