@@ -491,7 +491,10 @@ def _time_step(tau: float, h: float, dt_factor: float) -> Tuple[int, float]:
 
 
 def _pinned_copy(u, grid: Grid2D, ndim: int) -> np.ndarray:
-    """A private float copy of initial data: (n, n), or (B, n, n) for ndim = 3, pinned on the Dirichlet sides."""
+    """A private float copy of initial data, (n, n) or for ndim = 3 (B, n, n).
+
+    Raises ValueError unless the data vanish on the Dirichlet sides, and pins them there.
+    """
     u = np.array(u, dtype=float)
     if u.ndim != ndim or u.shape[-2:] != (grid.n, grid.n) or u.size == 0:
         raise ValueError("initial fields must match the grid")

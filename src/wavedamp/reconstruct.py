@@ -37,9 +37,7 @@ __all__ = [
     "SweepContext",
     "GaussNewtonInfo",
     "reference_solution",
-    "reference_traces",
     "probe_mode",
-    "probe_modes",
     "time_project",
     "linearized_recover",
     "check_recovery_mode",
@@ -104,8 +102,8 @@ def _solve_probes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], t
     return solve_modes(dampings, modes, grid, tau, dt_factor, out)
 
 
-def reference_traces(modes: Sequence[ModeIndex], tau: float, grid: Grid2D,
-                     dt_factor: float = 0.5) -> Dict[ModeIndex, BoundaryTrace]:
+def _reference_traces(modes: Sequence[ModeIndex], tau: float, grid: Grid2D,
+                      dt_factor: float = 0.5) -> Dict[ModeIndex, BoundaryTrace]:
     """Undamped traces of the probe modes, solved as one batch."""
     traces = solve_modes([DampingPair.zero()], modes, grid, tau, dt_factor)
     return dict(zip(modes, traces))
@@ -125,24 +123,6 @@ def _measurement(mode: ModeIndex, damped: BoundaryTrace,
                          normal_left=damped.normal_left, dt=damped.dt, tau=damped.tau)
     return ModalMeasurement(mode=mode, trace=diff, trace_norm=diff.l2_norm(),
                             reference=reference)
-
-
-def probe_modes(a: DampingPair, modes: Sequence[ModeIndex], tau: float, grid: Grid2D,
-                dt_factor: float = 0.5,
-                references: Optional[Dict[ModeIndex, BoundaryTrace]] = None,
-                ) -> Dict[ModeIndex, ModalMeasurement]:
-    """Measurements of several probe modes under one damping, solved as one batch.
-
-    references maps a mode to its undamped trace; the modes it lacks are
-    solved here, as a second batch.
-    """
-    modes = list(modes)
-    damped = _solve_probes([a], modes, tau, grid, dt_factor)
-    refs = dict(references) if references else {}
-    missing = [mode for mode in modes if mode not in refs]
-    if missing:
-        refs.update(reference_traces(missing, tau, grid, dt_factor))
-    return {mode: _measurement(mode, trace, refs[mode]) for mode, trace in zip(modes, damped)}
 
 
 def probe_mode(a: DampingPair, mode: ModeIndex, tau: float, grid: Grid2D,
@@ -310,7 +290,13 @@ def estimate_gap(a: DampingPair, probe_budget: int, tau: float, grid: Grid2D,
     if probe_budget < 0:
         raise ValueError("probe budget must be nonnegative")
     modes = [ModeIndex(k, l) for k in range(probe_budget + 1) for l in range(probe_budget + 1)]
-    return GapEstimate(probe_modes(a, modes, tau, grid, dt_factor, references))
+    damped = _solve_probes([a], modes, tau, grid, dt_factor)
+    refs = dict(references) if references else {}
+    missing = [mode for mode in modes if mode not in refs]
+    if missing:
+        refs.update(_reference_traces(missing, tau, grid, dt_factor))
+    return GapEstimate({mode: _measurement(mode, trace, refs[mode])
+                        for mode, trace in zip(modes, damped)})
 
 
 def select_truncation(c_cal: float, m: float, trunc_rate: float, delta: float) -> int:
@@ -427,7 +413,7 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
     if recovery_mode not in modes:
         raise ResolutionError(f"recovery mode ({recovery_mode.k}, {recovery_mode.l}) lies "
                               f"outside the probe set of budget {probe_budget}")
-    references = reference_traces(modes, tau, grid, dt_factor)
+    references = _reference_traces(modes, tau, grid, dt_factor)
 
     m = min(member.minimum() for member in family)
     M = max(member.h1_sq_max() for member in family)
@@ -558,7 +544,8 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
     size = sum(2 * meas.trace.normal_bottom.size for meas in measurements)
 
     def residuals(pairs: List[DampingPair], out: np.ndarray) -> np.ndarray:
-        """Each pair's residual, simulated minus measured traces in measurement order, into out's rows.
+        """Each pair's residual into one row of out: simulated minus measured traces,
+        measurement by measurement, the bottom side before the left.
 
         The traces are solved as one batch straight into out, shaped
         (len(pairs), residual length); the probe's reference and the data

@@ -342,7 +342,8 @@ member_damping = st.tuples(coefficient_part, coefficient_part, coefficient_part,
 def test_batch_matches_sequential_solves(n, modes, dampings, shared, tau, chunk):
     # a cap of chunk * n^2 nodes splits a larger batch into consecutive chunks
     grid = Grid2D(n)
-    pairs = [DampingPair(affine_quadratic(base, slope1, curve1), affine_quadratic(base, slope2, curve2))
+    pairs = [DampingPair(affine_quadratic(base, slope1, curve1),
+                         affine_quadratic(base, slope2, curve2))
              for base, slope1, slope2, curve1, curve2 in dampings[:len(modes)]]
     if shared:
         pairs = pairs[:1]

@@ -210,9 +210,12 @@ class TestGap:
         for mode in modes:
             kept = gap.measurements[mode]
             fresh = probe_mode(a, mode, 1.0, grid, reference=refs[mode])
+            alone = solve_from_mode(a, mode, grid, 1.0, diagnostics=False).trace
+            alone = alone.difference(refs[mode])
             assert kept.reference is refs[mode]
-            assert np.array_equal(kept.trace.normal_bottom, fresh.trace.normal_bottom)
-            assert np.array_equal(kept.trace.normal_left, fresh.trace.normal_left)
+            for trace in (fresh.trace, alone):
+                assert np.array_equal(kept.trace.normal_bottom, trace.normal_bottom)
+                assert np.array_equal(kept.trace.normal_left, trace.normal_left)
             ratios.append(fresh.trace_norm / graph_norm(mode))
         assert gap.value == max(ratios)
 
