@@ -628,8 +628,11 @@ def solve_batch(u0: np.ndarray, dampings: Sequence[DampingPair], grid: Grid2D, t
     chunk = max(1, BATCH_NODE_CAP // grid.n ** 2)
     for start in range(0, members, chunk):
         stop = min(start + chunk, members)
-        gam = gams[0] if len(gams) == 1 else np.stack(gams[start:stop])
         fields = u0[start:stop]
+        gam = gams[0] if len(gams) == 1 else np.stack(gams[start:stop])
+        if stop - start == 1:
+            # a lone member steps as one (n, n) field, so its coefficients need no broadcast
+            fields, gam = fields[0], gam.reshape(fields.shape[1:])
         times, _, _ = _leapfrog_loop(fields, np.zeros_like(fields), gam, grid, steps, dt,
                                      out[start:stop])
     return _member_traces(out, times, dt, tau)
