@@ -544,10 +544,10 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
     size = sum(2 * meas.trace.normal_bottom.size for meas in measurements)
 
     def residuals(pairs: List[DampingPair], out: np.ndarray) -> np.ndarray:
-        """Each pair's residual into one row of out: simulated minus measured traces,
-        measurement by measurement, the bottom side before the left.
+        """Each pair's residual, simulated minus measured traces, into one row of out.
 
-        The traces are solved as one batch straight into out, shaped
+        A row runs measurement by measurement, the bottom side before the
+        left.  The traces are solved as one batch straight into out, shaped
         (len(pairs), residual length); the probe's reference and the data
         are then subtracted in place, which rounds as (damped - reference) - data.
         """

@@ -225,9 +225,10 @@ class SobolevNorms:
 
 @lru_cache(maxsize=8)
 def _masked_inverse_distance(n: int, midpoints: bool, power: int) -> np.ndarray:
-    """|x_i - x_j|^(-power) over the n uniform nodes of [0, 1], or over their n - 1 cell midpoints.
+    """|x_i - x_j|^(-power) off the diagonal, 0 on it, built once per sample count and read-only.
 
-    The diagonal holds 0.  Built once per sample count and read-only.
+    The points are the n uniform nodes of [0, 1], or with midpoints their
+    n - 1 cell midpoints.
     """
     s = np.linspace(0.0, 1.0, n)
     if midpoints:
