@@ -231,27 +231,46 @@ def boundary_damping_flux(a1_nodes: np.ndarray, a2_nodes: np.ndarray,
 # ---------------------------------------------------------------------------
 # scheme kernels
 
-def _neighbour_sum(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum of the four neighbours of each node, with even reflection across y = 0 and x = 0.
+def _neighbour_sum_into(u: np.ndarray, out: np.ndarray,
+                        row: np.ndarray) -> Callable[[], np.ndarray]:
+    """A call that writes the mirrored neighbour sum S(u) into out, with its views made once.
 
-    u is one (n, n) field or a (B, n, n) stack of them.  Valid on all
+    S is the sum of the four neighbours of each node, with even reflection
+    across y = 0 and x = 0.  u is one (n, n) field or a (B, n, n) stack of
+    them, and each call reads u as it is then.  S is valid on all
     non-Dirichlet nodes; the Dirichlet row and column of out hold finite
     values that the caller pins.  Each interior sum is
     ((y-neighbours) + lower x-neighbour) + upper x-neighbour.  The
     y-neighbours are added over the whole flattened stack, so that pass is
     contiguous; the sums that wrap around a row end (or from one member
     into the next) land in columns 0 and n-1, which are then overwritten.
-    out must be C-contiguous and must not share memory with u.
+    u and out must be C-contiguous and must not share memory.  row, shaped
+    like u[..., 0, :], holds the x-mirror of row 0.
     """
-    flat = u.reshape(-1)
-    np.add(flat[:-2], flat[2:], out=out.reshape(-1, copy=False)[1:-1])
-    np.multiply(2.0, u[..., 1], out=out[..., 0])
-    out[..., -1] = 0.0
-    inner = out[..., 1:-1, :]
-    np.add(inner, u[..., :-2, :], out=inner)
-    np.add(inner, u[..., 2:, :], out=inner)
-    out[..., 0, :] += 2.0 * u[..., 1, :]
-    return out
+    n = u.shape[-1]
+    flat, total = u.reshape(-1, copy=False), out.reshape(-1, copy=False)
+    y_lower, y_upper, y_sums = flat[:-2], flat[2:], total[1:-1]
+    # columns 0 and n-1 of every member, as 1-D strided views
+    mirror_column, first_column, last_column = flat[1::n], total[::n], total[n - 1::n]
+    inner, x_lower, x_upper = out[..., 1:-1, :], u[..., :-2, :], u[..., 2:, :]
+    mirror_row, first_row = u[..., 1, :], out[..., 0, :]
+
+    def neighbour_sum() -> np.ndarray:
+        np.add(y_lower, y_upper, out=y_sums)
+        np.multiply(2.0, mirror_column, out=first_column)
+        last_column.fill(0.0)
+        np.add(inner, x_lower, out=inner)
+        np.add(inner, x_upper, out=inner)
+        np.multiply(2.0, mirror_row, out=row)
+        np.add(first_row, row, out=first_row)
+        return out
+
+    return neighbour_sum
+
+
+def _neighbour_sum(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The mirrored neighbour sum S(u), written into out once; see _neighbour_sum_into."""
+    return _neighbour_sum_into(np.ascontiguousarray(u), out, np.empty(u[..., 0, :].shape))()
 
 
 def _mirror_second_difference(u: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -303,53 +322,137 @@ def _check_cfl(dt: float, h: float):
         raise NumericalError(f"dt = {dt:.3e} violates the CFL bound {CFL_LIMIT * h:.3e}")
 
 
+def _damped_sides(gam) -> Tuple[np.ndarray, np.ndarray]:
+    """The friction on the damped sides: column 0 (bottom) and row 0 (left) of gam.
+
+    gam is an array (..., n, n), whose sides come back shaped (..., n), or a
+    list of B (n, n) fields, one per batch member, whose sides come back
+    shaped (B, n).  Raises ValueError if gam is nonzero on any node off
+    those two sides.
+    """
+    fields = gam if isinstance(gam, list) else [gam]
+    for field in fields:
+        if np.any(field[..., 1:, 1:]):
+            raise ValueError("the friction must vanish off the damped sides x = 0 and y = 0")
+    if not isinstance(gam, list):
+        return gam[..., :, 0], gam[..., 0, :]
+    return np.stack([g[:, 0] for g in gam]), np.stack([g[0, :] for g in gam])
+
+
 class _Leapfrog:
-    """The in-place leapfrog update with its per-node coefficients, built once per solve.
+    """The in-place leapfrog update over a ring of three fields, built once per solve.
 
     With r = dt^2 / h^2 and half = gam dt / 2, the update
 
         u^{m+1} = alpha u^m + beta S(u^m) - gamma u^{m-1} + profile(t) load
 
     takes alpha = (2 - 4 r) / (1 + half), beta = r / (1 + half) and
-    gamma = (1 - half) / (1 + half), all zero on the Dirichlet nodes, and the
-    source load pre-scaled by dt^2 / (1 + half); S is the mirrored neighbour
-    sum.  This is the leapfrog expression
+    gamma = (1 - half) / (1 + half), and the source load pre-scaled by
+    dt^2 / (1 + half); S is the mirrored neighbour sum.  This is the
+    leapfrog expression
     (2 u - (1 - half) u_prev + dt^2 (lap u + accel_load)) / (1 + half) with
     the division folded into the coefficients, so the two agree to roundoff
     rather than bit for bit.
 
-    The fields are shaped `shape`: one (n, n) field or a (B, n, n) batch.
-    gam is (n, n) when every member has the same damping, so the
-    coefficients broadcast over the batch, and (B, n, n) when they differ.
+    The friction gam vanishes off the damped sides, column 0 and row 0,
+    which hold 2n - 1 of the n^2 nodes.  Off them beta = r, alpha = 2 - 4 r
+    and gamma = 1 exactly, and 1 * u_prev = u_prev, so every node is
+    stepped with the scalars r and c = 2 - 4 r, and the damped sides are
+    then rewritten from beta S + alpha u + (-gamma) u_prev, formed before
+    that scaling from per-node coefficients along the two sides only.
+    Each node rounds as it would under per-node coefficient fields.  The
+    side coefficients vanish at the Dirichlet end.  They come from one
+    (n, n) gam that every member shares or from a list of B fields, one per
+    member (see _damped_sides), and a gam nonzero off the damped sides
+    raises ValueError.
+
+    The three fields u^{m-1}, u^m and u^{m+1} rotate through `fields`,
+    shaped (3,) + shape with shape one (n, n) field or a (B, n, n) batch;
+    fields[0] and fields[1] take u^0 and u^1 before the first advance.  One
+    call multiplies the bottom sides of all three fields by their
+    coefficients and one the left sides, and every view a step reads is
+    made once per solve, so a step costs few calls at every batch size.
     """
 
-    def __init__(self, dt: float, grid: Grid2D, gam: np.ndarray,
+    def __init__(self, dt: float, grid: Grid2D, gam,
                  source: Optional[SourceSpec], accel_load: Optional[np.ndarray],
                  shape: Tuple[int, ...]):
-        half = 0.5 * dt * gam
-        one_plus = 1.0 + half
+        n = grid.n
         r = dt * dt / (grid.h * grid.h)
-        self.alpha = grid.zero_dirichlet((2.0 - 4.0 * r) / one_plus)
-        self.beta = grid.zero_dirichlet(r / one_plus)
-        self.gamma = grid.zero_dirichlet((1.0 - half) / one_plus)
-        self.source = source
+        side_shape = shape[:-2] + (n,)
+        size = math.prod(side_shape)
+        # [alpha, beta, -gamma][side][member * n + node], bottom side first
+        folded = np.empty((3, 2, size))
+        for side, side_gam in enumerate(_damped_sides(gam)):
+            half = 0.5 * dt * side_gam
+            one_plus = 1.0 + half
+            coefficients = ((2.0 - 4.0 * r) / one_plus, r / one_plus, -((1.0 - half) / one_plus))
+            for k, coefficient in enumerate(coefficients):
+                coefficient[..., -1] = 0.0
+                folded[k, side] = np.broadcast_to(coefficient, side_shape).reshape(-1)
+        load = None
         if source is not None:
-            self.load = grid.zero_dirichlet((dt * dt / one_plus) * accel_load)
-        self.grid = grid
+            load = grid.zero_dirichlet((dt * dt / (1.0 + 0.5 * dt * gam)) * accel_load)
+        self.fields = np.empty((3,) + shape)
+        # fields[slot] holds u^m, fields[slot - 1] u^(m-1) and fields[slot + 1] u^(m+1)
+        self.slot = 1
+        # the damped sides of all three fields, and their products with the coefficients;
+        # column 0 of a C-contiguous stack is one strided view of its flattened nodes
+        self.bottoms = self.fields.reshape(3, -1)[:, ::n]
+        self.lefts = self.fields[..., 0, :]
+        self.products = np.empty((3, 2, size))
+        self.values = np.empty((2, size))
         self.work = np.empty(shape)
+        self.row = np.empty(side_shape)
+        self.phases = [self._phase(k, r, folded, source, load) for k in range(3)]
 
-    def __call__(self, u: np.ndarray, u_prev: np.ndarray, t: float,
-                 out: np.ndarray) -> np.ndarray:
-        _neighbour_sum(u, out)
-        np.multiply(self.beta, out, out=out)
-        np.multiply(self.alpha, u, out=self.work)
-        np.add(out, self.work, out=out)
-        np.multiply(self.gamma, u_prev, out=self.work)
-        np.subtract(out, self.work, out=out)
-        if self.source is not None:
-            np.multiply(self.source.profile(t), self.load, out=self.work)
-            np.add(out, self.work, out=out)
-        return self.grid.zero_dirichlet(out)
+    def _phase(self, k: int, r: float, folded: np.ndarray, source: Optional[SourceSpec],
+               load: Optional[np.ndarray]) -> Callable[[float], Tuple[np.ndarray, ...]]:
+        """The step from fields[k] and fields[k - 1] into fields[k + 1], on views made once."""
+        nxt, prev = (k + 1) % 3, (k - 1) % 3
+        u, u_prev, out = self.fields[k], self.fields[prev], self.fields[nxt]
+        n = u.shape[-1]
+        neighbour_sum = _neighbour_sum_into(u, out, self.row)
+        # the side coefficients of each field by its role here: alpha for u, beta for S
+        # (which out holds until the scaling) and -gamma for u_prev
+        roles = np.empty(3, dtype=int)
+        roles[[k, nxt, prev]] = 0, 1, 2
+        bottoms, bottom_coefficients = self.bottoms, folded[roles, 0]
+        lefts, left_coefficients = self.lefts, folded[roles, 1].reshape(self.lefts.shape)
+        bottom_products = self.products[:, 0]
+        left_products = self.products[:, 1].reshape(self.lefts.shape)
+        products_out, products_u, products_prev = self.products[nxt], self.products[k], self.products[prev]
+        values, out_bottom, out_left = self.values, out.reshape(-1)[::n], out[..., 0, :]
+        bottom_values, left_values = values[0], values[1].reshape(out_left.shape)
+        work, c = self.work, 2.0 - 4.0 * r
+        dirichlet_row, dirichlet_column = out[..., -1, :], out.reshape(-1)[n - 1::n]
+
+        def advance(t: float) -> Tuple[np.ndarray, ...]:
+            neighbour_sum()
+            np.multiply(bottom_coefficients, bottoms, out=bottom_products)
+            np.multiply(left_coefficients, lefts, out=left_products)
+            np.add(products_out, products_u, out=values)
+            np.add(values, products_prev, out=values)
+            np.multiply(out, r, out=out)
+            np.multiply(u, c, out=work)
+            np.add(out, work, out=out)
+            np.subtract(out, u_prev, out=out)
+            out_bottom[...] = bottom_values
+            out_left[...] = left_values
+            if source is not None:
+                np.multiply(source.profile(t), load, out=work)
+                np.add(out, work, out=out)
+            dirichlet_row.fill(0.0)
+            dirichlet_column.fill(0.0)
+            return out, u, u_prev
+
+        return advance
+
+    def advance(self, t: float) -> Tuple[np.ndarray, ...]:
+        """One step at time t = m dt; returns the views u^{m+1}, u^m and u^{m-1} of fields."""
+        fields = self.phases[self.slot](t)
+        self.slot = (self.slot + 1) % 3
+        return fields
 
 
 def step(u: np.ndarray, u_prev: np.ndarray, t: float, dt: float, grid: Grid2D,
@@ -360,13 +463,17 @@ def step(u: np.ndarray, u_prev: np.ndarray, t: float, dt: float, grid: Grid2D,
     The boundary friction uses the centered velocity
     (u^{m+1} - u^{m-1}) / (2 dt), solved pointwise; the update is the
     folded expression alpha u + beta S(u) - gamma u_prev + profile(t) load
-    of _Leapfrog, evaluated in that order.
+    of _Leapfrog, evaluated in that order, with alpha, beta and gamma
+    per-node only on the damped sides.  gam must vanish off those sides
+    (ValueError otherwise).
     """
     _check_cfl(dt, grid.h)
     if source is not None and accel_load is None:
         accel_load = source.load / (grid.h ** 2 * grid.quad_weights)
     kernel = _Leapfrog(dt, grid, gam, source, accel_load, u.shape)
-    return kernel(u, u_prev, t, np.empty(u.shape))
+    kernel.fields[0] = u_prev
+    kernel.fields[1] = u
+    return kernel.advance(t)[0]
 
 
 def start_step(u0: np.ndarray, u1: np.ndarray, dt: float, grid: Grid2D,
@@ -490,30 +597,33 @@ def _time_step(tau: float, h: float, dt_factor: float) -> Tuple[int, float]:
     return steps, dt
 
 
-def _pinned_copy(u, grid: Grid2D, ndim: int) -> np.ndarray:
-    """A private float copy of initial data, (n, n) or for ndim = 3 (B, n, n).
+def _initial_data(u, grid: Grid2D, ndim: int) -> np.ndarray:
+    """Initial data as a float array, (n, n) or for ndim = 3 (B, n, n), not yet pinned.
 
-    Raises ValueError unless the data vanish on the Dirichlet sides, and pins them there.
+    Raises ValueError unless the data match the grid and vanish on the Dirichlet sides.
     """
-    u = np.array(u, dtype=float)
+    u = np.asarray(u, dtype=float)
     if u.ndim != ndim or u.shape[-2:] != (grid.n, grid.n) or u.size == 0:
         raise ValueError("initial fields must match the grid")
     if grid.on_dirichlet_max(u) > 1e-9:
         raise ValueError("initial data must vanish on the Dirichlet sides")
-    return grid.zero_dirichlet(u)
+    return u
 
 
-def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam: np.ndarray, grid: Grid2D,
+def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam, grid: Grid2D,
                    steps: int, dt: float, traces: np.ndarray,
                    source: Optional[SourceSpec] = None, accel_load: Optional[np.ndarray] = None,
                    log: Optional[_EnergyLog] = None):
     """The time loop of every solve, over one (n, n) field or a (B, n, n) batch.
 
-    Records each member's trace at every integer step into traces, shaped
+    u0 is copied into the kernel's ring and pinned there; u1 must vanish on
+    the Dirichlet sides.  gam is one (n, n) friction field for every member,
+    or a list of B fields, one per member (see _Leapfrog).  Records each
+    member's trace at every integer step into traces, shaped
     (B, 2, steps + 1, n) with B = 1 for a single field: traces[b, 0] is
     member b's bottom trace and traces[b, 1] its left trace.  The energy log
-    is kept only for a single field.  u0 is overwritten.  Returns the step
-    times and the last two fields, u^steps and u^(steps - 1).
+    is kept only for a single field.  Returns the step times and the last
+    two fields, u^steps and u^(steps - 1), as views of the ring.
     """
     members = traces.shape[0]
     kernel = _Leapfrog(dt, grid, gam, source, accel_load, u0.shape)
@@ -528,29 +638,32 @@ def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam: np.ndarray, grid: Grid2D
         np.take(u.reshape(members, -1), stencil_index, axis=1, out=stencil, mode="clip")
         np.matmul(stencil_weights, stencil, out=traces[:, :, m])
 
-    record(0, u0)
+    u_prev, u_curr = kernel.fields[0], kernel.fields[1]
+    u_prev[...] = u0
+    grid.zero_dirichlet(u_prev)
+    record(0, u_prev)
     if log is not None:
-        log.energy(0, u0, u1, 1.0)
-    # three rotating field buffers; u0 is a private copy, so it may be overwritten
-    u_prev = u0
-    u_curr = start_step(u0, u1, dt, grid, gam, source, accel_load)
-    u_next = np.empty_like(u_curr)
+        log.energy(0, u_prev, u1, 1.0)
+    if isinstance(gam, list):
+        for b, g in enumerate(gam):
+            u_curr[b] = start_step(u_prev[b], u1[b], dt, grid, g)
+    else:
+        u_curr[...] = start_step(u_prev, u1, dt, grid, gam, source, accel_load)
     if log is not None:
         log.staggered_energy(0, u_curr, u_prev)
 
     for m in range(1, steps):
-        kernel(u_curr, u_prev, times[m], u_next)
+        u_next, u_curr, u_prev = kernel.advance(times[m])
         record(m, u_curr)
         if log is not None:
             log.step(m, u_next, u_curr, u_prev)
-        u_prev, u_curr, u_next = u_curr, u_next, u_prev
-        if m % 128 == 0 and not np.isfinite(u_curr).all():
+        if m % 128 == 0 and not np.isfinite(u_next).all():
             raise NumericalError(f"field blew up at step {m} (t = {times[m]:.3f})")
 
-    record(steps, u_curr)
-    if not np.isfinite(u_curr).all():
+    record(steps, u_next)
+    if not np.isfinite(u_next).all():
         raise NumericalError("final field contains non-finite values")
-    return times, u_curr, u_prev
+    return times, u_next, u_curr
 
 
 def _member_traces(traces: np.ndarray, times: np.ndarray, dt: float,
@@ -575,8 +688,8 @@ def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: flo
     diagnostics that only a single solve carries.
     """
     steps, dt = _time_step(tau, grid.h, dt_factor)
-    u0 = _pinned_copy(u0, grid, 2)
-    u1 = _pinned_copy(u1, grid, 2)
+    u0 = _initial_data(u0, grid, 2)
+    u1 = grid.zero_dirichlet(np.array(_initial_data(u1, grid, 2)))
     gam = damping_rate(a, grid)
     accel_load = None
     if source is not None:
@@ -615,7 +728,7 @@ def solve_batch(u0: np.ndarray, dampings: Sequence[DampingPair], grid: Grid2D, t
     the returned traces are views of out.
     """
     steps, dt = _time_step(tau, grid.h, dt_factor)
-    u0 = _pinned_copy(u0, grid, 3)
+    u0 = _initial_data(u0, grid, 3)
     members = u0.shape[0]
     if len(dampings) not in (1, members):
         raise ValueError("need one damping pair for the whole batch or one per member")
@@ -629,11 +742,8 @@ def solve_batch(u0: np.ndarray, dampings: Sequence[DampingPair], grid: Grid2D, t
     for start in range(0, members, chunk):
         stop = min(start + chunk, members)
         fields = u0[start:stop]
-        gam = gams[0] if len(gams) == 1 else np.stack(gams[start:stop])
-        if stop - start == 1:
-            # a lone member steps as one (n, n) field, so its coefficients need no broadcast
-            fields, gam = fields[0], gam.reshape(fields.shape[1:])
-        times, _, _ = _leapfrog_loop(fields, np.zeros_like(fields), gam, grid, steps, dt,
+        gam = gams[0] if len(gams) == 1 else gams[start:stop]
+        times, _, _ = _leapfrog_loop(fields, np.zeros(fields.shape), gam, grid, steps, dt,
                                      out[start:stop])
     return _member_traces(out, times, dt, tau)
 
