@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -48,6 +49,18 @@ def _resolve_config(args) -> ExperimentConfig:
     if args.seed is not None:
         config.seed = args.seed
     return config.validate()
+
+
+def _prepare_out_dir(path) -> Path:
+    """Create the output directory before any solve; a path that cannot hold it is a config error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out_dir", f"cannot create output directory {out}: {exc}") from exc
+    if not os.access(out, os.W_OK | os.X_OK):
+        raise ConfigError("out_dir", f"output directory {out} is not writable")
+    return out
 
 
 def cmd_forward(config: ExperimentConfig) -> int:
@@ -223,6 +236,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
+        out_dir = args.out if args.command == "verify" else config.out_dir
+        if out_dir:
+            _prepare_out_dir(out_dir)
         if args.command == "forward":
             return cmd_forward(config)
         if args.command == "reconstruct":

@@ -183,7 +183,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"cannot read {path} as UTF-8 text: {exc}") from exc
     return parse_config(text)

@@ -115,9 +115,9 @@ def save_damping_csv(path, component: SampledFunction1D) -> Path:
 def load_damping_csv(path) -> SampledFunction1D:
     path = Path(path)
     try:
-        rows = path.read_text().strip().splitlines()
-    except OSError as exc:
-        raise ConfigError("damping_csv", f"cannot read {path}: {exc}") from exc
+        rows = path.read_text(encoding="utf-8").strip().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("damping_csv", f"cannot read {path} as UTF-8 text: {exc}") from exc
     if not rows or rows[0].strip() != "s,value":
         raise ConfigError("damping_csv", f"{path} must start with header 's,value'")
     s_vals, values = [], []

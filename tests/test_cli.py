@@ -82,6 +82,33 @@ def test_oversized_run_exit_2_before_any_solve(tmp_path, monkeypatch, capsys, te
     assert f"'{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["forward", "reconstruct", "sweep", "verify"])
+def test_non_utf8_config_exit_2(tmp_path, capsys, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "'config'" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["forward", "reconstruct", "sweep", "verify"])
+@pytest.mark.parametrize("below_a_file", [False, True], ids=["existing-file", "below-a-file"])
+def test_unusable_out_exit_2_before_any_solve(tmp_path, monkeypatch, capsys, command,
+                                              below_a_file):
+    # the output directory is made before the run, so a bad --out costs no solve
+    calls = []
+    for seam in ("wavedamp.reconstruct.solve_modes", "wavedamp.cli.solve_from_mode",
+                 "wavedamp.cli.run_checks"):
+        monkeypatch.setattr(seam, lambda *a, _seam=seam, **k: calls.append(_seam))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "x" if below_a_file else taken
+    cfg = write_cfg(tmp_path, "n = 33\ntau = 1.0\n")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "'out_dir'" in capsys.readouterr().err
+    assert calls == []
+
+
 class TestReconstructCommand:
     def test_zero_damping_flags_noise_floor(self, tmp_path):
         cfg = write_cfg(tmp_path, "n = 33\ntau = 2.0\ndamping_kind = zero\ngn_iters = 0\n")

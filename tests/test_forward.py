@@ -128,6 +128,25 @@ class TestScheme:
         assert names == ["times", "normal_bottom", "normal_left", "dt", "tau"]
         assert res.vel_bottom.shape == res.vel_left.shape == res.trace.normal_bottom.shape
 
+    @pytest.mark.parametrize("side", ["normal_bottom", "normal_left"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_trace_raises(self, side, bad):
+        times = np.linspace(0.0, 1.0, 5)
+        arrays_ = {"normal_bottom": np.zeros((5, 17)), "normal_left": np.zeros((5, 17))}
+        arrays_[side][3, 4] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            BoundaryTrace(times=times, dt=0.25, tau=1.0, **arrays_)
+
+    def test_building_a_trace_leaves_its_norm_uncomputed(self, monkeypatch):
+        # the norm is computed where it is read (a measurement's trace_norm), not on construction
+        monkeypatch.setattr(BoundaryTrace, "l2_norm",
+                            lambda self: pytest.fail("a trace computed its norm on construction"))
+        grid = Grid2D(17)
+        u0 = np.stack([mode_field(grid), mode_field(grid, ModeIndex(1, 0))])
+        grid.zero_dirichlet(u0)
+        traces = solve_batch(u0, [DampingPair.constant(0.2)], grid, 0.3)
+        traces[0].difference(traces[1])
+
     def test_quad_weights_built_once_and_read_only(self):
         grid = Grid2D(17)
         w = grid.quad_weights
@@ -184,6 +203,97 @@ class TestScheme:
         assert np.array_equal(first, second)
         for other in (u, u_prev, second):
             assert not np.shares_memory(first, other)
+
+
+def mirrored_neighbours(u):
+    """The mirrored neighbour sum of one field, summed in the kernel's order by plain slicing."""
+    neighbours = np.zeros_like(u)
+    neighbours[:, 1:-1] = u[:, :-2] + u[:, 2:]
+    neighbours[:, 0] = 2.0 * u[:, 1]
+    neighbours[1:-1, :] = neighbours[1:-1, :] + u[:-2, :] + u[2:, :]
+    neighbours[0, :] += 2.0 * u[1, :]
+    return neighbours
+
+
+def per_node_step(u, u_prev, t, dt, grid, gam, source=None):
+    """alpha u + beta S(u) - gamma u_prev (+ profile(t) load) with per-node coefficient fields."""
+    half = 0.5 * dt * gam
+    one_plus = 1.0 + half
+    r = dt * dt / (grid.h * grid.h)
+    alpha = grid.zero_dirichlet((2.0 - 4.0 * r) / one_plus)
+    beta = grid.zero_dirichlet(r / one_plus)
+    gamma = grid.zero_dirichlet((1.0 - half) / one_plus)
+    folded = alpha * u + beta * mirrored_neighbours(u) - gamma * u_prev
+    if source is not None:
+        accel_load = source.load / (grid.h ** 2 * grid.quad_weights)
+        folded = folded + source.profile(t) * grid.zero_dirichlet((dt * dt / one_plus) * accel_load)
+    return grid.zero_dirichlet(folded)
+
+
+side_damping = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+
+
+@st.composite
+def lean_step_case(draw):
+    """Fields pinned on the Dirichlet sides and a friction on the damped sides of each member.
+
+    Side dampings may vanish on part of a side or on all of it; the corner takes both.
+    """
+    n = draw(st.sampled_from([17, 20]))
+    members = draw(st.one_of(st.none(), st.integers(1, 3)))
+    shared = members is None or draw(st.booleans())
+    shape = (n, n) if members is None else (members, n, n)
+    entry = st.floats(-1.0, 1.0)
+    u, u_prev = (draw(arrays(float, shape, elements=entry, fill=entry)) for _ in range(2))
+    grid = Grid2D(n)
+    gams = []
+    for _ in range(1 if shared else members):
+        gam = np.zeros((n, n))
+        gam[:, 0] += (2.0 / grid.h) * draw(arrays(float, n, elements=side_damping))
+        gam[0, :] += (2.0 / grid.h) * draw(arrays(float, n, elements=side_damping))
+        gams.append(gam)
+    dt = draw(st.floats(0.05, 1.0)) * forward.CFL_LIMIT * grid.h
+    return grid, grid.zero_dirichlet(u), grid.zero_dirichlet(u_prev), gams, shared, dt
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=lean_step_case(), forced=st.booleans(), t=st.floats(0.0, 2.0))
+def test_lean_step_matches_the_per_node_expression(case, forced, t):
+    # off the damped sides the per-node coefficients are exactly r, 2 - 4 r and 1,
+    # so the kernel's scalar interior gives the per-node expression's bits everywhere
+    grid, u, u_prev, gams, shared, dt = case
+    source = None
+    if forced and u.ndim == 2:
+        source = mode_boundary_source(DampingPair.constant(0.3), ModeIndex(1, 0), grid)
+    gam = gams[0] if shared else gams
+    kernel = forward._Leapfrog(dt, grid, gam, source,
+                               None if source is None else
+                               source.load / (grid.h ** 2 * grid.quad_weights), u.shape)
+    kernel.fields[0] = u_prev
+    kernel.fields[1] = u
+    stepped = kernel.advance(t)[0]
+    members = [None] if u.ndim == 2 else range(u.shape[0])
+    for b in members:
+        pick = (lambda x: x) if b is None else (lambda x: x[b])
+        expected = per_node_step(pick(u), pick(u_prev), t, dt, grid, gams[0 if shared else b],
+                                 source)
+        assert pick(stepped).tobytes() == expected.tobytes()
+    if shared:
+        assert step(u, u_prev, t, dt, grid, gams[0], source).tobytes() == stepped.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=lean_step_case(), i=st.integers(1, 16), j=st.integers(1, 16),
+       value=st.one_of(st.floats(1e-300, 1e3), st.floats(-1e3, -1e-300), st.just(math.nan)))
+def test_lean_step_rejects_friction_off_the_damped_sides(case, i, j, value):
+    # the interior runs on scalar coefficients, so friction there would be dropped silently
+    grid, u, u_prev, gams, shared, dt = case
+    gams[-1][i, j] = value
+    with pytest.raises(ValueError, match="damped sides"):
+        forward._Leapfrog(dt, grid, gams[0] if shared else gams, None, None, u.shape)
+    if shared:
+        with pytest.raises(ValueError, match="damped sides"):
+            step(u, u_prev, 0.0, dt, grid, gams[0])
 
 
 def plain_laplacian(u, h):

@@ -66,6 +66,12 @@ class TestDampingCsv:
         with pytest.raises(ConfigError):
             load_damping_csv(bad)
 
+    def test_rejects_non_utf8_bytes(self, tmp_path):
+        bad = tmp_path / "bad3.csv"
+        bad.write_bytes(b"s,value\n0.0,1\n\xff\xfe\n")
+        with pytest.raises(ConfigError, match="UTF-8"):
+            load_damping_csv(bad)
+
     def test_rejects_nonuniform_nodes(self, tmp_path):
         bad = tmp_path / "bad2.csv"
         bad.write_text("s,value\n0.0,1\n0.3,1\n1.0,1\n")

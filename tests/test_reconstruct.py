@@ -50,6 +50,20 @@ def synthetic_measurement(grid, mode, tau, profile_bottom, profile_left, steps=5
 
 
 class TestProbe:
+    def test_measurement_computes_its_norm_once(self, monkeypatch):
+        grid = Grid2D(33)
+        a, mode = DampingPair.constant(0.2), ModeIndex(1, 0)
+        reference = reference_solution(mode, 1.0, grid).trace
+        expected = solve_from_mode(a, mode, grid, 1.0, diagnostics=False).trace
+        expected = expected.difference(reference).l2_norm()
+        calls = []
+        real_norm = BoundaryTrace.l2_norm
+        monkeypatch.setattr(BoundaryTrace, "l2_norm",
+                            lambda self: calls.append(self) or real_norm(self))
+        meas = probe_mode(a, mode, 1.0, grid, reference=reference)
+        assert calls == [meas.trace]
+        assert meas.trace_norm == expected
+
     def test_zero_damping_probe_is_null(self):
         grid = Grid2D(33)
         meas = probe_mode(DampingPair.zero(), ModeIndex(0, 0), 1.0, grid)
