@@ -399,7 +399,7 @@ class _Leapfrog:
         self.slot = 1
         # the damped sides of all three fields, and their products with the coefficients;
         # column 0 of a C-contiguous stack is one strided view of its flattened nodes
-        self.bottoms = self.fields.reshape(3, -1)[:, ::n]
+        self.bottoms = self.fields.reshape(3, -1, copy=False)[:, ::n]
         self.lefts = self.fields[..., 0, :]
         self.products = np.empty((3, 2, size))
         self.values = np.empty((2, size))
@@ -421,10 +421,10 @@ class _Leapfrog:
         bottoms, bottom_coefficients = self.bottoms, folded[roles, 0]
         lefts, left_coefficients = self.lefts, folded[roles, 1].reshape(self.lefts.shape)
         bottom_products = self.products[:, 0]
-        left_products = self.products[:, 1].reshape(self.lefts.shape)
+        left_products = self.products[:, 1].reshape(self.lefts.shape, copy=False)
         products_out, products_u, products_prev = self.products[nxt], self.products[k], self.products[prev]
         values, out_bottom, out_left = self.values, out.reshape(-1)[::n], out[..., 0, :]
-        bottom_values, left_values = values[0], values[1].reshape(out_left.shape)
+        bottom_values, left_values = values[0], values[1].reshape(out_left.shape, copy=False)
         work, c = self.work, 2.0 - 4.0 * r
         dirichlet_row, dirichlet_column = out[..., -1, :], out.reshape(-1)[n - 1::n]
 
