@@ -306,7 +306,9 @@ def _mirror_laplacian(u: np.ndarray, h: float) -> np.ndarray:
     Valid on all non-Dirichlet nodes; Dirichlet rows are pinned by the
     caller and never read back.
     """
-    return (_neighbour_sum(u, np.empty(u.shape)) - 4.0 * u) / (h * h)
+    lap = _neighbour_sum(u, np.empty(u.shape))
+    np.subtract(lap, 4.0 * u, out=lap)
+    return np.divide(lap, h * h, out=lap)
 
 
 def damping_rate(a: DampingPair, grid: Grid2D) -> np.ndarray:
@@ -480,14 +482,21 @@ def step(u: np.ndarray, u_prev: np.ndarray, t: float, dt: float, grid: Grid2D,
 def start_step(u0: np.ndarray, u1: np.ndarray, dt: float, grid: Grid2D,
                gam: np.ndarray, source: Optional[SourceSpec] = None,
                accel_load: Optional[np.ndarray] = None) -> np.ndarray:
-    """Taylor start producing u at t = dt from the initial data."""
-    acc = _mirror_laplacian(u0, grid.h) - gam * u1
+    """Taylor start producing u at t = dt from initial data u0, u1 of one shape.
+
+    u^1 = u0 + dt u1 + dt^2 / 2 (lap u0 - gam u1 + profile(0) accel_load), in
+    place on two field-sized arrays.
+    """
+    acc = _mirror_laplacian(u0, grid.h)
+    work = np.multiply(gam, u1)
+    np.subtract(acc, work, out=acc)
     if source is not None:
         if accel_load is None:
             accel_load = source.load / (grid.h ** 2 * grid.quad_weights)
-        acc = acc + source.profile(0.0) * accel_load
-    u_next = u0 + dt * u1 + 0.5 * dt * dt * acc
-    return grid.zero_dirichlet(u_next)
+        np.add(acc, np.multiply(source.profile(0.0), accel_load, out=work), out=acc)
+    np.add(u0, np.multiply(dt, u1, out=work), out=work)
+    np.add(work, np.multiply(0.5 * dt * dt, acc, out=acc), out=work)
+    return grid.zero_dirichlet(work)
 
 
 def _trace_stencil(n: int) -> np.ndarray:
@@ -706,7 +715,7 @@ def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: flo
         acc_end = acc_end + source.profile(float(times[-1])) * accel_load
     v_final = ((u_curr - u_prev) / dt + 0.5 * dt * acc_end) / (1.0 + 0.5 * dt * gam)
     trace = _member_traces(traces, times, dt, tau)[0]
-    final = WaveState(u=u_curr, v=v_final, t=float(times[-1]))
+    final = WaveState(u=u_curr.copy(), v=v_final, t=float(times[-1]))
     if not diagnostics:
         return SolveResult(final=final, trace=trace, times=times, grid=grid, dt=dt)
     log.energy(steps, u_curr, v_final, 1.0)
@@ -772,7 +781,9 @@ def solve_modes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], gri
     member, so its coefficients are built once.  out is solve_batch's.
     """
     fields = np.stack([mode_field(mode, grid) for mode in modes])
-    per_member = dampings if len(dampings) == 1 else [a for a in dampings for _ in modes]
+    if len(dampings) == 1:
+        return solve_batch(fields, dampings, grid, tau, dt_factor, out)
+    per_member = [a for a in dampings for _ in modes]
     return solve_batch(np.tile(fields, (len(dampings), 1, 1)), per_member, grid, tau,
                        dt_factor, out)
 
