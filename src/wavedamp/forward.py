@@ -781,10 +781,10 @@ def solve_modes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], gri
     member, so its coefficients are built once.  out is solve_batch's.
     """
     fields = np.stack([mode_field(mode, grid) for mode in modes])
-    if len(dampings) == 1:
-        return solve_batch(fields, dampings, grid, tau, dt_factor, out)
-    per_member = [a for a in dampings for _ in modes]
-    return solve_batch(np.tile(fields, (len(dampings), 1, 1)), per_member, grid, tau,
+    per_member = dampings if len(dampings) == 1 else [a for a in dampings for _ in modes]
+    # solve_batch copies each chunk into its own ring, so the repeats may share memory
+    repeated = np.broadcast_to(fields, (len(dampings),) + fields.shape)
+    return solve_batch(repeated.reshape((-1,) + fields.shape[1:]), per_member, grid, tau,
                        dt_factor, out)
 
 
