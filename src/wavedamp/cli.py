@@ -51,7 +51,7 @@ def _resolve_config(args) -> ExperimentConfig:
     return config.validate()
 
 
-def _prepare_out_dir(path) -> Path:
+def _prepare_out_dir(path):
     """Create the output directory before any solve; a path that cannot hold it is a config error."""
     out = Path(path)
     try:
@@ -60,7 +60,6 @@ def _prepare_out_dir(path) -> Path:
         raise ConfigError("out_dir", f"cannot create output directory {out}: {exc}") from exc
     if not os.access(out, os.W_OK | os.X_OK):
         raise ConfigError("out_dir", f"output directory {out} is not writable")
-    return out
 
 
 def cmd_forward(config: ExperimentConfig) -> int:
