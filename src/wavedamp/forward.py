@@ -349,32 +349,26 @@ class _Leapfrog:
 
         u^{m+1} = alpha u^m + beta S(u^m) - gamma u^{m-1} + profile(t) load
 
-    takes alpha = (2 - 4 r) / (1 + half), beta = r / (1 + half) and
-    gamma = (1 - half) / (1 + half), and the source load pre-scaled by
-    dt^2 / (1 + half); S is the mirrored neighbour sum.  This is the
-    leapfrog expression
-    (2 u - (1 - half) u_prev + dt^2 (lap u + accel_load)) / (1 + half) with
-    the division folded into the coefficients, so the two agree to roundoff
-    rather than bit for bit.
+    takes alpha = (2 - 4 r) / (1 + half), beta = r / (1 + half),
+    gamma = (1 - half) / (1 + half) and the load pre-scaled by
+    dt^2 / (1 + half), S being the mirrored neighbour sum.  It is the
+    leapfrog expression (2 u - (1 - half) u_prev + dt^2 (lap u + accel_load))
+    / (1 + half) with the division folded in, and agrees with it to roundoff.
 
-    The friction gam vanishes off the damped sides, column 0 and row 0,
-    which hold 2n - 1 of the n^2 nodes.  Off them beta = r, alpha = 2 - 4 r
-    and gamma = 1 exactly, and 1 * u_prev = u_prev, so every node is
-    stepped with the scalars r and c = 2 - 4 r, and the damped sides are
-    then rewritten from beta S + alpha u + (-gamma) u_prev, formed before
-    that scaling from per-node coefficients along the two sides only.
-    Each node rounds as it would under per-node coefficient fields.  The
-    side coefficients vanish at the Dirichlet end.  They come from one
-    (n, n) gam that every member shares or from a list of B fields, one per
-    member (see _damped_sides), and a gam nonzero off the damped sides
-    raises ValueError.
+    gam vanishes off the damped sides, column 0 and row 0, and there
+    beta = r, alpha = 2 - 4 r and gamma = 1 exactly.  So every node is
+    stepped with those scalars, and the two sides are then overwritten with
+    beta S + alpha u - gamma u_prev from per-node side coefficients (zero at
+    the Dirichlet end), formed before the scaling.  Every node rounds as
+    under per-node coefficient fields.  gam is one (n, n) field that every
+    member shares or a list of B fields (see _damped_sides); friction off
+    the damped sides raises ValueError.
 
-    The three fields u^{m-1}, u^m and u^{m+1} rotate through `fields`,
-    shaped (3,) + shape with shape one (n, n) field or a (B, n, n) batch;
-    fields[0] and fields[1] take u^0 and u^1 before the first advance.  One
-    call multiplies the bottom sides of all three fields by their
-    coefficients and one the left sides, and every view a step reads is
-    made once per solve, so a step costs few calls at every batch size.
+    u^{m-1}, u^m and u^{m+1} rotate through `fields`, shaped (3,) + shape
+    for one (n, n) field or a (B, n, n) batch; fields[0] and fields[1] take
+    u^0 and u^1 before the first advance.  A step multiplies the bottom
+    sides of all three fields in one call and the left sides in another, on
+    views made once per solve.
     """
 
     def __init__(self, dt: float, grid: Grid2D, gam,
