@@ -137,16 +137,6 @@ class TestScheme:
         with pytest.raises(NumericalError, match="non-finite"):
             BoundaryTrace(times=times, dt=0.25, tau=1.0, **arrays_)
 
-    def test_building_a_trace_leaves_its_norm_uncomputed(self, monkeypatch):
-        # the norm is computed where it is read (a measurement's trace_norm), not on construction
-        monkeypatch.setattr(BoundaryTrace, "l2_norm",
-                            lambda self: pytest.fail("a trace computed its norm on construction"))
-        grid = Grid2D(17)
-        u0 = np.stack([mode_field(grid), mode_field(grid, ModeIndex(1, 0))])
-        grid.zero_dirichlet(u0)
-        traces = solve_batch(u0, [DampingPair.constant(0.2)], grid, 0.3)
-        traces[0].difference(traces[1])
-
     def test_quad_weights_built_once_and_read_only(self):
         grid = Grid2D(17)
         w = grid.quad_weights
