@@ -19,18 +19,14 @@ from .errors import (
 )
 from .grid import Grid2D
 from .spectral import (
-    CompatIntegral,
     DampingPair,
     Eigenpair,
     FourierCoeffs,
     ModeIndex,
     MultiplierBound,
     SampledFunction1D,
-    Side,
     SobolevNorms,
     boundary_mode,
-    compat_integral,
-    damping_compat_check,
     eigenpair,
     holder_seminorm,
     mode_shape,

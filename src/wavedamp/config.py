@@ -113,15 +113,16 @@ class ExperimentConfig:
         kind = self.damping_kind
         if kind == "zero":
             return DampingPair.zero(n)
+        if kind in ("constant", "affine") and self.damping_base < 0:
+            raise ConfigError("damping_base", "must be nonnegative")
         if kind == "constant":
-            if self.damping_base < 0:
-                raise ConfigError("damping_base", "must be nonnegative")
             return DampingPair.constant(self.damping_base, n)
         if kind == "affine":
             a1 = self.damping_base + self.damping_slope1 * s
             a2 = self.damping_base + self.damping_slope2 * s
-            if a1.min() < 0 or a2.min() < 0:
-                raise ConfigError("damping_slope1", "affine profile must stay nonnegative")
+            for field, profile in (("damping_slope1", a1), ("damping_slope2", a2)):
+                if profile.min() < 0:
+                    raise ConfigError(field, "affine profile must stay nonnegative")
             return DampingPair(SampledFunction1D(a1), SampledFunction1D(a2))
         from .io import load_damping_csv
 

@@ -51,7 +51,6 @@ __all__ = [
     "energy",
     "stiffness_energy",
     "weighted_l2_sq",
-    "h1_norm",
     "boundary_damping_flux",
     "dissipation_residual",
     "rellich_residual",
@@ -213,10 +212,6 @@ def weighted_l2_sq(u: np.ndarray, grid: Grid2D) -> float:
     return float(grid.h ** 2 * (grid.quad_weights * u * u).sum())
 
 
-def h1_norm(u: np.ndarray, grid: Grid2D) -> float:
-    return math.sqrt(weighted_l2_sq(u, grid) + stiffness_energy(u, grid))
-
-
 def energy(state: WaveState, grid: Grid2D) -> float:
     """E = 1/2 (B(u, u) + ||v||_{L2}^2)."""
     return 0.5 * (stiffness_energy(state.u, grid) + weighted_l2_sq(state.v, grid))
@@ -312,34 +307,26 @@ def _mirror_laplacian(u: np.ndarray, h: float) -> np.ndarray:
 
 
 def damping_rate(a: DampingPair, grid: Grid2D) -> np.ndarray:
-    """Per-node friction coefficient from ghost elimination, 2 a / h per side."""
-    gam = np.zeros((grid.n, grid.n))
+    """The friction 2 a / h from ghost elimination, as its two side vectors, shaped (2, n).
+
+    Row 0 is the bottom side (column 0 of a field) and row 1 the left side
+    (row 0).  Both rows hold the corner, where the two sides' frictions add.
+    Off these sides the friction is zero.
+    """
     s = grid.nodes
-    gam[:, 0] += (2.0 / grid.h) * a.a1.at(s)
-    gam[0, :] += (2.0 / grid.h) * a.a2.at(s)
-    return gam
+    rates = (2.0 / grid.h) * np.stack([a.a1.at(s), a.a2.at(s)])
+    rates[:, 0] = rates[0, 0] + rates[1, 0]
+    return rates
+
+
+def _accel_load(source: SourceSpec, grid: Grid2D) -> np.ndarray:
+    """The source's load per unit mass: the load over each node's quadrature weight."""
+    return source.load / (grid.h ** 2 * grid.quad_weights)
 
 
 def _check_cfl(dt: float, h: float):
     if dt > CFL_LIMIT * h * (1.0 + 1e-12):
         raise NumericalError(f"dt = {dt:.3e} violates the CFL bound {CFL_LIMIT * h:.3e}")
-
-
-def _damped_sides(gam) -> Tuple[np.ndarray, np.ndarray]:
-    """The friction on the damped sides: column 0 (bottom) and row 0 (left) of gam.
-
-    gam is an array (..., n, n), whose sides come back shaped (..., n), or a
-    list of B (n, n) fields, one per batch member, whose sides come back
-    shaped (B, n).  Raises ValueError if gam is nonzero on any node off
-    those two sides.
-    """
-    fields = gam if isinstance(gam, list) else [gam]
-    for field in fields:
-        if np.any(field[..., 1:, 1:]):
-            raise ValueError("the friction must vanish off the damped sides x = 0 and y = 0")
-    if not isinstance(gam, list):
-        return gam[..., :, 0], gam[..., 0, :]
-    return np.stack([g[:, 0] for g in gam]), np.stack([g[0, :] for g in gam])
 
 
 class _Leapfrog:
@@ -355,14 +342,14 @@ class _Leapfrog:
     leapfrog expression (2 u - (1 - half) u_prev + dt^2 (lap u + accel_load))
     / (1 + half) with the division folded in, and agrees with it to roundoff.
 
-    gam vanishes off the damped sides, column 0 and row 0, and there
-    beta = r, alpha = 2 - 4 r and gamma = 1 exactly.  So every node is
-    stepped with those scalars, and the two sides are then overwritten with
-    beta S + alpha u - gamma u_prev from per-node side coefficients (zero at
-    the Dirichlet end), formed before the scaling.  Every node rounds as
-    under per-node coefficient fields.  gam is one (n, n) field that every
-    member shares or a list of B fields (see _damped_sides); friction off
-    the damped sides raises ValueError.
+    gam holds the friction on the damped sides only, column 0 and row 0
+    (see damping_rate): shaped (2, n) for every member, or (B, 2, n) with
+    one row pair per member.  Off those sides beta = r, alpha = 2 - 4 r and
+    gamma = 1 exactly.  So every node is stepped with those scalars, and
+    the two sides are then overwritten with beta S + alpha u - gamma u_prev
+    from per-node side coefficients (zero at the Dirichlet end), formed
+    before the scaling.  Every node rounds as under per-node coefficient
+    fields.
 
     u^{m-1}, u^m and u^{m+1} rotate through `fields`, shaped (3,) + shape
     for one (n, n) field or a (B, n, n) batch; fields[0] and fields[1] take
@@ -371,25 +358,27 @@ class _Leapfrog:
     views made once per solve.
     """
 
-    def __init__(self, dt: float, grid: Grid2D, gam,
-                 source: Optional[SourceSpec], accel_load: Optional[np.ndarray],
-                 shape: Tuple[int, ...]):
+    def __init__(self, dt: float, grid: Grid2D, gam: np.ndarray,
+                 source: Optional[SourceSpec], shape: Tuple[int, ...]):
         n = grid.n
         r = dt * dt / (grid.h * grid.h)
         side_shape = shape[:-2] + (n,)
         size = math.prod(side_shape)
+        half = 0.5 * dt * np.broadcast_to(gam, shape[:-2] + (2, n))
+        one_plus = 1.0 + half
+        folded = np.stack([(2.0 - 4.0 * r) / one_plus, r / one_plus, -((1.0 - half) / one_plus)])
+        folded[..., -1] = 0.0
         # [alpha, beta, -gamma][side][member * n + node], bottom side first
-        folded = np.empty((3, 2, size))
-        for side, side_gam in enumerate(_damped_sides(gam)):
-            half = 0.5 * dt * side_gam
-            one_plus = 1.0 + half
-            coefficients = ((2.0 - 4.0 * r) / one_plus, r / one_plus, -((1.0 - half) / one_plus))
-            for k, coefficient in enumerate(coefficients):
-                coefficient[..., -1] = 0.0
-                folded[k, side] = np.broadcast_to(coefficient, side_shape).reshape(-1)
+        folded = np.moveaxis(folded, -2, 1).reshape(3, 2, size)
         load = None
         if source is not None:
-            load = grid.zero_dirichlet((dt * dt / (1.0 + 0.5 * dt * gam)) * accel_load)
+            # dt^2 / (1 + half) is dt^2 off the damped sides
+            accel = _accel_load(source, grid)
+            scale = dt * dt / (1.0 + 0.5 * dt * gam)
+            load = np.multiply(dt * dt, accel, out=np.empty(gam.shape[:-2] + accel.shape))
+            load[..., :, 0] = scale[..., 0, :] * accel[:, 0]
+            load[..., 0, 1:] = scale[..., 1, 1:] * accel[0, 1:]
+            grid.zero_dirichlet(load)
         self.fields = np.empty((3,) + shape)
         # fields[slot] holds u^m, fields[slot - 1] u^(m-1) and fields[slot + 1] u^(m+1)
         self.slot = 1
@@ -453,41 +442,38 @@ class _Leapfrog:
 
 
 def step(u: np.ndarray, u_prev: np.ndarray, t: float, dt: float, grid: Grid2D,
-         gam: np.ndarray, source: Optional[SourceSpec] = None,
-         accel_load: Optional[np.ndarray] = None) -> np.ndarray:
+         gam: np.ndarray, source: Optional[SourceSpec] = None) -> np.ndarray:
     """One leapfrog step u^{m-1}, u^m -> u^{m+1} at time t = m dt, into a fresh array.
 
     The boundary friction uses the centered velocity
     (u^{m+1} - u^{m-1}) / (2 dt), solved pointwise; the update is the
     folded expression alpha u + beta S(u) - gamma u_prev + profile(t) load
     of _Leapfrog, evaluated in that order, with alpha, beta and gamma
-    per-node only on the damped sides.  gam must vanish off those sides
-    (ValueError otherwise).
+    per-node only on the damped sides, whose friction gam holds (see
+    damping_rate).
     """
     _check_cfl(dt, grid.h)
-    if source is not None and accel_load is None:
-        accel_load = source.load / (grid.h ** 2 * grid.quad_weights)
-    kernel = _Leapfrog(dt, grid, gam, source, accel_load, u.shape)
+    kernel = _Leapfrog(dt, grid, gam, source, u.shape)
     kernel.fields[0] = u_prev
     kernel.fields[1] = u
     return kernel.advance(t)[0]
 
 
 def start_step(u0: np.ndarray, u1: np.ndarray, dt: float, grid: Grid2D,
-               gam: np.ndarray, source: Optional[SourceSpec] = None,
-               accel_load: Optional[np.ndarray] = None) -> np.ndarray:
+               gam: np.ndarray, source: Optional[SourceSpec] = None) -> np.ndarray:
     """Taylor start producing u at t = dt from initial data u0, u1 of one shape.
 
     u^1 = u0 + dt u1 + dt^2 / 2 (lap u0 - gam u1 + profile(0) accel_load), in
-    place on two field-sized arrays.
+    place on two field-sized arrays.  u0 and u1 are (n, n) fields or
+    (B, n, n) stacks, and gam is shaped as _Leapfrog takes it; gam u1 is
+    formed on the damped sides only, the corner once.
     """
     acc = _mirror_laplacian(u0, grid.h)
-    work = np.multiply(gam, u1)
-    np.subtract(acc, work, out=acc)
+    acc[..., :, 0] -= gam[..., 0, :] * u1[..., :, 0]
+    acc[..., 0, 1:] -= gam[..., 1, 1:] * u1[..., 0, 1:]
+    work = np.empty(acc.shape)
     if source is not None:
-        if accel_load is None:
-            accel_load = source.load / (grid.h ** 2 * grid.quad_weights)
-        np.add(acc, np.multiply(source.profile(0.0), accel_load, out=work), out=acc)
+        np.add(acc, np.multiply(source.profile(0.0), _accel_load(source, grid), out=work), out=acc)
     np.add(u0, np.multiply(dt, u1, out=work), out=work)
     np.add(work, np.multiply(0.5 * dt * dt, acc, out=acc), out=work)
     return grid.zero_dirichlet(work)
@@ -614,15 +600,14 @@ def _initial_data(u, grid: Grid2D, ndim: int) -> np.ndarray:
     return u
 
 
-def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam, grid: Grid2D,
+def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam: np.ndarray, grid: Grid2D,
                    steps: int, dt: float, traces: np.ndarray,
-                   source: Optional[SourceSpec] = None, accel_load: Optional[np.ndarray] = None,
-                   log: Optional[_EnergyLog] = None):
+                   source: Optional[SourceSpec] = None, log: Optional[_EnergyLog] = None):
     """The time loop of every solve, over one (n, n) field or a (B, n, n) batch.
 
     u0 is copied into the kernel's ring and pinned there; u1 must vanish on
-    the Dirichlet sides.  gam is one (n, n) friction field for every member,
-    or a list of B fields, one per member (see _Leapfrog).  Records each
+    the Dirichlet sides.  gam is the friction's side vectors, (2, n) for
+    every member or (B, 2, n) per member (see _Leapfrog).  Records each
     member's trace at every integer step into traces, shaped
     (B, 2, steps + 1, n) with B = 1 for a single field: traces[b, 0] is
     member b's bottom trace and traces[b, 1] its left trace.  The energy log
@@ -630,7 +615,7 @@ def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam, grid: Grid2D,
     two fields, u^steps and u^(steps - 1), as views of the ring.
     """
     members = traces.shape[0]
-    kernel = _Leapfrog(dt, grid, gam, source, accel_load, u0.shape)
+    kernel = _Leapfrog(dt, grid, gam, source, u0.shape)
     times = dt * np.arange(steps + 1)
     stencil_index = _trace_stencil(grid.n)
     stencil = np.empty((members,) + stencil_index.shape)
@@ -648,11 +633,7 @@ def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam, grid: Grid2D,
     record(0, u_prev)
     if log is not None:
         log.energy(0, u_prev, u1, 1.0)
-    if isinstance(gam, list):
-        for b, g in enumerate(gam):
-            u_curr[b] = start_step(u_prev[b], u1[b], dt, grid, g)
-    else:
-        u_curr[...] = start_step(u_prev, u1, dt, grid, gam, source, accel_load)
+    u_curr[...] = start_step(u_prev, u1, dt, grid, gam, source)
     if log is not None:
         log.staggered_energy(0, u_curr, u_prev)
 
@@ -695,19 +676,19 @@ def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: flo
     u0 = _initial_data(u0, grid, 2)
     u1 = grid.zero_dirichlet(np.array(_initial_data(u1, grid, 2)))
     gam = damping_rate(a, grid)
-    accel_load = None
-    if source is not None:
-        accel_load = source.load / (grid.h ** 2 * grid.quad_weights)
     traces = np.empty((1, 2, steps + 1, grid.n))
     log = _EnergyLog(steps, dt, grid) if diagnostics else None
-    times, u_curr, u_prev = _leapfrog_loop(u0, u1, gam, grid, steps, dt, traces,
-                                           source, accel_load, log)
+    times, u_curr, u_prev = _leapfrog_loop(u0, u1, gam, grid, steps, dt, traces, source, log)
 
-    # close the staggered velocity to second order at the final time
+    # close the staggered velocity to second order at the final time; the
+    # friction divides it by 1 + gam dt / 2 on the damped sides, the corner once
     acc_end = _mirror_laplacian(u_curr, grid.h)
     if source is not None:
-        acc_end = acc_end + source.profile(float(times[-1])) * accel_load
-    v_final = ((u_curr - u_prev) / dt + 0.5 * dt * acc_end) / (1.0 + 0.5 * dt * gam)
+        acc_end = acc_end + source.profile(float(times[-1])) * _accel_load(source, grid)
+    v_final = (u_curr - u_prev) / dt + 0.5 * dt * acc_end
+    divisor = 1.0 + 0.5 * dt * gam
+    v_final[:, 0] /= divisor[0]
+    v_final[0, 1:] /= divisor[1, 1:]
     trace = _member_traces(traces, times, dt, tau)[0]
     final = WaveState(u=u_curr.copy(), v=v_final, t=float(times[-1]))
     if not diagnostics:
@@ -741,14 +722,15 @@ def solve_batch(u0: np.ndarray, dampings: Sequence[DampingPair], grid: Grid2D, t
         out = np.empty(shape)
     elif out.shape != shape:
         raise ValueError(f"trace buffer must be shaped {shape}, got {out.shape}")
-    gams = [damping_rate(a, grid) for a in dampings]
+    # each member's friction side vectors, a shared pair's repeated by broadcasting
+    gam = np.broadcast_to(np.stack([damping_rate(a, grid) for a in dampings]),
+                          (members, 2, grid.n))
     chunk = max(1, BATCH_NODE_CAP // grid.n ** 2)
     for start in range(0, members, chunk):
         stop = min(start + chunk, members)
         fields = u0[start:stop]
-        gam = gams[0] if len(gams) == 1 else gams[start:stop]
-        times, _, _ = _leapfrog_loop(fields, np.zeros(fields.shape), gam, grid, steps, dt,
-                                     out[start:stop])
+        times, _, _ = _leapfrog_loop(fields, np.zeros(fields.shape), gam[start:stop], grid,
+                                     steps, dt, out[start:stop])
     return _member_traces(out, times, dt, tau)
 
 

@@ -163,25 +163,18 @@ def _fit_envelope_rate(trace: BoundaryTrace, omega: float) -> float:
     return float(-slope)
 
 
-def time_project(meas: ModalMeasurement, envelope: str = "fitted"):
+def time_project(meas: ModalMeasurement):
     """Per-side spatial profiles of the measurement's modal time content.
 
     Projects the trace onto env(t) * sin(omega t), where env is an
-    exponential envelope fitted from the measurement itself
-    (envelope="fitted") or identically one (envelope="none").  To first
+    exponential envelope fitted from the measurement itself.  To first
     order in the damping the trace is a(s) * omega * sin(omega t) times
-    the decaying mode amplitude, so dividing the fitted-envelope
-    projection by omega and the boundary mode shape recovers a.
+    the decaying mode amplitude, so dividing the projection by omega and
+    the boundary mode shape recovers a.
     """
     pair = eigenpair(meas.mode)
     t = meas.trace.times
-    if envelope == "fitted":
-        rate = _fit_envelope_rate(meas.trace, pair.omega)
-        env = np.exp(-rate * t)
-    elif envelope == "none":
-        env = np.ones_like(t)
-    else:
-        raise ValueError("envelope must be 'fitted' or 'none'")
+    env = np.exp(-_fit_envelope_rate(meas.trace, pair.omega) * t)
     sin_t = np.sin(pair.omega * t)
     wt = trapezoid_weights(t.shape[0]) * meas.trace.dt
     denom = float((wt * env * env * sin_t * sin_t).sum())
@@ -343,18 +336,17 @@ def stability_bound_rhs(delta: float, m: float, M: float, c_cal: float) -> float
 
 
 def coefficient_bound_constant(coeff: float, k: int, m: float, M: float, delta: float,
-                               tau: float, exponent_full: Optional[float] = None) -> float:
+                               tau: float) -> float:
     """Empirical constant (a_j^k)^2 / [(M^2/m) e^{k^2 (tau^2 pi^2 + 1)} delta].
 
-    Evaluated in log space; the alternative exponent lambda * tau^2 may be
-    supplied through exponent_full instead of the k^2 form.  Underflows to
-    zero for large k, which is the honest value at double precision.
+    Evaluated in log space.  Underflows to zero for large k, which is the
+    honest value at double precision.
     """
     if coeff == 0.0:
         return 0.0
     if delta <= 0 or m <= 0 or M <= 0:
         raise ValueError("need positive delta, m, M")
-    exponent = exponent_full if exponent_full is not None else k * k * (tau * tau * math.pi ** 2 + 1.0)
+    exponent = k * k * (tau * tau * math.pi ** 2 + 1.0)
     log_gap = 2.0 * math.log(abs(coeff)) - math.log(M * M / m) - math.log(delta) - exponent
     if log_gap < -745.0:
         return 0.0
@@ -479,14 +471,6 @@ class GaussNewtonInfo:
 
     residuals: List[float]
     termination: str
-
-    @property
-    def converged(self) -> bool:
-        return self.termination == "zero_residual"
-
-    @property
-    def stalled(self) -> bool:
-        return self.termination == "stalled"
 
 
 def _predicted_decrease(jac: np.ndarray, r: np.ndarray) -> float:

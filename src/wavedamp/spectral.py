@@ -9,13 +9,12 @@ sqrt(2) * cos((k + 1/2) pi s).
 
 This module also owns the 1-D sampled-function machinery used everywhere
 else: trapezoid quadrature, cosine-mode analysis/synthesis, discrete
-Sobolev and Hoelder norms, the multiplier bound for Hoelder coefficients
-on the half-order Sobolev space, and the corner compatibility integral.
+Sobolev and Hoelder norms, and the multiplier bound for Hoelder
+coefficients on the half-order Sobolev space.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,11 +28,9 @@ __all__ = [
     "Eigenpair",
     "SampledFunction1D",
     "DampingPair",
-    "Side",
     "FourierCoeffs",
     "SobolevNorms",
     "MultiplierBound",
-    "CompatIntegral",
     "trapezoid_weights",
     "integrate",
     "eigenpair",
@@ -44,11 +41,7 @@ __all__ = [
     "sobolev_norms",
     "holder_seminorm",
     "multiplier_bound_check",
-    "compat_integral",
-    "damping_compat_check",
 ]
-
-COMPAT_WINDOW_TOL = 1e-3  # dyadic-window contribution that marks a divergent corner integral
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +151,10 @@ class SampledFunction1D:
         return np.interp(np.asarray(s, dtype=float), self.nodes, self.values)
 
 
-class Side(enum.Enum):
-    """The two damped sides of the square."""
-
-    BOTTOM = "bottom"  # y = 0, parametrized by x
-    LEFT = "left"      # x = 0, parametrized by y
-
-
 @dataclass(frozen=True)
 class FourierCoeffs:
     """Cosine-mode coefficients of a damped-side profile, orders 0..N."""
 
-    side: Side
     coeffs: np.ndarray
 
     def __post_init__(self):
@@ -193,7 +178,7 @@ def _check_mode_resolution(n: int, order: int):
         )
 
 
-def project_onto_modes(f: SampledFunction1D, order: int, side: Side = Side.BOTTOM) -> FourierCoeffs:
+def project_onto_modes(f: SampledFunction1D, order: int) -> FourierCoeffs:
     """Trapezoid quadrature of f against the interval modes 0..order."""
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -201,7 +186,7 @@ def project_onto_modes(f: SampledFunction1D, order: int, side: Side = Side.BOTTO
     s = f.nodes
     w = trapezoid_weights(f.n) * f.dx
     coeffs = np.array([float((w * f.values * boundary_mode(k, s)).sum()) for k in range(order + 1)])
-    return FourierCoeffs(side=side, coeffs=coeffs)
+    return FourierCoeffs(coeffs)
 
 
 def synthesize_from_modes(coeffs: FourierCoeffs, n: int) -> SampledFunction1D:
@@ -302,45 +287,6 @@ def multiplier_bound_check(a: SampledFunction1D, f: SampledFunction1D, alpha: fl
 
 
 # ---------------------------------------------------------------------------
-# corner compatibility
-
-@dataclass(frozen=True)
-class CompatIntegral:
-    value: float
-    divergent: bool
-
-
-def compat_integral(g1: SampledFunction1D, g2: SampledFunction1D) -> CompatIntegral:
-    """First-order corner compatibility integral int |g1 - g2|^2 dt / t.
-
-    The quadrature runs on (t_1, 1) with t_1 the first positive node.
-    Divergence is flagged when the three finest dyadic windows
-    (2^{-j-1}, 2^{-j}] each contribute more than COMPAT_WINDOW_TOL: for an
-    integrable mismatch the window sums decay geometrically, while a
-    corner mismatch contributes about |g1(0)-g2(0)|^2 ln 2 per window.
-    """
-    if g1.n != g2.n:
-        raise ValueError("g1 and g2 must share the sample grid")
-    t = g1.nodes[1:]
-    q = (g1.values[1:] - g2.values[1:]) ** 2 / t
-    dx = g1.dx
-    w = trapezoid_weights(g1.n)[1:]
-    value = float(dx * (w * q).sum())
-
-    contributions = []
-    j = 1
-    while 2.0 ** (-j - 1) >= dx / 2:
-        lo, hi = 2.0 ** (-j - 1), 2.0 ** (-j)
-        in_window = (t > lo) & (t <= hi)
-        if in_window.sum() < 2:
-            break
-        contributions.append(float(dx * q[in_window].sum()))
-        j += 1
-    divergent = len(contributions) >= 3 and all(c > COMPAT_WINDOW_TOL for c in contributions[-3:])
-    return CompatIntegral(value=value, divergent=divergent)
-
-
-# ---------------------------------------------------------------------------
 # damping pairs
 
 @dataclass(frozen=True)
@@ -349,22 +295,14 @@ class DampingPair:
 
     a1 lives on the bottom side (y = 0, parametrized by x) and a2 on the
     left side (x = 0, parametrized by y); the two parametrizations meet at
-    the corner (0, 0), so a1(0) = a2(0) is required.  m_lower and M_upper
-    are the class parameters of the admissible family: a pointwise lower
-    bound and a bound on the squared H1 norm of each component.
+    the corner (0, 0), so a1(0) = a2(0) is required.
     """
 
     a1: SampledFunction1D
     a2: SampledFunction1D
-    m_lower: float = 0.0
-    M_upper: float = math.inf
     corner_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.m_lower < 0:
-            raise ValueError("m_lower must be nonnegative")
-        if self.M_upper <= 0:
-            raise ValueError("M_upper must be positive")
         gap = abs(self.a1.values[0] - self.a2.values[0])
         if gap > self.corner_tol:
             raise ValueError(f"corner mismatch |a1(0) - a2(0)| = {gap:.3e} exceeds tolerance")
@@ -373,20 +311,16 @@ class DampingPair:
                 raise ValueError(f"{name} must be nonnegative (min {a.values.min():.3e})")
 
     @classmethod
-    def from_callables(cls, f1, f2, n: int = 257, **kwargs) -> "DampingPair":
-        return cls(
-            SampledFunction1D.from_callable(f1, n),
-            SampledFunction1D.from_callable(f2, n),
-            **kwargs,
-        )
+    def from_callables(cls, f1, f2, n: int = 257) -> "DampingPair":
+        return cls(SampledFunction1D.from_callable(f1, n), SampledFunction1D.from_callable(f2, n))
 
     @classmethod
-    def constant(cls, value: float, n: int = 257, **kwargs) -> "DampingPair":
-        return cls.from_callables(lambda s: np.full_like(s, value), lambda s: np.full_like(s, value), n, **kwargs)
+    def constant(cls, value: float, n: int = 257) -> "DampingPair":
+        return cls.from_callables(lambda s: np.full_like(s, value), lambda s: np.full_like(s, value), n)
 
     @classmethod
-    def zero(cls, n: int = 257, **kwargs) -> "DampingPair":
-        return cls.constant(0.0, n, **kwargs)
+    def zero(cls, n: int = 257) -> "DampingPair":
+        return cls.constant(0.0, n)
 
     def scaled(self, factor: float) -> "DampingPair":
         if factor < 0:
@@ -394,8 +328,6 @@ class DampingPair:
         return DampingPair(
             SampledFunction1D(factor * self.a1.values),
             SampledFunction1D(factor * self.a2.values),
-            m_lower=factor * self.m_lower,
-            M_upper=self.M_upper,
             corner_tol=self.corner_tol,
         )
 
@@ -411,21 +343,3 @@ class DampingPair:
         n1 = sobolev_norms(self.a1).l2
         n2 = sobolev_norms(self.a2).l2
         return math.sqrt(n1 * n1 + n2 * n2)
-
-    def is_admissible(self) -> bool:
-        """Membership in the class cut out by (m_lower, M_upper)."""
-        return self.minimum() >= self.m_lower and self.h1_sq_max() <= self.M_upper
-
-
-def damping_compat_check(a: DampingPair, g1: SampledFunction1D, g2: SampledFunction1D) -> bool:
-    """Whether (a1 g1, a2 g2) still satisfies the corner compatibility.
-
-    For a compatible pair (g1, g2) and a damping pair with matching corner
-    values the products inherit the finite corner integral; this check
-    quantifies that implication on samples.
-    """
-    if g1.n != g2.n:
-        raise ValueError("g1 and g2 must share the sample grid")
-    p1 = SampledFunction1D(a.a1.at(g1.nodes) * g1.values)
-    p2 = SampledFunction1D(a.a2.at(g2.nodes) * g2.values)
-    return not compat_integral(p1, p2).divergent

@@ -11,6 +11,7 @@ break while the program's own tests still pass.
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,16 @@ def test_step_kernel_names_exist():
     for name in ("step", "start_step", "damping_rate"):
         assert callable(getattr(forward, name, None)), f"wavedamp.forward.{name}"
     assert isinstance(forward.CFL_LIMIT, float)
+
+
+def test_step_kernel_timing_runs(tracing):
+    # the timing calls damping_rate, start_step and step as the benchmark does, so a
+    # change to their call shape fails here and not only in a traced benchmark run
+    from wavedamp.config import ExperimentConfig
+
+    config = ExperimentConfig(n=17, tau=0.5).validate()
+    step_us = tracing.time_step_kernel(config, reps=2, steps=5)
+    assert math.isfinite(step_us) and step_us > 0.0
 
 
 def test_verify_closed_form_check_passes(checks):

@@ -66,6 +66,20 @@ def test_non_finite_input_exit_2(tmp_path, capsys, command, text, field):
 
 
 @pytest.mark.parametrize("text, field", [
+    ("damping_base = -0.1\n", "damping_base"),
+    ("damping_slope1 = -0.5\n", "damping_slope1"),
+    ("damping_base = 0.2\ndamping_slope2 = -0.5\n", "damping_slope2"),
+], ids=["damping_base", "damping_slope1", "damping_slope2"])
+def test_negative_affine_damping_names_its_field_exit_2(tmp_path, capsys, text, field):
+    cfg = write_cfg(tmp_path, "n = 17\ndamping_kind = affine\n" + text)
+    assert main(["forward", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    named = [name for name in ("damping_base", "damping_slope1", "damping_slope2")
+             if f"'{name}'" in err]
+    assert named == [field]
+
+
+@pytest.mark.parametrize("text, field", [
     ("n = 1026\ntau = 0.001\n", "n"),
     ("n = 100000000\n", "n"),
     ("n = 257\ntau = 11.0\n", "tau"),

@@ -31,7 +31,7 @@ from wavedamp.spectral import (
     eigenpair,
     mode_shape,
 )
-from wavedamp.forward import h1_norm, stiffness_energy
+from wavedamp.forward import stiffness_energy, weighted_l2_sq
 
 
 def synthetic_measurement(grid, mode, tau, profile_bottom, profile_left, steps=500):
@@ -113,14 +113,6 @@ class TestTimeProject:
         y1, y2 = time_project(meas)
         np.testing.assert_allclose(y1.values, g1, atol=1e-6)
         np.testing.assert_allclose(y2.values, g2, atol=1e-6)
-
-    def test_plain_envelope_variant(self):
-        grid = Grid2D(33)
-        mode = ModeIndex(0, 0)
-        g1 = np.ones(grid.n)
-        meas = synthetic_measurement(grid, mode, 4.0, g1, g1)
-        y1, _ = time_project(meas, envelope="none")
-        np.testing.assert_allclose(y1.values, g1, atol=1e-9)
 
     def test_zero_trace_projects_to_zero(self):
         grid = Grid2D(33)
@@ -300,11 +292,6 @@ class TestCoefficientBound:
         val = coefficient_bound_constant(0.3, 0, 0.5, 2.0, 0.01, 4.0)
         assert val == pytest.approx(0.3 ** 2 / (2.0 ** 2 / 0.5 * 0.01))
 
-    def test_full_exponent_variant(self):
-        lam = eigenpair(ModeIndex(1, 1)).eigenvalue
-        val = coefficient_bound_constant(0.3, 1, 0.5, 2.0, 0.5, 1.0, exponent_full=lam * 1.0)
-        assert val == pytest.approx(0.3 ** 2 / (2.0 ** 2 / 0.5 * 0.5) * math.exp(-lam))
-
 
 def count_probe_solves(monkeypatch, members=None):
     """Record the (damping, mode) of every member of every batched probe solve from here on."""
@@ -409,7 +396,7 @@ class TestTensorStiffnessChain:
                                         for k, c in enumerate(c2))
             a2[0] = a1[0]
             tensor = a1[:, None] * a2[None, :]
-            tensor_h1 = h1_norm(tensor, grid)
+            tensor_h1 = math.sqrt(weighted_l2_sq(tensor, grid) + stiffness_energy(tensor, grid))
             for k in range(3):
                 for l in range(3):
                     mode = ModeIndex(k, l)
@@ -439,7 +426,6 @@ class TestGaussNewton:
         refined, info = fit_damping_least_squares([meas], zero, grid, 1.0,
                                                   iters=2, fit_order=1)
         assert info.residuals[0] == 0.0
-        assert info.converged
         assert info.termination == "zero_residual"
         assert np.all(refined.a1.values == 0.0)
 
@@ -451,8 +437,6 @@ class TestGaussNewton:
         assert len(info.residuals) == 2
         assert info.residuals[-1] > 0.0
         assert info.termination == "max_iters"
-        assert not info.converged
-        assert not info.stalled
 
     def test_failed_line_search_ends_the_fit(self, monkeypatch):
         # a model trace that ignores the damping: zero Jacobian, zero step,
@@ -477,9 +461,7 @@ class TestGaussNewton:
                                             grid, 1.0, iters=3, fit_order=0)
         assert len(info.residuals) == 2
         assert info.residuals[1] == info.residuals[0] > 0.0
-        assert info.stalled
         assert info.termination == "stalled"
-        assert not info.converged
         # one initial residual, two Jacobian columns, four line-search trials
         assert len(calls) == 7
 
@@ -496,7 +478,6 @@ class TestGaussNewton:
         assert meas.noise_floor == 0.0
         _, info = fit_damping_least_squares([meas], truth, grid, 1.0, iters=1, fit_order=0)
         assert info.residuals == [0.0]
-        assert info.converged
         assert info.termination == "zero_residual"
 
     @staticmethod
@@ -522,7 +503,6 @@ class TestGaussNewton:
         rounds = len(info.residuals) - 1
         assert info.termination == "tolerance"
         assert 1 <= rounds < 6
-        assert not info.converged and not info.stalled
         # each round: a batch member per Jacobian column, the step's lstsq, the line-search
         # trials, then the prediction's lstsq
         runs = [len(run) for run in "".join("|" if a is None else "s" for a in events).split("|")]

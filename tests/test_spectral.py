@@ -9,8 +9,6 @@ from wavedamp.spectral import (
     ModeIndex,
     SampledFunction1D,
     boundary_mode,
-    compat_integral,
-    damping_compat_check,
     eigenpair,
     holder_seminorm,
     integrate,
@@ -125,23 +123,23 @@ class TestFourier:
             project_onto_modes(SampledFunction1D(np.zeros(10)), 4)
 
     def test_synthesize_single_mode(self):
-        from wavedamp.spectral import FourierCoeffs, Side
+        from wavedamp.spectral import FourierCoeffs
 
-        f = synthesize_from_modes(FourierCoeffs(Side.BOTTOM, np.array([1.0, 0.0])), 129)
+        f = synthesize_from_modes(FourierCoeffs(np.array([1.0, 0.0])), 129)
         np.testing.assert_allclose(f.values, boundary_mode(0, f.nodes), atol=1e-12)
 
     def test_synthesize_zero(self):
-        from wavedamp.spectral import FourierCoeffs, Side
+        from wavedamp.spectral import FourierCoeffs
 
-        f = synthesize_from_modes(FourierCoeffs(Side.LEFT, np.zeros(3)), 65)
+        f = synthesize_from_modes(FourierCoeffs(np.zeros(3)), 65)
         assert np.all(f.values == 0.0)
 
     def test_round_trip_on_coefficients(self):
         rng = np.random.default_rng(3)
         coeffs = rng.normal(size=5)
-        from wavedamp.spectral import FourierCoeffs, Side
+        from wavedamp.spectral import FourierCoeffs
 
-        f = synthesize_from_modes(FourierCoeffs(Side.BOTTOM, coeffs), 1025)
+        f = synthesize_from_modes(FourierCoeffs(coeffs), 1025)
         back = project_onto_modes(f, 4)
         np.testing.assert_allclose(back.coeffs, coeffs, atol=1e-5)
 
@@ -268,36 +266,6 @@ class TestMultiplierBound:
             assert chk.holds
 
 
-class TestCompat:
-    def test_equal_pair(self):
-        g = sampled(lambda s: np.sin(s))
-        res = compat_integral(g, g)
-        assert res.value == 0.0
-        assert not res.divergent
-
-    def test_linear_mismatch(self):
-        res = compat_integral(sampled(lambda s: s, 513), sampled(lambda s: np.zeros_like(s), 513))
-        assert res.value == pytest.approx(0.5, abs=1e-3)
-        assert not res.divergent
-
-    def test_constant_mismatch_diverges(self):
-        res = compat_integral(sampled(lambda s: np.ones_like(s), 513),
-                              sampled(lambda s: np.zeros_like(s), 513))
-        assert res.divergent
-
-    def test_damping_preserves_compat(self):
-        a = DampingPair.from_callables(lambda s: 1 + s, lambda s: 1 + s ** 2)
-        g = sampled(lambda s: s, 513)
-        assert damping_compat_check(a, g, g)
-
-    def test_matching_corner_with_unequal_profiles(self):
-        a = DampingPair.constant(1.0)
-        g1 = sampled(lambda s: s, 513)
-        g2 = sampled(lambda s: np.sin(s), 513)
-        # sin(t) - t vanishes at the corner fast enough
-        assert damping_compat_check(a, g1, g2)
-
-
 class TestDampingPair:
     def test_corner_mismatch_rejected(self):
         with pytest.raises(ValueError, match="corner"):
@@ -306,12 +274,6 @@ class TestDampingPair:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             DampingPair.from_callables(lambda s: s - 0.5, lambda s: s - 0.5)
-
-    def test_admissibility(self):
-        a = DampingPair.constant(0.5, m_lower=0.4, M_upper=1.0)
-        assert a.is_admissible()
-        tight = DampingPair.constant(0.5, m_lower=0.6, M_upper=1.0)
-        assert not tight.is_admissible()
 
     def test_pair_norm(self):
         a = DampingPair.constant(0.3)
