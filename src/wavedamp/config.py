@@ -27,10 +27,13 @@ DAMPING_KINDS = ("zero", "constant", "affine", "csv")
 # solve: 1.9e8 for n = 257 at tau = 4, dt_factor = 0.5.  n * (steps + 1)
 # bounds the memory of one trace, 16 bytes per value for its two sides
 # (80 MB at the cap; a probe holds two traces): 7.4e5 for n = 257 at
-# tau = 4, while n = 17 under the work cap alone could reach 2.9e7.
+# tau = 4, while n = 17 under the work cap alone could reach 2.9e7.  A damping's
+# samples (damping_samples, or a csv's rows) stay at four per cell of the largest
+# grid: sobolev_norms' (samples - 1)^2 matrices then take 128 MiB each.
 MAX_N = 1025
 MAX_NODE_STEPS = 5e8
 MAX_TRACE_VALUES = 5e6
+MAX_DAMPING_SAMPLES = 4 * (MAX_N - 1) + 1
 
 
 @dataclass
@@ -85,8 +88,9 @@ class ExperimentConfig:
             raise ConfigError("damping_kind", f"must be one of {DAMPING_KINDS}")
         if self.damping_kind == "csv" and not (self.damping_csv1 and self.damping_csv2):
             raise ConfigError("damping_csv1", "csv damping needs both file paths")
-        if self.damping_samples < 19:
-            raise ConfigError("damping_samples", "need at least 19 samples")
+        if not 19 <= self.damping_samples <= MAX_DAMPING_SAMPLES:
+            raise ConfigError("damping_samples", f"must lie in [19, {MAX_DAMPING_SAMPLES}], "
+                                                 f"got {self.damping_samples}")
         if self.probe_k < 0:
             raise ConfigError("probe_k", "must be nonnegative")
         if self.probe_l < 0:
@@ -101,8 +105,9 @@ class ExperimentConfig:
             raise ConfigError("gn_iters", "must be nonnegative")
         if not self.sweep_epsilons or any(e <= 0 for e in self.sweep_epsilons):
             raise ConfigError("sweep_epsilons", "need positive scale factors")
-        if self.calib_member >= len(self.sweep_epsilons):
-            raise ConfigError("calib_member", "index beyond the sweep family")
+        if not -1 <= self.calib_member < len(self.sweep_epsilons):
+            raise ConfigError("calib_member", f"must be -1 (the largest member) or a member "
+                                              f"index below {len(self.sweep_epsilons)}")
         if not self.trunc_rate > 0:
             raise ConfigError("trunc_rate", f"must be positive, got {self.trunc_rate}")
         return self

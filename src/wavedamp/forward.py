@@ -44,7 +44,6 @@ __all__ = [
     "start_step",
     "step_count",
     "solve",
-    "solve_batch",
     "solve_from_mode",
     "solve_modes",
     "mode_field",
@@ -89,50 +88,45 @@ class WaveState:
 class BoundaryTrace:
     """The measurement: space-time samples of the outward normal derivative.
 
-    normal_bottom[m, i] holds d_nu u at (x_i, 0, t_m) and normal_left[m, j]
-    at (0, y_j, t_m), both from one-sided second-order differences on the
+    sides, shaped (2, steps + 1, n), holds d_nu u at (x_i, 0, t_m) in
+    sides[0, m, i] (the bottom side) and at (0, y_j, t_m) in sides[1, m, j]
+    (the left side), both from one-sided second-order differences on the
     damped sides.  The boundary velocities are not part of the measurement;
     they are a diagnostic of the solver and live on SolveResult.
     """
 
     times: np.ndarray
-    normal_bottom: np.ndarray
-    normal_left: np.ndarray
+    sides: np.ndarray
     dt: float
     tau: float
 
     def __post_init__(self):
-        m, n = self.normal_bottom.shape
-        if self.normal_left.shape != (m, n):
-            raise ValueError("trace arrays must share one (steps+1, n) shape")
-        if self.times.shape != (m,):
+        if self.sides.ndim != 3 or self.sides.shape[0] != 2:
+            raise ValueError(f"trace sides must be shaped (2, steps+1, n), got {self.sides.shape}")
+        if self.times.shape != self.sides.shape[1:2]:
             raise ValueError("times length must match the step count")
         # a pass of isfinite; the norm is left to the callers that read it
-        if not (np.isfinite(self.normal_bottom).all() and np.isfinite(self.normal_left).all()):
+        if not np.isfinite(self.sides).all():
             raise NumericalError("boundary trace has non-finite values")
 
     @property
     def n(self) -> int:
-        return self.normal_bottom.shape[1]
+        return self.sides.shape[2]
 
     def l2_norm(self) -> float:
         """Space-time L2 norm over both damped sides."""
         h = 1.0 / (self.n - 1)
         wx = trapezoid_weights(self.n)
-        per_step = h * ((self.normal_bottom ** 2) @ wx + (self.normal_left ** 2) @ wx)
+        bottom, left = self.sides
+        per_step = h * ((bottom ** 2) @ wx + (left ** 2) @ wx)
         wt = trapezoid_weights(self.times.shape[0])
         return math.sqrt(float(self.dt * (wt * per_step).sum()))
 
     def difference(self, other: "BoundaryTrace") -> "BoundaryTrace":
-        if self.normal_bottom.shape != other.normal_bottom.shape:
+        if self.sides.shape != other.sides.shape:
             raise ValueError("traces must come from matching discretizations")
-        return BoundaryTrace(
-            times=self.times,
-            normal_bottom=self.normal_bottom - other.normal_bottom,
-            normal_left=self.normal_left - other.normal_left,
-            dt=self.dt,
-            tau=self.tau,
-        )
+        return BoundaryTrace(times=self.times, sides=self.sides - other.sides, dt=self.dt,
+                             tau=self.tau)
 
 
 @dataclass
@@ -498,8 +492,8 @@ class _EnergyLog:
     the mirrored neighbour sum.  So each step forms the stiffness load
     L = q (4 u^m - S(u^m)) once (by _mirror_second_difference) and reads
     B(u^m, u^m) = <u^m, L> for the energy and B(u^{m+1}, u^m) = <u^{m+1}, L>
-    for the staggered energy.  Only the two damped-side rows of each
-    velocity are kept.
+    for the staggered energy.  Only the two damped sides of each velocity
+    are kept, as velocities[0] (bottom) and velocities[1] (left).
     """
 
     def __init__(self, steps: int, dt: float, grid: Grid2D):
@@ -507,8 +501,7 @@ class _EnergyLog:
         self.energies = np.empty(steps + 1)
         self.staggered_times = dt * (np.arange(steps) + 0.5)
         self.staggered_energies = np.empty(steps)
-        self.vel_bottom = np.empty((steps + 1, n))
-        self.vel_left = np.empty((steps + 1, n))
+        self.velocities = np.empty((2, steps + 1, n))
         self.dt = dt
         self.h2 = grid.h ** 2
         self.q = grid.quad_weights
@@ -529,8 +522,8 @@ class _EnergyLog:
         np.multiply(self.q, self.load, out=self.load)
         kinetic = self.h2 / (span * span) * self._weighted_sq(d)
         self.energies[m] = 0.5 * (float(np.vdot(u, self.load)) + kinetic)
-        np.divide(d[:, 0], span, out=self.vel_bottom[m])
-        np.divide(d[0, :], span, out=self.vel_left[m])
+        np.divide(d[:, 0], span, out=self.velocities[0, m])
+        np.divide(d[0, :], span, out=self.velocities[1, m])
 
     def staggered_energy(self, m: int, u_new: np.ndarray, u_old: np.ndarray):
         """E^{m+1/2} from u^{m+1} and u^m, after energy() has formed the load of u^m."""
@@ -549,13 +542,12 @@ class _EnergyLog:
 class SolveResult:
     """One forward run: the measured trace plus the solver's diagnostics.
 
-    trace, times and final are always recorded.  The diagnostics are
-    recorded only by a solve with diagnostics=True and are None otherwise:
+    Besides the trace, the times and the final state, a solve records
     energies (integer-step energy, read by the forward command and the
     energy checks), staggered_times/staggered_energies (the series carrying
-    the exact dissipation identity) and vel_bottom/vel_left (the centered
-    velocities on the damped sides, which only the dissipation identity
-    reads).
+    the exact dissipation identity) and velocities, shaped like the trace's
+    sides (the centered velocities on the damped sides, which only the
+    dissipation identity reads).
     """
 
     final: WaveState
@@ -563,11 +555,10 @@ class SolveResult:
     times: np.ndarray
     grid: Grid2D
     dt: float
-    energies: Optional[np.ndarray] = None
-    staggered_times: Optional[np.ndarray] = None
-    staggered_energies: Optional[np.ndarray] = None
-    vel_bottom: Optional[np.ndarray] = None
-    vel_left: Optional[np.ndarray] = None
+    energies: np.ndarray
+    staggered_times: np.ndarray
+    staggered_energies: np.ndarray
+    velocities: np.ndarray
 
 
 def step_count(tau: float, h: float, dt_factor: float) -> int:
@@ -587,13 +578,13 @@ def _time_step(tau: float, h: float, dt_factor: float) -> Tuple[int, float]:
     return steps, dt
 
 
-def _initial_data(u, grid: Grid2D, ndim: int) -> np.ndarray:
-    """Initial data as a float array, (n, n) or for ndim = 3 (B, n, n), not yet pinned.
+def _initial_data(u, grid: Grid2D) -> np.ndarray:
+    """Initial data as a float (n, n) array, not yet pinned.
 
     Raises ValueError unless the data match the grid and vanish on the Dirichlet sides.
     """
     u = np.asarray(u, dtype=float)
-    if u.ndim != ndim or u.shape[-2:] != (grid.n, grid.n) or u.size == 0:
+    if u.shape != (grid.n, grid.n):
         raise ValueError("initial fields must match the grid")
     if grid.on_dirichlet_max(u) > 1e-9:
         raise ValueError("initial data must vanish on the Dirichlet sides")
@@ -651,33 +642,24 @@ def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam: np.ndarray, grid: Grid2D
     return times, u_next, u_curr
 
 
-def _member_traces(traces: np.ndarray, times: np.ndarray, dt: float,
-                   tau: float) -> List[BoundaryTrace]:
-    """One BoundaryTrace per member of a (B, 2, steps + 1, n) buffer, each a view of it."""
-    return [BoundaryTrace(times=times, normal_bottom=member[0], normal_left=member[1],
-                          dt=dt, tau=tau) for member in traces]
-
-
 def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: float,
-          source: Optional[SourceSpec] = None, dt_factor: float = 0.5,
-          diagnostics: bool = True) -> SolveResult:
+          source: Optional[SourceSpec] = None, dt_factor: float = 0.5) -> SolveResult:
     """Advance the damped wave problem to time tau.
 
     Records, at every integer step, the normal-derivative trace on both
-    damped sides.  With diagnostics, it also records the total energy and
-    the centered boundary velocities at every integer step, and the
-    staggered energy series carrying the exact dissipation identity.  A
-    caller that reads only the trace passes diagnostics=False; the trace is
-    bit-identical either way.  A solve is a batch of one of the loop that
-    solve_batch runs, with the initial velocity, source, final state and
-    diagnostics that only a single solve carries.
+    damped sides, the total energy and the centered boundary velocities,
+    and the staggered energy series carrying the exact dissipation
+    identity.  A solve is a batch of one of the loop that solve_modes runs,
+    with the initial velocity, source, final state and diagnostics that
+    only a single solve carries; its trace is bit-identical to a batch
+    member's.
     """
     steps, dt = _time_step(tau, grid.h, dt_factor)
-    u0 = _initial_data(u0, grid, 2)
-    u1 = grid.zero_dirichlet(np.array(_initial_data(u1, grid, 2)))
+    u0 = _initial_data(u0, grid)
+    u1 = grid.zero_dirichlet(np.array(_initial_data(u1, grid)))
     gam = damping_rate(a, grid)
     traces = np.empty((1, 2, steps + 1, grid.n))
-    log = _EnergyLog(steps, dt, grid) if diagnostics else None
+    log = _EnergyLog(steps, dt, grid)
     times, u_curr, u_prev = _leapfrog_loop(u0, u1, gam, grid, steps, dt, traces, source, log)
 
     # close the staggered velocity to second order at the final time; the
@@ -689,49 +671,12 @@ def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: flo
     divisor = 1.0 + 0.5 * dt * gam
     v_final[:, 0] /= divisor[0]
     v_final[0, 1:] /= divisor[1, 1:]
-    trace = _member_traces(traces, times, dt, tau)[0]
-    final = WaveState(u=u_curr.copy(), v=v_final, t=float(times[-1]))
-    if not diagnostics:
-        return SolveResult(final=final, trace=trace, times=times, grid=grid, dt=dt)
     log.energy(steps, u_curr, v_final, 1.0)
-    return SolveResult(final=final, trace=trace, times=times, grid=grid, dt=dt,
-                       energies=log.energies, staggered_times=log.staggered_times,
-                       staggered_energies=log.staggered_energies,
-                       vel_bottom=log.vel_bottom, vel_left=log.vel_left)
-
-
-def solve_batch(u0: np.ndarray, dampings: Sequence[DampingPair], grid: Grid2D, tau: float,
-                dt_factor: float = 0.5, out: Optional[np.ndarray] = None) -> List[BoundaryTrace]:
-    """Traces of a batch of solves from rest, one member per initial displacement u0[b].
-
-    u0 is shaped (B, n, n).  dampings holds one pair that every member
-    shares, or one pair per member.  Member b's trace is bit-identical to
-    that of solve(u0[b], 0, its pair, grid, tau, dt_factor=dt_factor).  The
-    members step together, at most BATCH_NODE_CAP // n^2 at a time, and
-    record into out, shaped (B, 2, steps + 1, n) and allocated when None:
-    out[b, 0] is member b's bottom trace and out[b, 1] its left trace, and
-    the returned traces are views of out.
-    """
-    steps, dt = _time_step(tau, grid.h, dt_factor)
-    u0 = _initial_data(u0, grid, 3)
-    members = u0.shape[0]
-    if len(dampings) not in (1, members):
-        raise ValueError("need one damping pair for the whole batch or one per member")
-    shape = (members, 2, steps + 1, grid.n)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise ValueError(f"trace buffer must be shaped {shape}, got {out.shape}")
-    # each member's friction side vectors, a shared pair's repeated by broadcasting
-    gam = np.broadcast_to(np.stack([damping_rate(a, grid) for a in dampings]),
-                          (members, 2, grid.n))
-    chunk = max(1, BATCH_NODE_CAP // grid.n ** 2)
-    for start in range(0, members, chunk):
-        stop = min(start + chunk, members)
-        fields = u0[start:stop]
-        times, _, _ = _leapfrog_loop(fields, np.zeros(fields.shape), gam[start:stop], grid,
-                                     steps, dt, out[start:stop])
-    return _member_traces(out, times, dt, tau)
+    return SolveResult(final=WaveState(u=u_curr.copy(), v=v_final, t=float(times[-1])),
+                       trace=BoundaryTrace(times=times, sides=traces[0], dt=dt, tau=tau),
+                       times=times, grid=grid, dt=dt, energies=log.energies,
+                       staggered_times=log.staggered_times,
+                       staggered_energies=log.staggered_energies, velocities=log.velocities)
 
 
 def mode_field(mode: ModeIndex, grid: Grid2D) -> np.ndarray:
@@ -740,11 +685,10 @@ def mode_field(mode: ModeIndex, grid: Grid2D) -> np.ndarray:
 
 
 def solve_from_mode(a: DampingPair, mode: ModeIndex, grid: Grid2D, tau: float,
-                    dt_factor: float = 0.5, diagnostics: bool = True) -> SolveResult:
+                    dt_factor: float = 0.5) -> SolveResult:
     """Solve from the initial data (mode shape, 0) that generates every modal measurement."""
     u0 = mode_field(mode, grid)
-    return solve(u0, np.zeros_like(u0), a, grid, tau, dt_factor=dt_factor,
-                 diagnostics=diagnostics)
+    return solve(u0, np.zeros_like(u0), a, grid, tau, dt_factor=dt_factor)
 
 
 def solve_modes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], grid: Grid2D,
@@ -752,16 +696,33 @@ def solve_modes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], gri
                 out: Optional[np.ndarray] = None) -> List[BoundaryTrace]:
     """Traces of the solves from (mode shape, 0), one per damping pair and mode, as one batch.
 
-    The members run damping-major: member i * len(modes) + j solves
-    modes[j] under dampings[i].  A single damping pair is shared by every
-    member, so its coefficients are built once.  out is solve_batch's.
+    The members run damping-major: member b = i * len(modes) + j solves
+    modes[j] under dampings[i], and its trace is bit-identical to that of
+    solve_from_mode(dampings[i], modes[j], grid, tau, dt_factor).  The
+    members step together, at most BATCH_NODE_CAP // n^2 at a time, and
+    record into out, shaped (B, 2, steps + 1, n) and allocated when None;
+    member b's trace has out[b] as its sides.
     """
+    steps, dt = _time_step(tau, grid.h, dt_factor)
+    n, members = grid.n, len(dampings) * len(modes)
+    shape = (members, 2, steps + 1, n)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"trace buffer must be shaped {shape}, got {out.shape}")
+    # each damping's friction, repeated across the modes, and the mode stack, repeated
+    # across the dampings; each is a view when there is one damping or one mode.  The
+    # loop copies each chunk into its own ring, so the repeats may share memory
+    rates = np.stack([damping_rate(a, grid) for a in dampings])[:, None]
+    gam = np.broadcast_to(rates, (len(dampings), len(modes), 2, n)).reshape(members, 2, n)
     fields = np.stack([mode_field(mode, grid) for mode in modes])
-    per_member = dampings if len(dampings) == 1 else [a for a in dampings for _ in modes]
-    # solve_batch copies each chunk into its own ring, so the repeats may share memory
-    repeated = np.broadcast_to(fields, (len(dampings),) + fields.shape)
-    return solve_batch(repeated.reshape((-1,) + fields.shape[1:]), per_member, grid, tau,
-                       dt_factor, out)
+    u0 = np.broadcast_to(fields, (len(dampings),) + fields.shape).reshape(members, n, n)
+    chunk = max(1, BATCH_NODE_CAP // n ** 2)
+    for start in range(0, members, chunk):
+        stop = min(start + chunk, members)
+        times, _, _ = _leapfrog_loop(u0[start:stop], np.zeros((stop - start, n, n)),
+                                     gam[start:stop], grid, steps, dt, out[start:stop])
+    return [BoundaryTrace(times=times, sides=sides, dt=dt, tau=tau) for sides in out]
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +738,8 @@ def dissipation_residual(result: SolveResult, a: DampingPair) -> float:
     grid = result.grid
     w = grid.side_weights * grid.h
     dedt = (result.energies[2:] - result.energies[:-2]) / (2.0 * result.dt)
-    flux = (result.vel_bottom[1:-1] ** 2 @ (w * a.a1.at(grid.nodes))
-            + result.vel_left[1:-1] ** 2 @ (w * a.a2.at(grid.nodes)))
+    bottom, left = result.velocities[:, 1:-1]
+    flux = bottom ** 2 @ (w * a.a1.at(grid.nodes)) + left ** 2 @ (w * a.a2.at(grid.nodes))
     return float(np.abs(dedt + flux).max())
 
 

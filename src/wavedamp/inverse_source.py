@@ -253,8 +253,7 @@ def source_bound_check(a: DampingPair, source: SourceSpec, tau: float, grid: Gri
     if a.minimum() <= 0:
         raise ValueError("source bound check needs a strictly positive damping")
     zeros = np.zeros((grid.n, grid.n))
-    result = solve(zeros, zeros, a, grid, tau, source=source, dt_factor=dt_factor,
-                   diagnostics=False)
+    result = solve(zeros, zeros, a, grid, tau, source=source, dt_factor=dt_factor)
     wnorm = riesz_solve(source.load, grid).vprime_norm
     trace_norm = result.trace.l2_norm()
     if wnorm <= VANISHING_NORM and trace_norm <= VANISHING_NORM:

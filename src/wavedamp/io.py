@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import MAX_DAMPING_SAMPLES
 from .errors import ConfigError
 from .forward import BoundaryTrace
 from .spectral import SampledFunction1D
@@ -58,14 +59,14 @@ def write_energy_csv(path, times: np.ndarray, energies: np.ndarray) -> Path:
     return write_csv(path, ["t", "energy"], zip(times.tolist(), energies.tolist()))
 
 
+_SIDES = ("bottom", "left")  # the order of a trace's sides
+
+
 def write_trace_csv(path, trace: BoundaryTrace, side: str) -> Path:
-    """Long-format dump (t, i, value) of one damped side of a trace."""
-    if side == "bottom":
-        data = trace.normal_bottom
-    elif side == "left":
-        data = trace.normal_left
-    else:
+    """Long-format dump (t, i, value) of one damped side, 'bottom' or 'left', of a trace."""
+    if side not in _SIDES:
         raise ValueError("side must be 'bottom' or 'left'")
+    data = trace.sides[_SIDES.index(side)]
 
     def rows():
         for m, t in enumerate(trace.times.tolist()):
@@ -80,14 +81,13 @@ _HEADER = struct.Struct("<4d")  # n, steps, dt, side count, all as float64
 
 
 def write_trace_binary(path, trace: BoundaryTrace) -> Path:
-    """Row-major float64 dump of both normal-derivative sides."""
+    """Row-major float64 dump of the (2, steps + 1, n) normal-derivative sides."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     steps = trace.times.shape[0] - 1
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(float(trace.n), float(steps), trace.dt, 2.0))
-        fh.write(np.ascontiguousarray(trace.normal_bottom, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(trace.normal_left, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(trace.sides, dtype="<f8").tobytes())
     return path
 
 
@@ -98,13 +98,10 @@ def read_trace_binary(path):
     n, steps, sides = int(n_f), int(steps_f), int(sides)
     if sides != 2:
         raise ValueError(f"expected 2 sides in trace dump, found {sides}")
-    block = (steps + 1) * n
     data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    if data.shape[0] != sides * block:
+    if data.shape[0] != sides * (steps + 1) * n:
         raise ValueError("trace dump payload size mismatch")
-    bottom = data[:block].reshape(steps + 1, n).copy()
-    left = data[block:].reshape(steps + 1, n).copy()
-    return {"n": n, "steps": steps, "dt": dt, "bottom": bottom, "left": left}
+    return {"n": n, "steps": steps, "dt": dt, "sides": data.reshape(sides, steps + 1, n).copy()}
 
 
 def save_damping_csv(path, component: SampledFunction1D) -> Path:
@@ -120,6 +117,8 @@ def load_damping_csv(path) -> SampledFunction1D:
         raise ConfigError("damping_csv", f"cannot read {path} as UTF-8 text: {exc}") from exc
     if not rows or rows[0].strip() != "s,value":
         raise ConfigError("damping_csv", f"{path} must start with header 's,value'")
+    if len(rows) - 1 > MAX_DAMPING_SAMPLES:
+        raise ConfigError("damping_csv", f"{path} has more than {MAX_DAMPING_SAMPLES} rows")
     s_vals, values = [], []
     for line in rows[1:]:
         parts = line.split(",")

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import RegimeError, ResolutionError
-from .forward import BoundaryTrace, SolveResult, solve_from_mode, solve_modes
+from .forward import BoundaryTrace, solve_modes
 from .grid import Grid2D
 from .spectral import (
     DampingPair,
@@ -88,9 +88,9 @@ def _check_probe_resolution(grid: Grid2D, mode: ModeIndex):
 
 
 def reference_solution(mode: ModeIndex, tau: float, grid: Grid2D,
-                       dt_factor: float = 0.5) -> SolveResult:
-    """Undamped forward run for one probe mode (the measurement reference), trace only."""
-    return solve_from_mode(DampingPair.zero(), mode, grid, tau, dt_factor, diagnostics=False)
+                       dt_factor: float = 0.5) -> BoundaryTrace:
+    """The undamped trace of one probe mode (the measurement reference)."""
+    return _reference_traces([mode], tau, grid, dt_factor)[mode]
 
 
 def _solve_probes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], tau: float,
@@ -105,7 +105,7 @@ def _solve_probes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], t
 def _reference_traces(modes: Sequence[ModeIndex], tau: float, grid: Grid2D,
                       dt_factor: float = 0.5) -> Dict[ModeIndex, BoundaryTrace]:
     """Undamped traces of the probe modes, solved as one batch."""
-    traces = solve_modes([DampingPair.zero()], modes, grid, tau, dt_factor)
+    traces = _solve_probes([DampingPair.zero()], modes, tau, grid, dt_factor)
     return dict(zip(modes, traces))
 
 
@@ -115,12 +115,10 @@ def _measurement(mode: ModeIndex, damped: BoundaryTrace,
 
     The same bits as damped.difference(reference), without a second trace-sized copy.
     """
-    if damped.normal_bottom.shape != reference.normal_bottom.shape:
+    if damped.sides.shape != reference.sides.shape:
         raise ValueError("traces must come from matching discretizations")
-    np.subtract(damped.normal_bottom, reference.normal_bottom, out=damped.normal_bottom)
-    np.subtract(damped.normal_left, reference.normal_left, out=damped.normal_left)
-    diff = BoundaryTrace(times=damped.times, normal_bottom=damped.normal_bottom,
-                         normal_left=damped.normal_left, dt=damped.dt, tau=damped.tau)
+    np.subtract(damped.sides, reference.sides, out=damped.sides)
+    diff = BoundaryTrace(times=damped.times, sides=damped.sides, dt=damped.dt, tau=damped.tau)
     return ModalMeasurement(mode=mode, trace=diff, trace_norm=diff.l2_norm(),
                             reference=reference)
 
@@ -146,7 +144,8 @@ def probe_mode(a: DampingPair, mode: ModeIndex, tau: float, grid: Grid2D,
 def _fit_envelope_rate(trace: BoundaryTrace, omega: float) -> float:
     """Decay rate of the measurement envelope from half-period RMS bins."""
     t = trace.times
-    power = (trace.normal_bottom ** 2).sum(axis=1) + (trace.normal_left ** 2).sum(axis=1)
+    bottom, left = trace.sides
+    power = (bottom ** 2).sum(axis=1) + (left ** 2).sum(axis=1)
     t_bin = math.pi / omega
     nbin = int(t[-1] / t_bin)
     centers, levels = [], []
@@ -181,8 +180,9 @@ def time_project(meas: ModalMeasurement):
     if denom <= 1e-14 * t[-1]:
         raise ValueError("degenerate projection window")
     weight = wt * env * sin_t
-    y1 = (weight @ meas.trace.normal_bottom) / denom
-    y2 = (weight @ meas.trace.normal_left) / denom
+    bottom, left = meas.trace.sides
+    y1 = (weight @ bottom) / denom
+    y2 = (weight @ left) / denom
     return SampledFunction1D(y1), SampledFunction1D(y2)
 
 
@@ -525,7 +525,7 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
         raise ValueError("iters must be nonnegative")
 
     modes = [meas.mode for meas in measurements]
-    size = sum(2 * meas.trace.normal_bottom.size for meas in measurements)
+    size = sum(meas.trace.sides.size for meas in measurements)
 
     def residuals(pairs: List[DampingPair], out: np.ndarray) -> np.ndarray:
         """Each pair's residual, simulated minus measured traces, into one row of out.
@@ -539,11 +539,9 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
         _solve_probes(pairs, modes, tau, grid, dt_factor,
                       out=sims.reshape(-1, *sims.shape[2:]))
         for j, meas in enumerate(measurements):
-            for side, ref, data in ((0, meas.reference.normal_bottom, meas.trace.normal_bottom),
-                                    (1, meas.reference.normal_left, meas.trace.normal_left)):
-                sim = sims[:, j, side]
-                np.subtract(sim, ref, out=sim)
-                np.subtract(sim, data, out=sim)
+            sim = sims[:, j]
+            np.subtract(sim, meas.reference.sides, out=sim)
+            np.subtract(sim, meas.trace.sides, out=sim)
         return out
 
     def residual(pair: DampingPair) -> np.ndarray:

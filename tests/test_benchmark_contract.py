@@ -65,6 +65,38 @@ def test_step_kernel_timing_runs(tracing):
     assert math.isfinite(step_us) and step_us > 0.0
 
 
+def test_counters_read_real_results(tracing):
+    # each counter reads a field of its call's result (a solve's times, a fit's
+    # residuals, the checks run), so a change to that result fails here
+    import numpy as np
+
+    from wavedamp.config import ExperimentConfig
+    from wavedamp.forward import solve, step_count
+    from wavedamp.grid import Grid2D
+    from wavedamp.reconstruct import fit_damping_least_squares, probe_mode
+    from wavedamp.spectral import DampingPair, ModeIndex, mode_shape
+    from wavedamp.verify import run_checks
+
+    grid, tau = Grid2D(17), 0.5
+    a = DampingPair.constant(0.1, n=17)
+    u0 = grid.zero_dirichlet(grid.sample(lambda x, y: mode_shape(ModeIndex(0, 0), x, y)))
+    meas = probe_mode(a, ModeIndex(0, 0), tau, grid)
+    fit = fit_damping_least_squares([meas], DampingPair.constant(0.05, n=17), grid, tau,
+                                    iters=1, fit_order=0)
+    checks = run_checks(ExperimentConfig(), name_prefix="rellich")
+    results = {
+        "forward.solve": solve(u0, np.zeros_like(u0), a, grid, tau),
+        "reconstruct.fit_damping_least_squares": fit,
+        "verify.run_checks": checks,
+    }
+    assert set(tracing.COUNTERS) == set(results)
+    counts = {name: counter(results[name]) for name, counter in tracing.COUNTERS.items()}
+    assert counts["forward.solve"] == step_count(tau, grid.h, 0.5)
+    assert counts["reconstruct.fit_damping_least_squares"] == fit[1].residuals
+    assert len(counts["reconstruct.fit_damping_least_squares"]) == 2
+    assert counts["verify.run_checks"] == len(checks) == 3
+
+
 def test_verify_closed_form_check_passes(checks):
     from wavedamp import inverse_source
 

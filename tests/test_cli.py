@@ -184,6 +184,22 @@ class TestSweepCommand:
         assert "nearly vanishes" in capsys.readouterr().err
         assert solves == []
 
+    def test_unresolved_probe_set_fails_before_the_references(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # the references are a probe batch too, so the resolution check comes first
+        members = []
+        real_solve_modes = wavedamp.reconstruct.solve_modes
+
+        def counting_solve_modes(dampings, modes, *args, **kwargs):
+            members.extend((a, mode) for a in dampings for mode in modes)
+            return real_solve_modes(dampings, modes, *args, **kwargs)
+
+        monkeypatch.setattr("wavedamp.reconstruct.solve_modes", counting_solve_modes)
+        cfg = write_cfg(tmp_path, "n = 33\ntau = 1.0\nprobe_budget = 4\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
+        assert "cannot resolve probe mode (0,4)" in capsys.readouterr().err
+        assert members == []
+
 
 class TestVerifyCommand:
     def test_filter_prefix(self, tmp_path, capsys):

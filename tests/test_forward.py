@@ -22,8 +22,8 @@ from wavedamp.forward import (
     probe_equivalent_source,
     rellich_residual,
     solve,
-    solve_batch,
     solve_from_mode,
+    solve_modes,
     start_step,
     step,
     step_count,
@@ -77,7 +77,7 @@ class TestScheme:
         mode = ModeIndex(1, 0)
         res = solve_from_mode(a, mode, grid, 0.5)
         ref = solve(mode_field(grid, mode), np.zeros((33, 33)), a, grid, 0.5)
-        assert np.array_equal(res.trace.normal_bottom, ref.trace.normal_bottom)
+        assert np.array_equal(res.trace.sides, ref.trace.sides)
         assert np.array_equal(res.energies, ref.energies)
 
     def test_damping_rate_is_the_two_side_vectors(self):
@@ -140,22 +140,34 @@ class TestScheme:
         res = solve(mode_field(grid, mode), np.zeros((33, 33)), a, grid, 1.0)
         res_sw = solve(mode_field(grid, mode_sw), np.zeros((33, 33)), swapped, grid, 1.0)
         np.testing.assert_allclose(res.final.u, res_sw.final.u.T, atol=1e-13)
-        np.testing.assert_allclose(res.trace.normal_bottom, res_sw.trace.normal_left, atol=1e-13)
+        np.testing.assert_allclose(res.trace.sides[0], res_sw.trace.sides[1], atol=1e-13)
 
     def test_trace_holds_only_the_measurement(self, damped_run):
         _, _, res = damped_run
         names = [f.name for f in dataclasses.fields(BoundaryTrace)]
-        assert names == ["times", "normal_bottom", "normal_left", "dt", "tau"]
-        assert res.vel_bottom.shape == res.vel_left.shape == res.trace.normal_bottom.shape
+        assert names == ["times", "sides", "dt", "tau"]
+        assert res.trace.sides.shape == (2, res.times.shape[0], 65)
+        assert res.velocities.shape == res.trace.sides.shape
 
-    @pytest.mark.parametrize("side", ["normal_bottom", "normal_left"])
+    @pytest.mark.parametrize("side", [0, 1], ids=["normal_bottom", "normal_left"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_trace_raises(self, side, bad):
         times = np.linspace(0.0, 1.0, 5)
-        arrays_ = {"normal_bottom": np.zeros((5, 17)), "normal_left": np.zeros((5, 17))}
-        arrays_[side][3, 4] = bad
+        sides = np.zeros((2, 5, 17))
+        sides[side, 3, 4] = bad
         with pytest.raises(NumericalError, match="non-finite"):
-            BoundaryTrace(times=times, dt=0.25, tau=1.0, **arrays_)
+            BoundaryTrace(times=times, sides=sides, dt=0.25, tau=1.0)
+
+    @pytest.mark.parametrize("shape", [(3, 5, 17), (1, 5, 17), (5, 17), (2, 5, 17, 1)])
+    def test_trace_needs_two_sides(self, shape):
+        with pytest.raises(ValueError, match="shaped"):
+            BoundaryTrace(times=np.linspace(0.0, 1.0, 5), sides=np.zeros(shape), dt=0.25, tau=1.0)
+
+    @pytest.mark.parametrize("count", [4, 6])
+    def test_trace_times_match_its_steps(self, count):
+        with pytest.raises(ValueError, match="times"):
+            BoundaryTrace(times=np.linspace(0.0, 1.0, count), sides=np.zeros((2, 5, 17)),
+                          dt=0.25, tau=1.0)
 
     def test_quad_weights_built_once_and_read_only(self):
         grid = Grid2D(17)
@@ -367,9 +379,9 @@ def test_solve_stays_within_roundoff_of_the_plain_scheme(n):
     for mode in PROBE_MODES:
         u0 = mode_field(grid, mode)
         grid.zero_dirichlet(u0)
-        res = solve(u0, np.zeros_like(u0), a, grid, 1.0, diagnostics=False)
+        res = solve(u0, np.zeros_like(u0), a, grid, 1.0)
         ref = plain_trace(u0, a, grid, 1.0)
-        got = np.hstack((res.trace.normal_bottom, res.trace.normal_left))
+        got = np.concatenate(res.trace.sides, axis=1)
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -402,33 +414,12 @@ def test_trace_is_linear_in_initial_data(alpha, beta, u_coeffs, w_coeffs, dampin
     # below the smallest normal double, underflow decides
     data_scale = max(math.sqrt(2.0 * rc.energies[0]), abs(alpha) * math.sqrt(2.0 * ru.energies[0]),
                      abs(beta) * math.sqrt(2.0 * rw.energies[0]))
-    for side in ("normal_bottom", "normal_left"):
-        lhs = getattr(rc.trace, side)
-        rhs = alpha * getattr(ru.trace, side) + beta * getattr(rw.trace, side)
-        scale = max(data_scale, np.abs(lhs).max(), np.abs(alpha * getattr(ru.trace, side)).max(),
-                    np.abs(beta * getattr(rw.trace, side)).max())
+    for side in range(2):
+        lhs = rc.trace.sides[side]
+        rhs = alpha * ru.trace.sides[side] + beta * rw.trace.sides[side]
+        scale = max(data_scale, np.abs(lhs).max(), np.abs(alpha * ru.trace.sides[side]).max(),
+                    np.abs(beta * rw.trace.sides[side]).max())
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale + np.finfo(float).tiny
-
-
-@settings(max_examples=25, deadline=None)
-@given(n=st.sampled_from([17, 33]), base=st.floats(0.0, 1.0), slope1=st.floats(0.0, 1.0),
-       slope2=st.floats(0.0, 1.0), mode=st.sampled_from(PROBE_MODES),
-       tau=st.floats(0.05, 1.0), forced=st.booleans())
-def test_lean_solve_records_the_full_solves_trace(n, base, slope1, slope2, mode, tau, forced):
-    grid = Grid2D(n)
-    s = np.linspace(0.0, 1.0, 257)
-    a = DampingPair(SampledFunction1D(base + slope1 * s), SampledFunction1D(base + slope2 * s))
-    source = mode_boundary_source(a, mode, grid) if forced else None
-    u0 = mode_field(grid, mode)
-    full = solve(u0, np.zeros_like(u0), a, grid, tau, source=source)
-    lean = solve(u0, np.zeros_like(u0), a, grid, tau, source=source, diagnostics=False)
-    assert np.array_equal(lean.trace.normal_bottom, full.trace.normal_bottom)
-    assert np.array_equal(lean.trace.normal_left, full.trace.normal_left)
-    assert np.array_equal(lean.times, full.times)
-    assert np.array_equal(lean.final.u, full.final.u)
-    for name in ("energies", "staggered_times", "staggered_energies", "vel_bottom", "vel_left"):
-        assert getattr(lean, name) is None
-        assert getattr(full, name) is not None
 
 
 coefficient_part = st.floats(0.0, 1.0)
@@ -449,7 +440,7 @@ def test_staggered_energy_identity(n, base, slope1, slope2, curve1, curve2, mode
     res = solve_from_mode(a, mode, grid, tau)
     a1n, a2n = a.a1.at(grid.nodes), a.a2.at(grid.nodes)
     stag = res.staggered_energies
-    flux = np.array([boundary_damping_flux(a1n, a2n, res.vel_bottom[m], res.vel_left[m], grid)
+    flux = np.array([boundary_damping_flux(a1n, a2n, *res.velocities[:, m], grid)
                      for m in range(1, stag.shape[0])])
     assert np.abs(np.diff(stag) / res.dt + flux).max() <= 1e-11 * stag[0]
     assert np.diff(stag).max() <= 0.0
@@ -467,37 +458,25 @@ member_damping = st.tuples(coefficient_part, coefficient_part, coefficient_part,
 @settings(max_examples=25, deadline=None)
 @given(n=st.sampled_from([17, 33]), modes=st.lists(st.sampled_from(PROBE_MODES), min_size=1,
                                                      max_size=4),
-       dampings=st.lists(member_damping, min_size=4, max_size=4), shared=st.booleans(),
+       dampings=st.lists(member_damping, min_size=1, max_size=2),
        tau=st.floats(0.05, 1.0), chunk=st.integers(1, 4))
-def test_batch_matches_sequential_solves(n, modes, dampings, shared, tau, chunk):
+def test_batch_matches_sequential_solves(n, modes, dampings, tau, chunk):
     # a cap of chunk * n^2 nodes splits a larger batch into consecutive chunks
     grid = Grid2D(n)
     pairs = [DampingPair(affine_quadratic(base, slope1, curve1),
                          affine_quadratic(base, slope2, curve2))
-             for base, slope1, slope2, curve1, curve2 in dampings[:len(modes)]]
-    if shared:
-        pairs = pairs[:1]
-    u0 = np.stack([mode_field(grid, mode) for mode in modes])
+             for base, slope1, slope2, curve1, curve2 in dampings]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(forward, "BATCH_NODE_CAP", chunk * n * n)
-        traces = solve_batch(u0, pairs, grid, tau)
-    assert len(traces) == len(modes)
-    for b, trace in enumerate(traces):
-        alone = solve(u0[b], np.zeros((n, n)), pairs[0 if shared else b], grid, tau,
-                      diagnostics=False).trace
-        assert np.array_equal(trace.normal_bottom, alone.normal_bottom)
-        assert np.array_equal(trace.normal_left, alone.normal_left)
-        assert np.array_equal(trace.times, alone.times)
+        traces = solve_modes(pairs, modes, grid, tau)
+    assert len(traces) == len(pairs) * len(modes)
+    # damping-major: member i * len(modes) + j solves modes[j] under pairs[i]
+    members = [(a, mode) for a in pairs for mode in modes]
+    for trace, (a, mode) in zip(traces, members):
+        alone = solve_from_mode(a, mode, grid, tau).trace
+        assert trace.sides.tobytes() == alone.sides.tobytes()
+        assert trace.times.tobytes() == alone.times.tobytes()
         assert (trace.dt, trace.tau) == (alone.dt, alone.tau)
-
-
-@pytest.mark.parametrize("shared", [True, False])
-def test_batch_rejects_data_off_the_dirichlet_sides(shared):
-    grid = Grid2D(17)
-    u0 = np.stack([mode_field(grid), np.ones((17, 17))])
-    pairs = [DampingPair.constant(0.1)] * (1 if shared else 2)
-    with pytest.raises(ValueError, match="Dirichlet"):
-        solve_batch(u0, pairs, grid, 0.5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -512,13 +491,11 @@ def test_axis_swap_symmetry_property(n, base, slope1, slope2, curve1, curve2, mo
     # against the data's energy norm (as in the linearity property above)
     grid = Grid2D(n)
     a1, a2 = affine_quadratic(base, slope1, curve1), affine_quadratic(base, slope2, curve2)
-    trace = solve_from_mode(DampingPair(a1, a2), mode, grid, tau, diagnostics=False).trace
-    swapped = solve_from_mode(DampingPair(a2, a1), ModeIndex(mode.l, mode.k), grid, tau,
-                              diagnostics=False).trace
-    scale = max(np.abs(trace.normal_bottom).max(), np.abs(trace.normal_left).max(),
+    trace = solve_from_mode(DampingPair(a1, a2), mode, grid, tau).trace
+    swapped = solve_from_mode(DampingPair(a2, a1), ModeIndex(mode.l, mode.k), grid, tau).trace
+    scale = max(np.abs(trace.sides).max(),
                 math.sqrt(stiffness_energy(mode_field(grid, mode), grid)))
-    assert np.abs(trace.normal_bottom - swapped.normal_left).max() <= 1e-12 * scale
-    assert np.abs(trace.normal_left - swapped.normal_bottom).max() <= 1e-12 * scale
+    assert np.abs(trace.sides - swapped.sides[::-1]).max() <= 1e-12 * scale
 
 
 class TestEnergy:
@@ -586,15 +563,15 @@ class TestDissipationIdentity:
         a1n, a2n = a.a1.at(grid.nodes), a.a2.at(grid.nodes)
         e = res.energies
         loop = max(abs((e[m + 1] - e[m - 1]) / (2.0 * res.dt)
-                       + boundary_damping_flux(a1n, a2n, res.vel_bottom[m], res.vel_left[m], grid))
+                       + boundary_damping_flux(a1n, a2n, *res.velocities[:, m], grid))
                    for m in range(1, e.shape[0] - 1))
         assert abs(dissipation_residual(res, a) - loop) <= 1e-12 * loop
 
     def test_trace_matches_damping_relation(self, damped_run):
         grid, a, res = damped_run
         # both sides record d_nu u and -a v; they agree at O(h) pointwise
-        interior = np.abs(res.trace.normal_bottom[1:-1, :-1]
-                          + a.a1.at(grid.nodes)[:-1] * res.vel_bottom[1:-1, :-1]).max()
+        interior = np.abs(res.trace.sides[0, 1:-1, :-1]
+                          + a.a1.at(grid.nodes)[:-1] * res.velocities[0, 1:-1, :-1]).max()
         assert interior < 4.0 * grid.h
 
 
@@ -609,8 +586,8 @@ class TestSources:
         diff = damped.trace.difference(undamped.trace)
         src = probe_equivalent_source(a, mode, grid)
         forced = solve(np.zeros_like(u0), np.zeros_like(u0), a, grid, 2.0, source=src)
-        scale = np.abs(diff.normal_bottom).max()
-        assert np.abs(forced.trace.normal_bottom - diff.normal_bottom).max() < 1e-3 * scale
+        scale = np.abs(diff.sides[0]).max()
+        assert np.abs(forced.trace.sides[0] - diff.sides[0]).max() < 1e-3 * scale
 
     def test_source_superposition(self):
         grid = Grid2D(33)
@@ -623,8 +600,7 @@ class TestSources:
         t1 = solve(zero, zero, a, grid, 1.0, source=src1).trace
         t2 = solve(zero, zero, a, grid, 1.0, source=src2).trace
         tc = solve(zero, zero, a, grid, 1.0, source=combined).trace
-        np.testing.assert_allclose(tc.normal_bottom, t1.normal_bottom + t2.normal_bottom,
-                                   atol=1e-12)
+        np.testing.assert_allclose(tc.sides[0], t1.sides[0] + t2.sides[0], atol=1e-12)
 
 
 class TestRellich:
@@ -713,5 +689,5 @@ def test_diagnostics_match_a_per_step_recomputation(n):
     e0 = energies[0]
     assert np.abs(res.energies - energies).max() <= 1e-13 * e0
     assert np.abs(res.staggered_energies - staggered).max() <= 1e-13 * e0
-    assert np.array_equal(res.vel_bottom, [v[:, 0] for v in velocities])
-    assert np.array_equal(res.vel_left, [v[0, :] for v in velocities])
+    assert np.array_equal(res.velocities[0], [v[:, 0] for v in velocities])
+    assert np.array_equal(res.velocities[1], [v[0, :] for v in velocities])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavedamp.config import ExperimentConfig, parse_config
+from wavedamp.config import MAX_DAMPING_SAMPLES, ExperimentConfig, parse_config
 from wavedamp.errors import ConfigError
 from wavedamp.forward import solve
 from wavedamp.grid import Grid2D
@@ -48,8 +48,9 @@ class TestTraceBinary:
         back = read_trace_binary(path)
         assert back["n"] == short_trace.n
         assert back["dt"] == short_trace.dt
-        assert np.array_equal(back["bottom"], short_trace.normal_bottom)
-        assert np.array_equal(back["left"], short_trace.normal_left)
+        assert back["steps"] == short_trace.times.shape[0] - 1
+        assert back["sides"].shape == short_trace.sides.shape
+        assert back["sides"].tobytes() == short_trace.sides.tobytes()
 
 
 class TestDampingCsv:
@@ -77,6 +78,17 @@ class TestDampingCsv:
         bad.write_text("s,value\n0.0,1\n0.3,1\n1.0,1\n")
         with pytest.raises(ConfigError):
             load_damping_csv(bad)
+
+    @pytest.mark.parametrize("rows", [MAX_DAMPING_SAMPLES, MAX_DAMPING_SAMPLES + 1])
+    def test_row_cap(self, tmp_path, rows):
+        comp = SampledFunction1D(np.full(rows, 0.1))
+        path = save_damping_csv(tmp_path / "a1.csv", comp)
+        if rows <= MAX_DAMPING_SAMPLES:
+            assert np.array_equal(load_damping_csv(path).values, comp.values)
+        else:
+            with pytest.raises(ConfigError, match="rows") as err:
+                load_damping_csv(path)
+            assert err.value.field == "damping_csv"
 
 
 class TestManifest:
@@ -114,15 +126,23 @@ class TestConfig:
         assert cfg.n == 33
 
     def test_range_validation_names_field(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config("n = 5\n")
-        assert err.value.field == "n"
-        with pytest.raises(ConfigError) as err:
-            parse_config("guard = 0.7\n")
-        assert err.value.field == "guard"
-        with pytest.raises(ConfigError) as err:
-            parse_config("dt_factor = 0.9\n")
-        assert err.value.field == "dt_factor"
+        for text, field in [
+            ("n = 5\n", "n"),
+            ("guard = 0.7\n", "guard"),
+            ("dt_factor = 0.9\n", "dt_factor"),
+            ("damping_samples = 18\n", "damping_samples"),
+            (f"damping_samples = {MAX_DAMPING_SAMPLES + 1}\n", "damping_samples"),
+            ("calib_member = -2\n", "calib_member"),
+            ("calib_member = 4\n", "calib_member"),
+        ]:
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            assert err.value.field == field
+
+    def test_range_ends_are_accepted(self):
+        cfg = parse_config(f"damping_samples = {MAX_DAMPING_SAMPLES}\ncalib_member = -1\n")
+        assert (cfg.damping_samples, cfg.calib_member) == (MAX_DAMPING_SAMPLES, -1)
+        assert parse_config("calib_member = 3\n").calib_member == 3
 
     def test_type_errors_name_field(self):
         with pytest.raises(ConfigError) as err:
