@@ -36,7 +36,7 @@ from .reconstruct import (
     stability_sweep,
     time_project,
 )
-from .spectral import ModeIndex, project_onto_modes
+from .spectral import DampingPair, ModeIndex, check_mode_resolution, project_onto_modes
 from .verify import run_checks
 
 __all__ = ["main"]
@@ -102,6 +102,8 @@ def cmd_reconstruct(config: ExperimentConfig) -> int:
     truth = config.build_damping()
     mode = ModeIndex(config.probe_k, config.probe_l)
     check_recovery_mode(mode, grid, config.guard)
+    # the estimate has one sample per grid node, and its projection comes after the probe
+    check_mode_resolution(grid.n, config.trunc_order)
 
     t0 = time.perf_counter()
     meas = probe_mode(truth, mode, config.tau, grid, dt_factor=config.dt_factor)
@@ -150,6 +152,18 @@ def cmd_reconstruct(config: ExperimentConfig) -> int:
     return 0
 
 
+def _vanishing_damping_field(config: ExperimentConfig, damping: DampingPair) -> str:
+    """The config field that lets a damping reach zero somewhere."""
+    if config.damping_kind == "zero":
+        return "damping_kind"
+    if config.damping_kind == "csv":
+        return "damping_csv1" if damping.a1.values.min() <= 0 else "damping_csv2"
+    if config.damping_base <= 0:
+        return "damping_base"
+    # an affine profile with a positive base reaches zero at s = 1
+    return "damping_slope1" if damping.a1.values.min() <= 0 else "damping_slope2"
+
+
 def cmd_sweep(config: ExperimentConfig) -> int:
     if len(config.sweep_epsilons) < 2:
         raise ConfigError("sweep_epsilons", "a sweep needs at least two family members")
@@ -158,7 +172,8 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     grid = Grid2D(config.n)
     base = config.build_damping()
     if base.minimum() <= 0:
-        raise ConfigError("damping_base", "sweep family must be strictly positive")
+        raise ConfigError(_vanishing_damping_field(config, base),
+                          "sweep family must be strictly positive")
     family = [base.scaled(eps) for eps in config.sweep_epsilons]
     calib = None if config.calib_member < 0 else config.calib_member
 

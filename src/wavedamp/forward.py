@@ -326,102 +326,76 @@ def _check_cfl(dt: float, h: float):
 class _Leapfrog:
     """The in-place leapfrog update over a ring of three fields, built once per solve.
 
-    With r = dt^2 / h^2 and half = gam dt / 2, the update
+    With r = dt^2 / h^2, every node first takes the undamped update
 
-        u^{m+1} = alpha u^m + beta S(u^m) - gamma u^{m-1} + profile(t) load
+        U = r S(u^m) + (2 - 4 r) u^m - u^{m-1} + profile(t) dt^2 accel_load,
 
-    takes alpha = (2 - 4 r) / (1 + half), beta = r / (1 + half),
-    gamma = (1 - half) / (1 + half) and the load pre-scaled by
-    dt^2 / (1 + half), S being the mirrored neighbour sum.  It is the
-    leapfrog expression (2 u - (1 - half) u_prev + dt^2 (lap u + accel_load))
-    / (1 + half) with the division folded in, and agrees with it to roundoff.
+    S being the mirrored neighbour sum.  gam holds the friction on the
+    damped sides only, column 0 and row 0 (see damping_rate): shaped (2, n)
+    for every member, or (B, 2, n) with one row pair per member.  With
+    half = gam dt / 2, the damped sides are then corrected in place, column
+    0 and then row 0 past the corner, to
 
-    gam holds the friction on the damped sides only, column 0 and row 0
-    (see damping_rate): shaped (2, n) for every member, or (B, 2, n) with
-    one row pair per member.  Off those sides beta = r, alpha = 2 - 4 r and
-    gamma = 1 exactly.  So every node is stepped with those scalars, and
-    the two sides are then overwritten with beta S + alpha u - gamma u_prev
-    from per-node side coefficients (zero at the Dirichlet end), formed
-    before the scaling.  Every node rounds as under per-node coefficient
-    fields.
+        u^{m+1} = U / (1 + half) + u^{m-1} half / (1 + half),
+
+    which is the scheme (1 + half) u^{m+1} = 2 u^m - (1 - half) u^{m-1}
+    + dt^2 (lap u^m + accel_load) up to roundoff.  Off the damped sides
+    half = 0, and U is u^{m+1}.
 
     u^{m-1}, u^m and u^{m+1} rotate through `fields`, shaped (3,) + shape
     for one (n, n) field or a (B, n, n) batch; fields[0] and fields[1] take
-    u^0 and u^1 before the first advance.  A step multiplies the bottom
-    sides of all three fields in one call and the left sides in another, on
-    views made once per solve.
+    u^0 and u^1 before the first advance.
     """
 
     def __init__(self, dt: float, grid: Grid2D, gam: np.ndarray,
                  source: Optional[SourceSpec], shape: Tuple[int, ...]):
         n = grid.n
-        r = dt * dt / (grid.h * grid.h)
-        side_shape = shape[:-2] + (n,)
-        size = math.prod(side_shape)
         half = 0.5 * dt * np.broadcast_to(gam, shape[:-2] + (2, n))
         one_plus = 1.0 + half
-        folded = np.stack([(2.0 - 4.0 * r) / one_plus, r / one_plus, -((1.0 - half) / one_plus)])
-        folded[..., -1] = 0.0
-        # [alpha, beta, -gamma][side][member * n + node], bottom side first
-        folded = np.moveaxis(folded, -2, 1).reshape(3, 2, size)
-        load = None
-        if source is not None:
-            # dt^2 / (1 + half) is dt^2 off the damped sides
-            accel = _accel_load(source, grid)
-            scale = dt * dt / (1.0 + 0.5 * dt * gam)
-            load = np.multiply(dt * dt, accel, out=np.empty(gam.shape[:-2] + accel.shape))
-            load[..., :, 0] = scale[..., 0, :] * accel[:, 0]
-            load[..., 0, 1:] = scale[..., 1, 1:] * accel[0, 1:]
-            grid.zero_dirichlet(load)
+        scale, carry = 1.0 / one_plus, half / one_plus
+        # the factors of column 0, flattened as its strided view is, and of row 0 past the corner
+        self.bottom = scale[..., 0, :].reshape(-1), carry[..., 0, :].reshape(-1)
+        self.left = scale[..., 1, 1:], carry[..., 1, 1:]
         self.fields = np.empty((3,) + shape)
         # fields[slot] holds u^m, fields[slot - 1] u^(m-1) and fields[slot + 1] u^(m+1)
         self.slot = 1
-        # the damped sides of all three fields, and their products with the coefficients;
-        # column 0 of a C-contiguous stack is one strided view of its flattened nodes
-        self.bottoms = self.fields.reshape(3, -1, copy=False)[:, ::n]
-        self.lefts = self.fields[..., 0, :]
-        self.products = np.empty((3, 2, size))
-        self.values = np.empty((2, size))
         self.work = np.empty(shape)
-        self.row = np.empty(side_shape)
-        self.phases = [self._phase(k, r, folded, source, load) for k in range(3)]
+        self.row = np.empty(shape[:-2] + (n,))
+        r = dt * dt / (grid.h * grid.h)
+        load = None if source is None else (dt * dt) * _accel_load(source, grid)
+        self.phases = [self._phase(k, r, source, load) for k in range(3)]
 
-    def _phase(self, k: int, r: float, folded: np.ndarray, source: Optional[SourceSpec],
+    def _phase(self, k: int, r: float, source: Optional[SourceSpec],
                load: Optional[np.ndarray]) -> Callable[[float], Tuple[np.ndarray, ...]]:
         """The step from fields[k] and fields[k - 1] into fields[k + 1], on views made once."""
-        nxt, prev = (k + 1) % 3, (k - 1) % 3
-        u, u_prev, out = self.fields[k], self.fields[prev], self.fields[nxt]
+        u, u_prev, out = self.fields[k], self.fields[k - 1], self.fields[(k + 1) % 3]
         n = u.shape[-1]
         neighbour_sum = _neighbour_sum_into(u, out, self.row)
-        # the side coefficients of each field by its role here: alpha for u, beta for S
-        # (which out holds until the scaling) and -gamma for u_prev
-        roles = np.empty(3, dtype=int)
-        roles[[k, nxt, prev]] = 0, 1, 2
-        bottoms, bottom_coefficients = self.bottoms, folded[roles, 0]
-        lefts, left_coefficients = self.lefts, folded[roles, 1].reshape(self.lefts.shape)
-        bottom_products = self.products[:, 0]
-        left_products = self.products[:, 1].reshape(self.lefts.shape, copy=False)
-        products_out, products_u, products_prev = self.products[nxt], self.products[k], self.products[prev]
-        values, out_bottom, out_left = self.values, out.reshape(-1)[::n], out[..., 0, :]
-        bottom_values, left_values = values[0], values[1].reshape(out_left.shape, copy=False)
         work, c = self.work, 2.0 - 4.0 * r
+        # the damped sides of out and u_prev; column 0 of a C-contiguous stack is one
+        # strided view of its flattened nodes.  row is free once S is formed, and holds
+        # u_prev's share of each side in turn
+        out_bottom, prev_bottom = out.reshape(-1)[::n], u_prev.reshape(-1)[::n]
+        out_left, prev_left = out[..., 0, 1:], u_prev[..., 0, 1:]
+        carried_bottom, carried_left = self.row.reshape(-1), self.row[..., 1:]
+        (bottom_scale, bottom_carry), (left_scale, left_carry) = self.bottom, self.left
         dirichlet_row, dirichlet_column = out[..., -1, :], out.reshape(-1)[n - 1::n]
 
         def advance(t: float) -> Tuple[np.ndarray, ...]:
             neighbour_sum()
-            np.multiply(bottom_coefficients, bottoms, out=bottom_products)
-            np.multiply(left_coefficients, lefts, out=left_products)
-            np.add(products_out, products_u, out=values)
-            np.add(values, products_prev, out=values)
             np.multiply(out, r, out=out)
             np.multiply(u, c, out=work)
             np.add(out, work, out=out)
             np.subtract(out, u_prev, out=out)
-            out_bottom[...] = bottom_values
-            out_left[...] = left_values
             if source is not None:
                 np.multiply(source.profile(t), load, out=work)
                 np.add(out, work, out=out)
+            np.multiply(out_bottom, bottom_scale, out=out_bottom)
+            np.multiply(prev_bottom, bottom_carry, out=carried_bottom)
+            np.add(out_bottom, carried_bottom, out=out_bottom)
+            np.multiply(out_left, left_scale, out=out_left)
+            np.multiply(prev_left, left_carry, out=carried_left)
+            np.add(out_left, carried_left, out=out_left)
             dirichlet_row.fill(0.0)
             dirichlet_column.fill(0.0)
             return out, u, u_prev
@@ -440,11 +414,10 @@ def step(u: np.ndarray, u_prev: np.ndarray, t: float, dt: float, grid: Grid2D,
     """One leapfrog step u^{m-1}, u^m -> u^{m+1} at time t = m dt, into a fresh array.
 
     The boundary friction uses the centered velocity
-    (u^{m+1} - u^{m-1}) / (2 dt), solved pointwise; the update is the
-    folded expression alpha u + beta S(u) - gamma u_prev + profile(t) load
-    of _Leapfrog, evaluated in that order, with alpha, beta and gamma
-    per-node only on the damped sides, whose friction gam holds (see
-    damping_rate).
+    (u^{m+1} - u^{m-1}) / (2 dt), solved pointwise: every node takes the
+    undamped update U of _Leapfrog, and the damped sides, whose friction
+    gam holds (see damping_rate), are then corrected to
+    U / (1 + half) + u_prev half / (1 + half) with half = gam dt / 2.
     """
     _check_cfl(dt, grid.h)
     kernel = _Leapfrog(dt, grid, gam, source, u.shape)
@@ -499,7 +472,6 @@ class _EnergyLog:
     def __init__(self, steps: int, dt: float, grid: Grid2D):
         n = grid.n
         self.energies = np.empty(steps + 1)
-        self.staggered_times = dt * (np.arange(steps) + 0.5)
         self.staggered_energies = np.empty(steps)
         self.velocities = np.empty((2, steps + 1, n))
         self.dt = dt
@@ -544,10 +516,10 @@ class SolveResult:
 
     Besides the trace, the times and the final state, a solve records
     energies (integer-step energy, read by the forward command and the
-    energy checks), staggered_times/staggered_energies (the series carrying
-    the exact dissipation identity) and velocities, shaped like the trace's
-    sides (the centered velocities on the damped sides, which only the
-    dissipation identity reads).
+    energy checks), staggered_energies (E^{m+1/2} at t = (m + 1/2) dt, the
+    series carrying the exact dissipation identity) and velocities, shaped
+    like the trace's sides (the centered velocities on the damped sides,
+    which only the dissipation identity reads).
     """
 
     final: WaveState
@@ -556,7 +528,6 @@ class SolveResult:
     grid: Grid2D
     dt: float
     energies: np.ndarray
-    staggered_times: np.ndarray
     staggered_energies: np.ndarray
     velocities: np.ndarray
 
@@ -675,7 +646,6 @@ def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: flo
     return SolveResult(final=WaveState(u=u_curr.copy(), v=v_final, t=float(times[-1])),
                        trace=BoundaryTrace(times=times, sides=traces[0], dt=dt, tau=tau),
                        times=times, grid=grid, dt=dt, energies=log.energies,
-                       staggered_times=log.staggered_times,
                        staggered_energies=log.staggered_energies, velocities=log.velocities)
 
 

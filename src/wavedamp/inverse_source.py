@@ -118,10 +118,6 @@ class TimeSignal:
         return self.values.shape[0] - 1
 
     @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def dt(self) -> float:
         return self.tau / self.steps
 

@@ -25,6 +25,7 @@ from .spectral import (
     ModeIndex,
     SampledFunction1D,
     boundary_mode,
+    check_mode_resolution,
     eigenpair,
     project_onto_modes,
     trapezoid_weights,
@@ -399,8 +400,12 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
     if len(family) < 2:
         raise ValueError("a sweep needs at least two members")
 
-    # the recovery reuses the gap's measurement: an unusable recovery mode fails before any solve
+    # the recovery reuses the gap's measurement: an unusable recovery mode fails before any
+    # solve, and so does a truncation order that a member's samples cannot project onto
     check_recovery_mode(recovery_mode, grid, guard)
+    for member in family:
+        for component in (member.a1, member.a2):
+            check_mode_resolution(component.n, trunc_order)
     modes = [ModeIndex(k, l) for k in range(probe_budget + 1) for l in range(probe_budget + 1)]
     if recovery_mode not in modes:
         raise ResolutionError(f"recovery mode ({recovery_mode.k}, {recovery_mode.l}) lies "

@@ -36,6 +36,7 @@ __all__ = [
     "eigenpair",
     "mode_shape",
     "boundary_mode",
+    "check_mode_resolution",
     "project_onto_modes",
     "synthesize_from_modes",
     "sobolev_norms",
@@ -165,13 +166,14 @@ class FourierCoeffs:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[0] - 1
 
+def check_mode_resolution(n: int, order: int):
+    """Raise ResolutionError unless n samples resolve the interval modes 0..order.
 
-def _check_mode_resolution(n: int, order: int):
-    # require >= 8 samples per period of the highest retained mode
+    project_onto_modes runs this check, and a caller can run it before it
+    solves anything; it asks for at least 8 samples per period of the
+    highest retained mode.
+    """
     if n - 1 < 4 * order + 2:
         raise ResolutionError(
             f"{n} samples cannot resolve mode order {order}; need n >= {4 * order + 3}"
@@ -182,7 +184,7 @@ def project_onto_modes(f: SampledFunction1D, order: int) -> FourierCoeffs:
     """Trapezoid quadrature of f against the interval modes 0..order."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    _check_mode_resolution(f.n, order)
+    check_mode_resolution(f.n, order)
     s = f.nodes
     w = trapezoid_weights(f.n) * f.dx
     coeffs = np.array([float((w * f.values * boundary_mode(k, s)).sum()) for k in range(order + 1)])

@@ -65,18 +65,35 @@ def test_non_finite_input_exit_2(tmp_path, capsys, command, text, field):
     assert f"'{field}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, field", [
-    ("damping_base = -0.1\n", "damping_base"),
-    ("damping_slope1 = -0.5\n", "damping_slope1"),
-    ("damping_base = 0.2\ndamping_slope2 = -0.5\n", "damping_slope2"),
-], ids=["damping_base", "damping_slope1", "damping_slope2"])
-def test_negative_affine_damping_names_its_field_exit_2(tmp_path, capsys, text, field):
-    cfg = write_cfg(tmp_path, "n = 17\ndamping_kind = affine\n" + text)
-    assert main(["forward", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+DAMPING_FIELDS = ("damping_kind", "damping_base", "damping_slope1", "damping_slope2",
+                  "damping_csv1", "damping_csv2")
+
+
+@pytest.mark.parametrize("command, text, field", [
+    ("forward", "damping_kind = affine\ndamping_base = -0.1\n", "damping_base"),
+    ("forward", "damping_kind = affine\ndamping_slope1 = -0.5\n", "damping_slope1"),
+    ("forward", "damping_kind = affine\ndamping_base = 0.2\ndamping_slope2 = -0.5\n",
+     "damping_slope2"),
+    # a sweep's family must be strictly positive; the error names what lets it reach zero
+    ("sweep", "damping_kind = zero\n", "damping_kind"),
+    ("sweep", "damping_kind = constant\ndamping_base = 0.0\n", "damping_base"),
+    ("sweep", "damping_kind = affine\ndamping_base = 0.0\n", "damping_base"),
+    ("sweep", "damping_kind = affine\ndamping_base = 0.2\ndamping_slope2 = -0.2\n",
+     "damping_slope2"),
+    ("sweep", "damping_kind = csv\ndamping_csv1 = {vanishing}\ndamping_csv2 = {positive}\n",
+     "damping_csv1"),
+    ("sweep", "damping_kind = csv\ndamping_csv1 = {positive}\ndamping_csv2 = {vanishing}\n",
+     "damping_csv2"),
+], ids=["damping_base", "damping_slope1", "damping_slope2", "sweep-zero", "sweep-constant",
+        "sweep-affine-base", "sweep-affine-slope2", "sweep-csv1", "sweep-csv2"])
+def test_negative_affine_damping_names_its_field_exit_2(tmp_path, capsys, command, text, field):
+    positive, vanishing = tmp_path / "positive.csv", tmp_path / "vanishing.csv"
+    positive.write_text("s,value\n0.0,0.1\n0.5,0.1\n1.0,0.1\n")
+    vanishing.write_text("s,value\n0.0,0.1\n0.5,0.05\n1.0,0.0\n")
+    cfg = write_cfg(tmp_path, "n = 17\n" + text.format(positive=positive, vanishing=vanishing))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    named = [name for name in ("damping_base", "damping_slope1", "damping_slope2")
-             if f"'{name}'" in err]
-    assert named == [field]
+    assert [name for name in DAMPING_FIELDS if f"'{name}'" in err] == [field]
 
 
 @pytest.mark.parametrize("text, field", [
@@ -121,6 +138,35 @@ def test_unusable_out_exit_2_before_any_solve(tmp_path, monkeypatch, capsys, com
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert "'out_dir'" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.fixture
+def probe_members(monkeypatch):
+    """The (damping, mode) members of every probe batch, counted at the batch seam."""
+    members = []
+    real_solve_modes = wavedamp.reconstruct.solve_modes
+
+    def counting_solve_modes(dampings, modes, *args, **kwargs):
+        members.extend((a, mode) for a in dampings for mode in modes)
+        return real_solve_modes(dampings, modes, *args, **kwargs)
+
+    monkeypatch.setattr("wavedamp.reconstruct.solve_modes", counting_solve_modes)
+    return members
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("reconstruct", "n = 17\ntau = 1.0\n", "17 samples cannot resolve mode order 4"),
+    ("sweep", "n = 33\ntau = 1.0\ntrunc_order = 100\n",
+     "257 samples cannot resolve mode order 100"),
+], ids=["reconstruct", "sweep"])
+def test_unresolved_truncation_order_fails_before_any_solve(tmp_path, capsys, probe_members,
+                                                            command, text, message):
+    # the projection onto modes 0..trunc_order comes after the probes, so check it first
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert probe_members == []
+    assert list(out.iterdir()) == []
 
 
 class TestReconstructCommand:
@@ -184,21 +230,13 @@ class TestSweepCommand:
         assert "nearly vanishes" in capsys.readouterr().err
         assert solves == []
 
-    def test_unresolved_probe_set_fails_before_the_references(self, tmp_path, monkeypatch,
-                                                               capsys):
+    def test_unresolved_probe_set_fails_before_the_references(self, tmp_path, capsys,
+                                                               probe_members):
         # the references are a probe batch too, so the resolution check comes first
-        members = []
-        real_solve_modes = wavedamp.reconstruct.solve_modes
-
-        def counting_solve_modes(dampings, modes, *args, **kwargs):
-            members.extend((a, mode) for a in dampings for mode in modes)
-            return real_solve_modes(dampings, modes, *args, **kwargs)
-
-        monkeypatch.setattr("wavedamp.reconstruct.solve_modes", counting_solve_modes)
         cfg = write_cfg(tmp_path, "n = 33\ntau = 1.0\nprobe_budget = 4\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
         assert "cannot resolve probe mode (0,4)" in capsys.readouterr().err
-        assert members == []
+        assert probe_members == []
 
 
 class TestVerifyCommand:

@@ -181,36 +181,19 @@ class TestScheme:
             ws[0] = 1.0
 
     def test_step_matches_the_plain_expression(self):
-        # the kernel evaluates the folded expression alpha u + beta S(u) - gamma u_prev
-        # (+ profile(t) load) in that order, so it gives those bits; the plain leapfrog
-        # expression divides by 1 + half instead, so it agrees only to roundoff
+        # the kernel takes the undamped update at every node and then corrects the damped
+        # sides, so it gives the bits of correction_step; the plain leapfrog expression
+        # divides the whole update by 1 + half instead, so it agrees only to roundoff
         grid = Grid2D(33)
-        h = grid.h
         a = DampingPair.constant(0.4)
         gam = damping_rate(a, grid)
         source = mode_boundary_source(a, ModeIndex(1, 0), grid)
         u_prev = mode_field(grid, ModeIndex(1, 2))
         u = 0.9 * u_prev + 0.1 * mode_field(grid)
-        dt = 0.4 * h
-        neighbours = np.zeros_like(u)
-        neighbours[:, 1:-1] = u[:, :-2] + u[:, 2:]
-        neighbours[:, 0] = 2.0 * u[:, 1]
-        neighbours[1:-1, :] = neighbours[1:-1, :] + u[:-2, :] + u[2:, :]
-        neighbours[0, :] += 2.0 * u[1, :]
-        half = 0.5 * dt * friction_field(gam)
-        one_plus = 1.0 + half
-        r = dt * dt / (h * h)
-        alpha = grid.zero_dirichlet((2.0 - 4.0 * r) / one_plus)
-        beta = grid.zero_dirichlet(r / one_plus)
-        gamma = grid.zero_dirichlet((1.0 - half) / one_plus)
-        accel_load = source.load / (h ** 2 * grid.quad_weights)
-        load = grid.zero_dirichlet((dt * dt / one_plus) * accel_load)
+        dt = 0.4 * grid.h
         for src in (None, source):
-            folded = alpha * u + beta * neighbours - gamma * u_prev
-            if src is not None:
-                folded = folded + src.profile(0.3) * load
             stepped = step(u, u_prev, 0.3, dt, grid, gam, src)
-            assert np.array_equal(stepped, grid.zero_dirichlet(folded))
+            assert np.array_equal(stepped, correction_step(u, u_prev, 0.3, dt, grid, gam, src))
             plain = plain_step(u, u_prev, 0.3, dt, grid, gam, src)
             assert np.abs(stepped - plain).max() <= 1e-13 * np.abs(u).max()
 
@@ -237,22 +220,22 @@ def mirrored_neighbours(u):
     return neighbours
 
 
-def per_node_step(u, u_prev, t, dt, grid, gam, source=None):
-    """alpha u + beta S(u) - gamma u_prev (+ profile(t) load) with per-node coefficient fields.
+def correction_step(u, u_prev, t, dt, grid, gam, source=None):
+    """The undamped update U, then U scale + u_prev carry with per-node scale and carry fields.
 
-    gam holds the friction's side vectors, (2, n), from which the field is built here.
+    U = r S(u) + (2 - 4 r) u - u_prev (+ profile(t) dt^2 accel_load) at every node, and
+    scale = 1 / (1 + half), carry = half / (1 + half) with half = gam dt / 2, which are
+    exactly 1 and 0 off the damped sides.  gam holds the friction's side vectors, (2, n),
+    from which the fields are built here.
     """
     half = 0.5 * dt * friction_field(gam)
-    one_plus = 1.0 + half
+    scale, carry = 1.0 / (1.0 + half), half / (1.0 + half)
     r = dt * dt / (grid.h * grid.h)
-    alpha = grid.zero_dirichlet((2.0 - 4.0 * r) / one_plus)
-    beta = grid.zero_dirichlet(r / one_plus)
-    gamma = grid.zero_dirichlet((1.0 - half) / one_plus)
-    folded = alpha * u + beta * mirrored_neighbours(u) - gamma * u_prev
+    undamped = r * mirrored_neighbours(u) + (2.0 - 4.0 * r) * u - u_prev
     if source is not None:
         accel_load = source.load / (grid.h ** 2 * grid.quad_weights)
-        folded = folded + source.profile(t) * grid.zero_dirichlet((dt * dt / one_plus) * accel_load)
-    return grid.zero_dirichlet(folded)
+        undamped = undamped + source.profile(t) * ((dt * dt) * accel_load)
+    return grid.zero_dirichlet(undamped * scale + u_prev * carry)
 
 
 side_damping = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
@@ -264,8 +247,9 @@ def lean_step_case(draw, members=st.one_of(st.none(), st.integers(1, 3))):
 
     A single (n, n) field, or a (B, n, n) stack for members B, takes (2, n)
     side vectors that every member shares or (B, 2, n) with one pair per
-    member.  Side dampings may vanish on part of a side or on all of it; the
-    corner, on both sides, takes the sum of the two.
+    member.  Each side's damping vanishes only at drawn nodes, also on a
+    drawn stretch, or on all of its length; the corner, on both sides,
+    takes the sum of the two.
     """
     n = draw(st.sampled_from([17, 20]))
     members = draw(members)
@@ -276,6 +260,13 @@ def lean_step_case(draw, members=st.one_of(st.none(), st.integers(1, 3))):
     grid = Grid2D(n)
     gam = (2.0 / grid.h) * draw(arrays(float, (2, n) if shared else (members, 2, n),
                                        elements=side_damping))
+    for side in range(2):
+        extent = draw(st.sampled_from(["none", "stretch", "all"]))
+        if extent == "stretch":
+            stop = draw(st.integers(1, n))
+            gam[..., side, draw(st.integers(0, stop - 1)):stop] = 0.0
+        elif extent == "all":
+            gam[..., side, :] = 0.0
     gam[..., :, 0] = (gam[..., 0, 0] + gam[..., 1, 0])[..., None]
     dt = draw(st.floats(0.05, 1.0)) * forward.CFL_LIMIT * grid.h
     return grid, grid.zero_dirichlet(u), grid.zero_dirichlet(u_prev), gam, shared, dt
@@ -284,8 +275,9 @@ def lean_step_case(draw, members=st.one_of(st.none(), st.integers(1, 3))):
 @settings(max_examples=40, deadline=None)
 @given(case=lean_step_case(), forced=st.booleans(), t=st.floats(0.0, 2.0))
 def test_lean_step_matches_the_per_node_expression(case, forced, t):
-    # off the damped sides the per-node coefficients are exactly r, 2 - 4 r and 1,
-    # so the kernel's scalar interior gives the per-node expression's bits everywhere
+    # off the damped sides scale = 1 and carry = 0 exactly, so correcting only the two
+    # sides gives the bits of the per-node correction everywhere (up to the sign of a
+    # zero); the plain leapfrog expression checks the correction's algebra to roundoff
     grid, u, u_prev, gam, shared, dt = case
     source = None
     if forced and u.ndim == 2:
@@ -297,9 +289,15 @@ def test_lean_step_matches_the_per_node_expression(case, forced, t):
     members = [None] if u.ndim == 2 else range(u.shape[0])
     for b in members:
         pick = (lambda x: x) if b is None else (lambda x: x[b])
-        expected = per_node_step(pick(u), pick(u_prev), t, dt, grid, gam if shared else gam[b],
-                                 source)
-        assert pick(stepped).tobytes() == expected.tobytes()
+        member_gam = gam if shared else gam[b]
+        args = pick(u), pick(u_prev), t, dt, grid, member_gam, source
+        assert np.array_equal(pick(stepped), correction_step(*args))
+        # roundoff of the step's largest input: the fields, or the forcing dt^2 f
+        scale = max(np.abs(pick(u)).max(), np.abs(pick(u_prev)).max())
+        if source is not None:
+            accel_load = source.load / (grid.h ** 2 * grid.quad_weights)
+            scale = max(scale, dt * dt * abs(source.profile(t)) * np.abs(accel_load).max())
+        assert np.abs(pick(stepped) - plain_step(*args)).max() <= 1e-13 * scale
     assert step(u, u_prev, t, dt, grid, gam, source).tobytes() == stepped.tobytes()
 
 
@@ -372,7 +370,7 @@ PROBE_MODES = [ModeIndex(k, l) for k in range(3) for l in range(3)]
 
 @pytest.mark.parametrize("n", [17, 33])
 def test_solve_stays_within_roundoff_of_the_plain_scheme(n):
-    # the folded kernel and the plain expression round differently; over a
+    # the corrected kernel and the plain expression round differently; over a
     # whole solve the traces drift apart by roundoff only
     grid = Grid2D(n)
     a = DampingPair.from_callables(lambda s: 0.3 + 0.2 * s, lambda s: 0.3 + 0.1 * s ** 2)
