@@ -180,7 +180,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
         if key not in _FIELDS:
-            raise ConfigError(key, "unknown key")
+            raise ConfigError(f"line {lineno}", f"unknown key {key!r}")
         if key in values:
             raise ConfigError(key, "duplicate key")
         values[key] = _parse_value(_FIELDS[key], raw)

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 VANISHING_NORM = 1e-12  # dual and trace norms at or below this count as zero
+PANEL = 128  # rows or columns of the convolution matrix formed at a time
 
 
 @dataclass(frozen=True)
@@ -142,49 +143,62 @@ def _check_aligned(lam: Modulation, sig: TimeSignal):
         raise ValueError("modulation and signal must share the time grid")
 
 
-def _causal_matrix(lam: Modulation) -> np.ndarray:
-    """Trapezoid quadrature of the causal convolution as a lower-triangular matrix.
+def _kernel_panels(lam: Modulation, by_columns: bool):
+    """Yield (start, stop, panel): K's row panels, or its column panels, in order.
 
-    Entry [t, s] is lam(t - s) dt for s <= t, halved on the diagonal and in
-    column 0 (the trapezoid end weights of each row), with [0, 0] zero and
-    every entry above the diagonal an exact zero.  The Toeplitz pattern is a
-    strided view of the zero-padded samples; scaling it by dt copies it
-    into the matrix.
+    K is the trapezoid quadrature of the causal convolution: entry [t, s] is
+    lam(t - s) dt for s <= t, halved on the diagonal and in column 0 (the
+    trapezoid end weights of each row), with [0, 0] zero and every entry
+    above the diagonal an exact zero.  Row panel t0:t1 is K[t0:t1, :t1] and
+    column panel s0:s1 is K[s0:, s0:s1]: each holds every nonzero of its rows
+    or columns, so the zero triangle past it is never formed.  A panel is
+    dt times a strided view of the zero-padded samples, written into one
+    buffer that the next panel reuses.
     """
-    cached = getattr(lam, "_causal_matrix_cache", None)
-    if cached is not None:
-        return cached
     m = lam.steps
-    padded = np.concatenate([np.zeros(m), lam.values])
-    # row t of the reversed windows reads padded[m + t - s] = lam(t - s), zero for s > t
-    mat = sliding_window_view(padded, m + 1)[:, ::-1] * lam.dt
-    idx = np.arange(m + 1)
-    mat[idx, idx] *= 0.5
-    mat[1:, 0] *= 0.5
-    mat[0, 0] = 0.0
-    object.__setattr__(lam, "_causal_matrix_cache", mat)
-    return mat
+    padded = np.concatenate([lam.values[::-1], np.zeros(m)])
+    # row t of the windows in reverse order reads padded[m - t + s] = lam(t - s), zero for s > t
+    windows = sliding_window_view(padded, m + 1)[::-1]
+    buf = np.empty(min(PANEL, m + 1) * (m + 1))
+    for start in range(0, m + 1, PANEL):
+        stop = min(start + PANEL, m + 1)
+        r0, r1, c0, c1 = (start, m + 1, start, stop) if by_columns else (start, stop, 0, stop)
+        panel = buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+        np.multiply(windows[r0:r1, c0:c1], lam.dt, out=panel)
+        # the panel's diagonal entries [t, t] run from [0, start - c0] with stride c1 - c0 + 1
+        panel.reshape(-1)[start - c0::c1 - c0 + 1][: stop - start] *= 0.5
+        if c0 == 0:
+            panel[:, 0] *= 0.5
+        if r0 == 0:
+            panel[0, 0] = 0.0
+        yield start, stop, panel
 
 
 def convolve_causal(lam: Modulation, sig: TimeSignal) -> TimeSignal:
     """(S h)(t) = int_0^t lam(t - s) h(s) ds; output vanishes at t = 0.
 
-    Row t of the output only touches samples of h up to t, so causality
-    holds bit-exactly.
+    Computed as K h, one row panel at a time.  Row t of the output is one
+    dot product of K's row t with the samples up to the panel's end, and
+    every entry of that row past t is an exact zero, so causality holds
+    bit-exactly.
     """
     _check_aligned(lam, sig)
-    return TimeSignal(_causal_matrix(lam) @ sig.values, sig.tau)
+    x = sig.values
+    out = np.empty_like(x)
+    for t0, t1, panel in _kernel_panels(lam, by_columns=False):
+        np.matmul(panel, x[:t1], out=out[t0:t1])
+    return TimeSignal(out, sig.tau)
 
 
 def convolve_anticausal(lam: Modulation, sig: TimeSignal) -> TimeSignal:
     """(S* h)(t) = int_t^tau lam(s - t) h(s) ds.
 
     Computed as (K^T (w h)) / w with K the causal matrix of convolve_causal
-    and w the trapezoid weights: the exact discrete adjoint of
-    convolve_causal under the trapezoid inner product of L2((0, tau); Y), so
-    the adjoint identity holds to roundoff.  Row t of K^T holds exact zeros
-    at s < t, so the output at t only touches samples at s >= t
-    (anticausality is bit-exact).  Every interior sample matches the
+    and w the trapezoid weights, one column panel of K at a time: the exact
+    discrete adjoint of convolve_causal under the trapezoid inner product of
+    L2((0, tau); Y), so the adjoint identity holds to roundoff.  Column t of
+    K holds exact zeros at s < t, so the output at t only touches samples at
+    s >= t (anticausality is bit-exact).  Every interior sample matches the
     trapezoid quadrature of the defining integral; the two end samples
     carry O(dt) quadrature defects (the value at tau keeps its trapezoid
     end-weight instead of being an exact zero, and the value at 0 misses
@@ -193,7 +207,12 @@ def convolve_anticausal(lam: Modulation, sig: TimeSignal) -> TimeSignal:
     """
     _check_aligned(lam, sig)
     w = trapezoid_weights(lam.steps + 1)[:, None]
-    return TimeSignal((_causal_matrix(lam).T @ (w * sig.values)) / w, sig.tau)
+    weighted = w * sig.values
+    out = np.empty_like(weighted)
+    for s0, s1, panel in _kernel_panels(lam, by_columns=True):
+        np.matmul(panel.T, weighted[s0:], out=out[s0:s1])
+    out /= w
+    return TimeSignal(out, sig.tau)
 
 
 def stability_factor(lam: Modulation) -> float:

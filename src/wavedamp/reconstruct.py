@@ -478,11 +478,22 @@ class GaussNewtonInfo:
     termination: str
 
 
-def _predicted_decrease(jac: np.ndarray, r: np.ndarray) -> float:
-    """Relative decrease of |r| that the linear model r + jac s promises at its best step."""
-    step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+def _least_squares_step(columns: np.ndarray, gram: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Minimum-norm s minimizing |r + J s|, J = columns.T, from the Gram matrix J^T J.
+
+    The normal equations J^T J s = -J^T r share J's null space, so their
+    minimum-norm least-squares solution is J's own; solving the small Gram
+    system never copies the tall J.
+    """
+    step, *_ = np.linalg.lstsq(gram, -(columns @ r), rcond=None)
+    return step
+
+
+def _predicted_decrease(columns: np.ndarray, gram: np.ndarray, r: np.ndarray) -> float:
+    """Relative decrease of |r| that the linear model r + J s promises at its best step."""
+    step = _least_squares_step(columns, gram, r)
     norm = float(np.linalg.norm(r))
-    return (norm - float(np.linalg.norm(r + jac @ step))) / norm
+    return (norm - float(np.linalg.norm(r + columns.T @ step))) / norm
 
 
 def _apply_correction(init: DampingPair, params: np.ndarray, order: int) -> DampingPair:
@@ -570,8 +581,8 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
         columns = residuals(bumped_pairs, np.empty((params.shape[0], size)))
         np.subtract(columns, r, out=columns)
         np.divide(columns, steps_h[:, None], out=columns)
-        jac = columns.T
-        step_vec, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        gram = columns @ columns.T
+        step_vec = _least_squares_step(columns, gram, r)
 
         improved = False
         scale = 1.0
@@ -594,7 +605,7 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
         if best_norm == 0.0:
             termination = "zero_residual"
             break
-        if _predicted_decrease(jac, r) < GN_RTOL:
+        if _predicted_decrease(columns, gram, r) < GN_RTOL:
             termination = "tolerance"
             break
 

@@ -1,21 +1,25 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavedamp.forward import SourceSpec, mode_boundary_source
 from wavedamp.grid import Grid2D
 from wavedamp.inverse_source import (
+    PANEL,
     Modulation,
-    _causal_matrix,
     TimeSignal,
+    _kernel_panels,
     convolve_anticausal,
     convolve_causal,
     gronwall_bound_check,
     source_bound_check,
     stability_factor,
 )
-from wavedamp.spectral import DampingPair, ModeIndex
+from wavedamp.spectral import DampingPair, ModeIndex, trapezoid_weights
+from wavedamp.verify import _adjoint_checks
 
 
 def constant_modulation(tau=2.0, steps=400):
@@ -68,12 +72,68 @@ def explicit_causal_matrix(lam):
     return mat
 
 
-@pytest.mark.parametrize("steps", [2, 3, 17, 512])
+@pytest.mark.parametrize("steps", [2, 3, 17, 127, 128, 129, 512])
 def test_strided_matrix_matches_the_explicit_formula(steps):
+    # every row panel K[t0:t1, :t1] and column panel K[s0:, s0:s1] is the formula's block,
+    # and the panels of each layout tile the time grid in order
     lam = Modulation.from_callable(lambda t: np.cos(2 * t) + 0.3 * t, 3.0, steps)
-    mat = _causal_matrix(lam)
-    assert np.array_equal(mat, explicit_causal_matrix(lam))
-    assert mat.flags.c_contiguous
+    mat = explicit_causal_matrix(lam)
+    for by_columns in (False, True):
+        spans = []
+        for start, stop, panel in _kernel_panels(lam, by_columns):
+            block = mat[start:, start:stop] if by_columns else mat[start:stop, :stop]
+            assert np.array_equal(panel, block)
+            assert stop - start <= PANEL
+            spans.append((start, stop))
+        edges = [0] + [stop for _, stop in spans]
+        assert spans == list(zip(edges[:-1], edges[1:])) and edges[-1] == steps + 1
+
+
+def panel_cuts(steps):
+    """Cuts on each side of every panel boundary, and the two ends."""
+    edges = range(PANEL, steps + 1, PANEL)
+    return sorted({c for e in edges for c in (e - 1, e)} | {0, steps})
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), steps=st.sampled_from([2, 3, 17, 127, 128, 129, 255, 256, 300]),
+       cols=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_panel_products_match_the_matrix_and_keep_causality(data, steps, cols, seed):
+    tau = 3.0
+    lam = Modulation.from_callable(lambda t: np.cos(2 * t) + 0.3 * t, tau, steps)
+    mat = explicit_causal_matrix(lam)
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((steps + 1, cols))
+    w = trapezoid_weights(steps + 1)[:, None]
+
+    causal = convolve_causal(lam, TimeSignal(h, tau)).values
+    scale = (np.abs(mat) @ np.abs(h)).max()
+    assert np.abs(causal - mat @ h).max() <= 1e-13 * scale
+    anticausal = convolve_anticausal(lam, TimeSignal(h, tau)).values
+    scale = ((np.abs(mat).T @ np.abs(w * h)) / w).max()
+    assert np.abs(anticausal - (mat.T @ (w * h)) / w).max() <= 1e-13 * scale
+
+    cut = data.draw(st.one_of(st.integers(0, steps), st.sampled_from(panel_cuts(steps))),
+                    label="cut")
+    tail = h.copy()
+    tail[cut + 1:] += rng.standard_normal((steps - cut, cols))
+    assert np.array_equal(convolve_causal(lam, TimeSignal(tail, tau)).values[: cut + 1],
+                          causal[: cut + 1])
+    head = h.copy()
+    head[:cut] += rng.standard_normal((cut, cols))
+    assert np.array_equal(convolve_anticausal(lam, TimeSignal(head, tau)).values[cut:],
+                          anticausal[cut:])
+
+
+def test_adjoint_checks_stay_within_their_memory_bound():
+    # verify's 100 adjoint pairs at 2048 steps; the dense (2049, 2049) matrix alone is 33.6 MB
+    tracemalloc.start()
+    try:
+        _adjoint_checks(np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
 
 
 class TestAnticausalConvolution:
@@ -106,16 +166,18 @@ class TestAnticausalConvolution:
             rhs = h.inner(convolve_anticausal(lam, g))
             assert abs(lhs - rhs) <= 1e-8 * h.l2_norm() * g.l2_norm()
 
-    def test_cached_matrix_is_per_modulation(self):
+    def test_products_leave_the_modulation_as_built(self):
         tau, steps = 3.0, 256
         g = TimeSignal(np.random.default_rng(5).standard_normal((steps + 1, 2)), tau)
         lam = Modulation.from_callable(lambda t: np.cos(2 * t), tau, steps)
         first = convolve_anticausal(lam, g).values
+        convolve_causal(lam, g)
         assert np.array_equal(convolve_anticausal(lam, g).values, first)
+        # nothing is cached on the frozen modulation
+        assert set(vars(lam)) == {"values", "tau"}
         other = Modulation.from_callable(lambda t: np.exp(-t), tau, steps)
         second = convolve_anticausal(other, g).values
         assert not np.allclose(second, first)
-        # a fresh modulation with the same samples builds its matrix anew
         fresh = convolve_anticausal(Modulation(other.values, tau), g).values
         assert np.array_equal(second, fresh)
 

@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavedamp.config import MAX_DAMPING_SAMPLES, ExperimentConfig, parse_config
+from wavedamp.cli import main
+from wavedamp.config import MAX_DAMPING_SAMPLES, ExperimentConfig, load_config, parse_config
 from wavedamp.errors import ConfigError
 from wavedamp.forward import solve
 from wavedamp.grid import Grid2D
@@ -190,5 +194,51 @@ def test_any_value_parses_or_names_its_field(key, raw):
     except ConfigError as err:
         assert err.field in CONFIG_KEYS or err.field.startswith("line ")
         return
+    assert all(math.isfinite(getattr(cfg, name)) for name in FLOAT_KEYS)
+    assert all(math.isfinite(eps) for eps in cfg.sweep_epsilons)
+
+
+GARBLE_CHARS = st.one_of(
+    st.sampled_from(list("=#,.-_+e 0123456789\t\n\r\x0b\x0c\x1c\x85\u2028") + CONFIG_KEYS),
+    st.characters(blacklist_categories=("Cs",)),
+)
+VALID_TEXT = ("n = 33\ntau = 1.5  # seconds\ndamping_kind = affine\ndamping_base = 0.2\n"
+              "sweep_epsilons = 0.5, 1.0\n# comment = 1\nseed = 7\nprobe_budget = 2\n")
+
+
+@st.composite
+def garbled_config_text(draw):
+    """A valid config text after a few edits: inserts, deletions, duplicated or swapped spans."""
+    text = VALID_TEXT
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        edit = draw(st.sampled_from(["insert", "delete", "duplicate", "swap"]))
+        if edit == "insert":
+            text = text[:i] + "".join(draw(st.lists(GARBLE_CHARS, min_size=1, max_size=4))) + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[j:]
+        elif edit == "duplicate":
+            text = text[:j] + text[i:j] + text[j:]
+        else:
+            k = draw(st.integers(0, len(text)))
+            text = text[:i] + text[k:k + 12] + text[j:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=garbled_config_text())
+def test_any_garbled_text_parses_or_exits_2_naming_a_field_or_line(text):
+    # a text that parses is not run; one that does not must stop the CLI with exit 2
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        try:
+            cfg = load_config(path)
+        except ConfigError as err:
+            assert err.field in CONFIG_KEYS or re.fullmatch(r"line \d+", err.field), err.field
+            assert main(["forward", "--config", str(path), "--out", str(Path(tmp) / "x")]) == 2
+            assert not (Path(tmp) / "x").exists()
+            return
     assert all(math.isfinite(getattr(cfg, name)) for name in FLOAT_KEYS)
     assert all(math.isfinite(eps) for eps in cfg.sweep_epsilons)

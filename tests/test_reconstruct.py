@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from wavedamp.grid import Grid2D
 from wavedamp.reconstruct import (
     GN_RTOL,
     ModalMeasurement,
+    _least_squares_step,
     coefficient_bound_constant,
     damping_l2_error,
     estimate_gap,
@@ -521,6 +523,38 @@ class TestGaussNewton:
         assert again.residuals[0] == info.residuals[-1]
         first, last = again.residuals[0], again.residuals[-1]
         assert (first - last) / first < GN_RTOL
+
+    @pytest.mark.parametrize("degenerate", ["zero column", "equal columns"])
+    def test_gram_step_is_the_minimum_norm_least_squares_step(self, degenerate):
+        rng = np.random.default_rng(7)
+        jac = rng.standard_normal((400, 6))
+        if degenerate == "zero column":
+            jac[:, 2] = 0.0
+        else:
+            jac[:, 4] = jac[:, 1]
+        r = rng.standard_normal(400)
+        columns = np.ascontiguousarray(jac.T)
+        step = _least_squares_step(columns, columns @ columns.T, r)
+        expected, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        np.testing.assert_allclose(step, expected, rtol=0.0, atol=1e-10)
+
+    def test_one_round_stays_within_its_memory_bound(self, monkeypatch):
+        grid, meas, estimate = self._affine_fit_inputs()
+        shapes = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr("numpy.linalg.lstsq",
+                            lambda a, *args, **kw: shapes.append(np.shape(a)) or lstsq(a, *args, **kw))
+        tracemalloc.start()
+        try:
+            _, info = fit_damping_least_squares([meas], estimate, grid, 1.0, iters=1, fit_order=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(info.residuals) == 2
+        assert peak < 2 * 2 ** 20
+        # LAPACK's workspace is not traced: the round's least-squares solves are held to
+        # the (10, 10) Gram system by shape, never the tall Jacobian
+        assert shapes and all(shape == (10, 10) for shape in shapes)
 
     def test_no_rounds_allowed_is_max_iters(self, monkeypatch):
         grid = Grid2D(33)
