@@ -46,6 +46,5 @@ from .forward import (
     rellich_residual,
     solve,
 )
-from .riesz import RieszResult, riesz_solve
 
 __version__ = "0.1.0"

@@ -91,12 +91,13 @@ class ExperimentConfig:
         if not 19 <= self.damping_samples <= MAX_DAMPING_SAMPLES:
             raise ConfigError("damping_samples", f"must lie in [19, {MAX_DAMPING_SAMPLES}], "
                                                  f"got {self.damping_samples}")
-        if self.probe_k < 0:
-            raise ConfigError("probe_k", "must be nonnegative")
-        if self.probe_l < 0:
-            raise ConfigError("probe_l", "must be nonnegative")
-        if self.probe_budget < 0:
-            raise ConfigError("probe_budget", "must be nonnegative")
+        # the largest mode index that the largest grid resolves, n >= 8 (k + 1/2) + 1
+        # (reconstruct._check_probe_resolution); the sweep probes {0 .. probe_budget}^2
+        max_index = (MAX_N - 5) // 8
+        for name in ("probe_k", "probe_l", "probe_budget"):
+            if not 0 <= getattr(self, name) <= max_index:
+                raise ConfigError(name, f"must lie in [0, {max_index}], "
+                                        f"got {getattr(self, name)}")
         if self.trunc_order < 0:
             raise ConfigError("trunc_order", "must be nonnegative")
         if not 0.0 <= self.guard <= 0.5:

@@ -49,8 +49,8 @@ __all__ = [
     "mode_field",
     "energy",
     "stiffness_energy",
+    "stiffness_dual_norm",
     "weighted_l2_sq",
-    "boundary_damping_flux",
     "dissipation_residual",
     "rellich_residual",
 ]
@@ -201,6 +201,31 @@ def _stiffness_bilinear(u: np.ndarray, w: np.ndarray, grid: Grid2D) -> float:
     return bx + by
 
 
+def stiffness_dual_norm(load: np.ndarray, grid: Grid2D) -> float:
+    """Dual norm sup_psi load . psi / sqrt(B(psi, psi)) over fields vanishing on the Dirichlet sides.
+
+    load is an (n, n) array of functional values against the nodal basis,
+    e.g. SourceSpec.load.  On the free nodes [0 .. n-2]^2, B is
+    (W x W)(L x I + I x L), with W the trapezoid weights and L the 1-D
+    second difference mirrored at node 0 and zero at node n-1.  The sampled
+    cosines V[i, k] = cos((k + 1/2) pi i h) are W-orthogonal eigenvectors of
+    L with eigenvalues lam_k = 4 sin^2((k + 1/2) pi h / 2), so the Riesz
+    solve is diagonal in that basis and, with c_k = sum_i w_i V[i, k]^2,
+
+        ||load||'^2 = sum_kl (V^T F V)_kl^2 / (c_k c_l (lam_k + lam_l)),  F = load[:n-1, :n-1].
+    """
+    load = np.asarray(load, dtype=float)
+    if load.shape != (grid.n, grid.n):
+        raise ValueError("load must match the grid")
+    m = grid.n - 1
+    theta = (np.arange(m) + 0.5) * (math.pi * grid.h)
+    basis = np.cos(np.outer(np.arange(m), theta))
+    lam = 4.0 * np.sin(0.5 * theta) ** 2
+    c = grid.side_weights[:m] @ basis ** 2
+    coeffs = basis.T @ load[:m, :m] @ basis
+    return math.sqrt(float((coeffs ** 2 / (np.outer(c, c) * (lam[:, None] + lam))).sum()))
+
+
 def weighted_l2_sq(u: np.ndarray, grid: Grid2D) -> float:
     """Squared L2 norm by tensor trapezoid quadrature."""
     return float(grid.h ** 2 * (grid.quad_weights * u * u).sum())
@@ -209,13 +234,6 @@ def weighted_l2_sq(u: np.ndarray, grid: Grid2D) -> float:
 def energy(state: WaveState, grid: Grid2D) -> float:
     """E = 1/2 (B(u, u) + ||v||_{L2}^2)."""
     return 0.5 * (stiffness_energy(state.u, grid) + weighted_l2_sq(state.v, grid))
-
-
-def boundary_damping_flux(a1_nodes: np.ndarray, a2_nodes: np.ndarray,
-                          v_bottom: np.ndarray, v_left: np.ndarray, grid: Grid2D) -> float:
-    """Trapezoid quadrature of a * v^2 over the damped sides."""
-    w = grid.side_weights * grid.h
-    return float((w * a1_nodes * v_bottom ** 2).sum() + (w * a2_nodes * v_left ** 2).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ObservabilityFailure
-from .forward import SourceSpec, solve
+from .forward import SourceSpec, solve, stiffness_dual_norm
 from .grid import Grid2D
-from .riesz import riesz_solve
 from .spectral import DampingPair, trapezoid_weights
 
 __all__ = [
@@ -261,7 +260,7 @@ def source_bound_check(a: DampingPair, source: SourceSpec, tau: float, grid: Gri
     """Drive the zero-data problem with the source and compare norms.
 
     Runs the forward solver from rest, measures the boundary trace norm,
-    computes the dual norm of the source load by the discrete Riesz solve,
+    computes the dual norm of the source load (forward.stiffness_dual_norm),
     and reports the ratio together with the Gronwall-normalized constant
     of the source's own modulation profile.
     """
@@ -269,7 +268,7 @@ def source_bound_check(a: DampingPair, source: SourceSpec, tau: float, grid: Gri
         raise ValueError("source bound check needs a strictly positive damping")
     zeros = np.zeros((grid.n, grid.n))
     result = solve(zeros, zeros, a, grid, tau, source=source, dt_factor=dt_factor)
-    wnorm = riesz_solve(source.load, grid).vprime_norm
+    wnorm = stiffness_dual_norm(source.load, grid)
     trace_norm = result.trace.l2_norm()
     if wnorm <= VANISHING_NORM and trace_norm <= VANISHING_NORM:
         return SourceBoundCheck(wnorm=wnorm, trace_norm=trace_norm, ratio=0.0, c_emp=0.0)

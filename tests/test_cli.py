@@ -103,6 +103,10 @@ def test_negative_affine_damping_names_its_field_exit_2(tmp_path, capsys, comman
     ("n = 17\ntau = 1e300\ndt_factor = 1e-300\n", "tau"),
     # under the work cap (n^2 * steps = 2.6e8) but over the trace cap (1.5e7 values)
     ("n = 17\ntau = 20000.0\n", "tau"),
+    # no grid up to MAX_N resolves a probe mode index above 127
+    (f"probe_k = {10 ** 400}\n", "probe_k"),
+    ("probe_l = 128\n", "probe_l"),
+    ("probe_budget = 128\n", "probe_budget"),
 ])
 def test_oversized_run_exit_2_before_any_solve(tmp_path, monkeypatch, capsys, text, field):
     # a missing cap would reach the solver; fail there instead of allocating
@@ -263,8 +267,23 @@ class TestVerifyCommand:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is only needed by the Riesz solve, which no command reaches
+    # no module of the package needs scipy
     code = "import sys, wavedamp.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(wavedamp.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
+def test_source_bound_check_leaves_scipy_unloaded():
+    code = ("import sys\n"
+            "from wavedamp.forward import mode_boundary_source\n"
+            "from wavedamp.grid import Grid2D\n"
+            "from wavedamp.inverse_source import source_bound_check\n"
+            "from wavedamp.spectral import DampingPair, ModeIndex\n"
+            "grid, a = Grid2D(17), DampingPair.constant(0.5)\n"
+            "source_bound_check(a, mode_boundary_source(a, ModeIndex(0, 0), grid), 0.5, grid)\n"
+            "print('scipy' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(wavedamp.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)

@@ -14,7 +14,6 @@ from wavedamp.forward import (
     _neighbour_sum,
     _stiffness_bilinear,
     BoundaryTrace,
-    boundary_damping_flux,
     damping_rate,
     dissipation_residual,
     energy,
@@ -27,6 +26,7 @@ from wavedamp.forward import (
     start_step,
     step,
     step_count,
+    stiffness_dual_norm,
     stiffness_energy,
     weighted_l2_sq,
     WaveState,
@@ -44,6 +44,12 @@ from wavedamp.spectral import (
 
 def mode_field(grid, mode=ModeIndex(0, 0)):
     return grid.sample(lambda x, y: mode_shape(mode, x, y))
+
+
+def boundary_damping_flux(a1_nodes, a2_nodes, v_bottom, v_left, grid):
+    """Trapezoid quadrature of a * v^2 over the damped sides."""
+    w = grid.side_weights * grid.h
+    return float((w * a1_nodes * v_bottom ** 2).sum() + (w * a2_nodes * v_left ** 2).sum())
 
 
 def friction_field(gam):
@@ -639,6 +645,40 @@ class TestStiffnessForm:
         u = mode_field(grid, ModeIndex(0, 0))
         lam = eigenpair(ModeIndex(0, 0)).eigenvalue
         assert stiffness_energy(u, grid) == pytest.approx(lam, rel=1e-4)
+
+    def test_dual_norm_of_zero_load(self):
+        assert stiffness_dual_norm(np.zeros((33, 33)), Grid2D(33)) == 0.0
+
+    @pytest.mark.parametrize("n", [17, 33, 65])
+    def test_dual_norm_of_a_stiffness_load_is_its_energy_norm(self, n):
+        # the load psi -> B(phi, psi) has dual norm sqrt(B(phi, phi)) exactly
+        grid = Grid2D(n)
+        phi = np.random.default_rng(n).standard_normal((n, n))
+        grid.zero_dirichlet(phi)
+        load = grid.quad_weights * _mirror_second_difference(phi, np.empty((n, n)),
+                                                             np.empty((n, n)))
+        assert stiffness_dual_norm(load, grid) == pytest.approx(
+            math.sqrt(stiffness_energy(phi, grid)), rel=1e-12)
+
+    def test_dual_norm_bounds_every_pairing(self):
+        grid = Grid2D(33)
+        load = mode_boundary_source(DampingPair.constant(0.3), ModeIndex(0, 0), grid).load
+        wnorm = stiffness_dual_norm(load, grid)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            psi = grid.zero_dirichlet(rng.standard_normal((33, 33)))
+            pairing = float((load * psi).sum())
+            assert pairing <= wnorm * math.sqrt(stiffness_energy(psi, grid)) * (1 + 1e-9)
+
+    def test_boundary_functional_norm_baseline(self):
+        # grid-converged dual norm of the damping-mode functional, a = 0.1
+        values = {}
+        for n in (65, 129):
+            grid = Grid2D(n)
+            load = mode_boundary_source(DampingPair.constant(0.1), ModeIndex(0, 0), grid).load
+            values[n] = stiffness_dual_norm(load, grid)
+        assert values[65] == pytest.approx(0.441870365, rel=1e-6)
+        assert abs(values[65] - values[129]) / values[129] < 0.02
 
 
 @settings(max_examples=25, deadline=None)
