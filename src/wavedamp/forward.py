@@ -47,6 +47,7 @@ __all__ = [
     "solve_from_mode",
     "solve_modes",
     "mode_field",
+    "undamped_mode_trace",
     "energy",
     "stiffness_energy",
     "stiffness_dual_norm",
@@ -464,15 +465,27 @@ def start_step(u0: np.ndarray, u1: np.ndarray, dt: float, grid: Grid2D,
     return grid.zero_dirichlet(work)
 
 
-def _trace_stencil(n: int) -> np.ndarray:
-    """Flat indices of the one-sided normal-derivative stencil, shaped (2, 3, n).
+def _trace_recorder(grid: Grid2D, members: int) -> Callable[[np.ndarray, np.ndarray], None]:
+    """A call record(u, out) writing each member's trace of u into out, shaped (members, 2, n).
 
-    [0, k] holds column k of the field (the bottom side's stencil) and
-    [1, k] row k (the left side's), so weights (3, -4, 1) / (2h) applied
-    down each side's three rows give that side's trace at one step.
+    The one-sided normal-derivative stencil has weights (3, -4, 1) / (2h)
+    down each damped side's first three rows: column k of the field for
+    the bottom side (out[:, 0]) and row k for the left side (out[:, 1]).  u
+    is one (n, n) field when members is 1, or a (members, n, n) stack.
     """
+    n = grid.n
     nodes = np.arange(n)
-    return np.stack([[nodes * n + k for k in range(3)], [k * n + nodes for k in range(3)]])
+    index = np.stack([[nodes * n + k for k in range(3)], [k * n + nodes for k in range(3)]])
+    stencil = np.empty((members,) + index.shape)
+    weights = np.array([3.0, -4.0, 1.0]) / (2.0 * grid.h)
+
+    def record(u: np.ndarray, out: np.ndarray):
+        # the indices are in range; mode "clip" writes straight into out, "raise" buffers.
+        # matmul applies the weights as np.dot does, bit for bit (einsum does not)
+        np.take(u.reshape(members, -1), index, axis=1, out=stencil, mode="clip")
+        np.matmul(weights, stencil, out=out)
+
+    return record
 
 
 class _EnergyLog:
@@ -594,23 +607,14 @@ def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam: np.ndarray, grid: Grid2D
     is kept only for a single field.  Returns the step times and the last
     two fields, u^steps and u^(steps - 1), as views of the ring.
     """
-    members = traces.shape[0]
     kernel = _Leapfrog(dt, grid, gam, source, u0.shape)
     times = dt * np.arange(steps + 1)
-    stencil_index = _trace_stencil(grid.n)
-    stencil = np.empty((members,) + stencil_index.shape)
-    stencil_weights = np.array([3.0, -4.0, 1.0]) / (2.0 * grid.h)
-
-    def record(m, u):
-        # the indices are in range; mode "clip" writes straight into out, "raise" buffers.
-        # matmul applies the weights as np.dot does, bit for bit (einsum does not)
-        np.take(u.reshape(members, -1), stencil_index, axis=1, out=stencil, mode="clip")
-        np.matmul(stencil_weights, stencil, out=traces[:, :, m])
+    record = _trace_recorder(grid, traces.shape[0])
 
     u_prev, u_curr = kernel.fields[0], kernel.fields[1]
     u_prev[...] = u0
     grid.zero_dirichlet(u_prev)
-    record(0, u_prev)
+    record(u_prev, traces[:, :, 0])
     if log is not None:
         log.energy(0, u_prev, u1, 1.0)
     u_curr[...] = start_step(u_prev, u1, dt, grid, gam, source)
@@ -619,13 +623,13 @@ def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam: np.ndarray, grid: Grid2D
 
     for m in range(1, steps):
         u_next, u_curr, u_prev = kernel.advance(times[m])
-        record(m, u_curr)
+        record(u_curr, traces[:, :, m])
         if log is not None:
             log.step(m, u_next, u_curr, u_prev)
         if m % 128 == 0 and not np.isfinite(u_next).all():
             raise NumericalError(f"field blew up at step {m} (t = {times[m]:.3f})")
 
-    record(steps, u_next)
+    record(u_next, traces[:, :, steps])
     if not np.isfinite(u_next).all():
         raise NumericalError("final field contains non-finite values")
     return times, u_next, u_curr
@@ -670,6 +674,30 @@ def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: flo
 def mode_field(mode: ModeIndex, grid: Grid2D) -> np.ndarray:
     """The mode shape sampled on the grid and pinned on the Dirichlet sides."""
     return grid.zero_dirichlet(grid.sample(lambda x, y: mode_shape(mode, x, y)))
+
+
+def undamped_mode_trace(mode: ModeIndex, grid: Grid2D, tau: float,
+                        dt_factor: float = 0.5) -> Tuple[np.ndarray, np.ndarray]:
+    """The trace of the undamped solve from (mode shape, 0), in closed form, as (profile, start).
+
+    The sampled mode is an eigenvector of the mirrored 5-point Laplacian,
+    mirrored at 0 and zero at node n - 1, with eigenvalue -mu_h,
+    mu_h = (4 / h^2)(sin^2(theta_k h / 2) + sin^2(theta_l h / 2)) and
+    theta_k = (k + 1/2) pi.  With zero damping the Taylor start gives
+    u^1 = (1 - dt^2 mu_h / 2) u^0 = cos(theta) u^0, and the leapfrog keeps
+    u^m = cos(m theta) u^0, with theta = 2 asin(dt sqrt(mu_h) / 2) (the
+    form acos(1 - dt^2 mu_h / 2) cancels for small theta).  So the trace at
+    step m is profile[m] = cos(m theta) times start, the step-0 trace,
+    shaped (2, n) and recorded as a solve records it.
+    """
+    steps, dt = _time_step(tau, grid.h, dt_factor)
+    half_h = 0.5 * math.pi * grid.h
+    mu = (4.0 / grid.h ** 2) * (math.sin((mode.k + 0.5) * half_h) ** 2
+                                + math.sin((mode.l + 0.5) * half_h) ** 2)
+    theta = 2.0 * math.asin(0.5 * dt * math.sqrt(mu))
+    start = np.empty((1, 2, grid.n))
+    _trace_recorder(grid, 1)(mode_field(mode, grid), start)
+    return np.cos(theta * np.arange(steps + 1)), start[0]
 
 
 def solve_from_mode(a: DampingPair, mode: ModeIndex, grid: Grid2D, tau: float,

@@ -14,7 +14,7 @@ discrete adjoint identity <S h, g> = <h, S* g> holds to roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -95,13 +95,16 @@ class TimeSignal:
     """Vector-valued signal on the uniform time grid of [0, tau].
 
     values has shape (steps + 1,) or (steps + 1, dim); each row is one
-    instant of the discrete observation space.
+    instant of the discrete observation space.  The signal holds a
+    read-only copy of values, or, with copy=False, takes values over
+    (for an array its caller made and no one else holds).
     """
 
     values: np.ndarray
     tau: float
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool):
         v = np.asarray(self.values, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
@@ -109,7 +112,8 @@ class TimeSignal:
             raise ValueError("signal needs at least 3 time samples")
         if not np.all(np.isfinite(v)):
             raise ValueError("signal samples must be finite")
-        v = v.copy()
+        if copy:
+            v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -186,7 +190,7 @@ def convolve_causal(lam: Modulation, sig: TimeSignal) -> TimeSignal:
     out = np.empty_like(x)
     for t0, t1, panel in _kernel_panels(lam, by_columns=False):
         np.matmul(panel, x[:t1], out=out[t0:t1])
-    return TimeSignal(out, sig.tau)
+    return TimeSignal(out, sig.tau, copy=False)
 
 
 def convolve_anticausal(lam: Modulation, sig: TimeSignal) -> TimeSignal:
@@ -211,7 +215,7 @@ def convolve_anticausal(lam: Modulation, sig: TimeSignal) -> TimeSignal:
     for s0, s1, panel in _kernel_panels(lam, by_columns=True):
         np.matmul(panel.T, weighted[s0:], out=out[s0:s1])
     out /= w
-    return TimeSignal(out, sig.tau)
+    return TimeSignal(out, sig.tau, copy=False)
 
 
 def stability_factor(lam: Modulation) -> float:

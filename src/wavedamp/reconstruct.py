@@ -11,6 +11,7 @@ available on top of the linearized estimate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -18,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import RegimeError, ResolutionError
-from .forward import BoundaryTrace, solve_modes
+from .forward import BoundaryTrace, damping_rate, solve_modes, step_count, undamped_mode_trace
 from .grid import Grid2D
 from .spectral import (
     DampingPair,
@@ -32,6 +33,7 @@ from .spectral import (
 )
 
 __all__ = [
+    "UndampedReference",
     "ModalMeasurement",
     "GapEstimate",
     "SweepRecord",
@@ -61,18 +63,61 @@ GN_RTOL = 1e-3  # smallest predicted relative decrease that earns another Gauss-
 # probing
 
 @dataclass
+class UndampedReference:
+    """The undamped trace of one probe mode, held as the rank-one product profile[m] * start[side].
+
+    profile, shaped (steps + 1,), and start, shaped (2, n), are the closed
+    form of forward.undamped_mode_trace; the trace is never stored whole.
+    """
+
+    profile: np.ndarray
+    start: np.ndarray
+    tau: float
+
+    @property
+    def dt(self) -> float:
+        return self.tau / (self.profile.shape[0] - 1)
+
+    @property
+    def sides(self) -> np.ndarray:
+        """The trace, materialized and shaped (2, steps + 1, n) like BoundaryTrace.sides."""
+        return self.start[:, None, :] * self.profile[:, None]
+
+    def subtract_from(self, sides: np.ndarray) -> np.ndarray:
+        """sides minus the trace, in place, one side at a time; sides is (..., 2, steps + 1, n).
+
+        The same bits as sides - self.sides, without a trace-sized temporary.
+        """
+        if sides.shape[-3:] != (2,) + self.profile.shape + self.start.shape[1:]:
+            raise ValueError("traces must come from matching discretizations")
+        for side, start in enumerate(self.start):
+            target = sides[..., side, :, :]
+            np.subtract(target, np.multiply.outer(self.profile, start), out=target)
+        return sides
+
+    def l2_norm(self) -> float:
+        """Space-time L2 norm over both damped sides, as BoundaryTrace.l2_norm, factor by factor."""
+        n = self.start.shape[1]
+        in_space = float(((self.start ** 2) @ trapezoid_weights(n)).sum()) / (n - 1)
+        in_time = self.dt * float(trapezoid_weights(self.profile.shape[0]) @ self.profile ** 2)
+        return math.sqrt(in_space * in_time)
+
+
+@dataclass
 class ModalMeasurement:
     """Normal-derivative trace of one probe: the damped minus the undamped run.
 
     reference is the undamped trace the damped one was differenced
-    against; it is analytically zero, so its norm (noise_floor) measures
-    the discretization floor of the probe.
+    against, in closed form.  It is analytically zero: the mode's normal
+    derivative vanishes on the damped sides, and what is left is the O(h^2)
+    defect of the one-sided trace stencil.  So its norm (noise_floor)
+    measures the discretization floor of the probe.
     """
 
     mode: ModeIndex
     trace: BoundaryTrace
     trace_norm: float
-    reference: BoundaryTrace
+    reference: UndampedReference
 
     @property
     def noise_floor(self) -> float:
@@ -89,36 +134,59 @@ def _check_probe_resolution(grid: Grid2D, mode: ModeIndex):
 
 
 def reference_solution(mode: ModeIndex, tau: float, grid: Grid2D,
-                       dt_factor: float = 0.5) -> BoundaryTrace:
-    """The undamped trace of one probe mode (the measurement reference)."""
+                       dt_factor: float = 0.5) -> UndampedReference:
+    """The undamped trace of one probe mode (the measurement reference), in closed form."""
     return _reference_traces([mode], tau, grid, dt_factor)[mode]
+
+
+def _reference_traces(modes: Sequence[ModeIndex], tau: float, grid: Grid2D,
+                      dt_factor: float = 0.5) -> Dict[ModeIndex, UndampedReference]:
+    """Closed-form undamped traces of the probe modes, once the grid is checked to resolve each."""
+    for mode in modes:
+        _check_probe_resolution(grid, mode)
+    return {mode: UndampedReference(*undamped_mode_trace(mode, grid, tau, dt_factor), tau)
+            for mode in modes}
 
 
 def _solve_probes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], tau: float,
                   grid: Grid2D, dt_factor: float,
                   out: Optional[np.ndarray] = None) -> List[BoundaryTrace]:
-    """solve_modes over the probe modes, after checking that the grid resolves each."""
+    """solve_modes over the probe modes, after checking that the grid resolves each.
+
+    Members run damping-major into out, as in solve_modes.  A damping that
+    is identically zero on the grid is not stepped: its members are written
+    from the closed-form reference, so such a probe minus its reference is
+    exactly zero.  Each run of consecutive other dampings is one batch.
+    """
     for mode in modes:
         _check_probe_resolution(grid, mode)
-    return solve_modes(dampings, modes, grid, tau, dt_factor, out)
-
-
-def _reference_traces(modes: Sequence[ModeIndex], tau: float, grid: Grid2D,
-                      dt_factor: float = 0.5) -> Dict[ModeIndex, BoundaryTrace]:
-    """Undamped traces of the probe modes, solved as one batch."""
-    traces = _solve_probes([DampingPair.zero()], modes, tau, grid, dt_factor)
-    return dict(zip(modes, traces))
+    if out is None:
+        steps = step_count(tau, grid.h, dt_factor)
+        out = np.empty((len(dampings) * len(modes), 2, steps + 1, grid.n))
+    rows = out.reshape(len(dampings), len(modes), *out.shape[1:])
+    traces, first = [], 0
+    for undamped, run in itertools.groupby(not damping_rate(a, grid).any() for a in dampings):
+        last = first + len(list(run))
+        block = rows[first:last].reshape((-1,) + out.shape[1:])
+        if undamped:
+            refs = _reference_traces(modes, tau, grid, dt_factor)
+            rows[first:last] = [refs[mode].sides for mode in modes]
+            dt = refs[modes[0]].dt
+            traces += [BoundaryTrace(times=dt * np.arange(out.shape[2]), sides=sides, dt=dt,
+                                     tau=tau) for sides in block]
+        else:
+            traces += solve_modes(dampings[first:last], modes, grid, tau, dt_factor, block)
+        first = last
+    return traces
 
 
 def _measurement(mode: ModeIndex, damped: BoundaryTrace,
-                 reference: BoundaryTrace) -> ModalMeasurement:
+                 reference: UndampedReference) -> ModalMeasurement:
     """The measurement damped - reference, formed in place on the damped trace's arrays.
 
-    The same bits as damped.difference(reference), without a second trace-sized copy.
+    The same bits as damped.difference(reference), without a trace-sized copy.
     """
-    if damped.sides.shape != reference.sides.shape:
-        raise ValueError("traces must come from matching discretizations")
-    np.subtract(damped.sides, reference.sides, out=damped.sides)
+    reference.subtract_from(damped.sides)
     diff = BoundaryTrace(times=damped.times, sides=damped.sides, dt=damped.dt, tau=damped.tau)
     return ModalMeasurement(mode=mode, trace=diff, trace_norm=diff.l2_norm(),
                             reference=reference)
@@ -126,16 +194,16 @@ def _measurement(mode: ModeIndex, damped: BoundaryTrace,
 
 def probe_mode(a: DampingPair, mode: ModeIndex, tau: float, grid: Grid2D,
                dt_factor: float = 0.5,
-               reference: Optional[BoundaryTrace] = None) -> ModalMeasurement:
+               reference: Optional[UndampedReference] = None) -> ModalMeasurement:
     """Boundary measurement generated by initial data (mode shape, 0).
 
     reference is the undamped trace of the same probe; when not given, it
-    is solved here, in one batch of two with the damped probe.
+    is formed here in closed form (reference_solution).  The damped probe
+    is a batch of one.
     """
-    if reference is not None:
-        damped, = _solve_probes([a], [mode], tau, grid, dt_factor)
-    else:
-        reference, damped = _solve_probes([DampingPair.zero(), a], [mode], tau, grid, dt_factor)
+    if reference is None:
+        reference = reference_solution(mode, tau, grid, dt_factor)
+    damped, = _solve_probes([a], [mode], tau, grid, dt_factor)
     return _measurement(mode, damped, reference)
 
 
@@ -275,11 +343,12 @@ class GapEstimate:
 
 def estimate_gap(a: DampingPair, probe_budget: int, tau: float, grid: Grid2D,
                  dt_factor: float = 0.5,
-                 references: Optional[Dict[ModeIndex, BoundaryTrace]] = None) -> GapEstimate:
+                 references: Optional[Dict[ModeIndex, UndampedReference]] = None) -> GapEstimate:
     """Max over probe modes of trace norm over graph norm of the probe.
 
     The modes {0..probe_budget}^2 are probed as one batch; references maps
-    a mode to its undamped trace, and the modes it lacks are solved here.
+    a mode to its undamped trace (reference_solution), and the modes it
+    lacks get theirs here, in closed form.
     """
     if probe_budget < 0:
         raise ValueError("probe budget must be nonnegative")
@@ -555,8 +624,7 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
         _solve_probes(pairs, modes, tau, grid, dt_factor,
                       out=sims.reshape(-1, *sims.shape[2:]))
         for j, meas in enumerate(measurements):
-            sim = sims[:, j]
-            np.subtract(sim, meas.reference.sides, out=sim)
+            sim = meas.reference.subtract_from(sims[:, j])
             np.subtract(sim, meas.trace.sides, out=sim)
         return out
 

@@ -181,6 +181,14 @@ class TestReconstructCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["below_noise_floor"] is True
 
+    def test_probe_is_a_batch_of_one(self, tmp_path, probe_members):
+        # the undamped reference is in closed form: only the damped probe is stepped
+        cfg = write_cfg(tmp_path, "n = 33\ntau = 1.0\ndamping_kind = constant\n"
+                                  "damping_base = 0.1\ngn_iters = 0\n")
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rec")]) == 0
+        assert len(probe_members) == 1
+        assert probe_members[0][0].minimum() > 0.0
+
     def test_constant_damping_recovery(self, tmp_path):
         cfg = write_cfg(
             tmp_path,

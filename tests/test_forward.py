@@ -28,6 +28,7 @@ from wavedamp.forward import (
     step_count,
     stiffness_dual_norm,
     stiffness_energy,
+    undamped_mode_trace,
     weighted_l2_sq,
     WaveState,
 )
@@ -125,6 +126,23 @@ class TestScheme:
         res = solve(mode_field(grid), np.zeros((65, 65)), DampingPair.zero(), grid, 2.0)
         # analytic normal trace is identically zero; measured one sits at the floor
         assert res.trace.l2_norm() < 5e-3 * math.sqrt(2 * res.energies[0])
+
+    @pytest.mark.parametrize("n, trace_bound", [(33, 2e-8), (65, 1e-6)])
+    @pytest.mark.parametrize("mode", [ModeIndex(0, 0), ModeIndex(1, 1), ModeIndex(2, 1)])
+    def test_undamped_mode_solve_matches_the_closed_form(self, n, trace_bound, mode):
+        # the sampled mode is an eigenvector of the mirrored Laplacian, so the undamped
+        # leapfrog keeps u^m = cos(m theta) u^0.  The trace is the O(h^2) defect of the
+        # one-sided stencil, so the field's roundoff is large against it: measured up to
+        # 5.5e-9 (n = 33) and 2.3e-7 (n = 65) of its max, and 8e-15 of max|u^0| for the field
+        grid = Grid2D(n)
+        res = solve_from_mode(DampingPair.zero(), mode, grid, 2.0)
+        profile, start = undamped_mode_trace(mode, grid, 2.0)
+        u0 = forward.mode_field(mode, grid)
+        assert profile.shape == res.times.shape
+        assert np.abs(res.final.u - profile[-1] * u0).max() <= 5e-14 * np.abs(u0).max()
+        assert np.array_equal(res.trace.sides[:, 0], start)
+        reference = start[:, None, :] * profile[:, None]
+        assert np.abs(res.trace.sides - reference).max() <= trace_bound * np.abs(reference).max()
 
     def test_dirichlet_rows_pinned(self, damped_run):
         _, _, res = damped_run

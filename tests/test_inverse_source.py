@@ -26,6 +26,18 @@ def constant_modulation(tau=2.0, steps=400):
     return Modulation.from_callable(lambda t: np.ones_like(t), tau, steps)
 
 
+def test_signal_copies_only_an_array_its_caller_keeps():
+    data = np.ones((401, 2))
+    kept = TimeSignal(data, 2.0)
+    assert not np.shares_memory(kept.values, data) and data.flags.writeable
+    # a convolution's fresh output is handed over, not copied once more
+    handed = TimeSignal(data, 2.0, copy=False)
+    assert np.shares_memory(handed.values, data) and not handed.values.flags.writeable
+    out = convolve_causal(constant_modulation(), kept)
+    assert not out.values.flags.writeable
+    assert np.array_equal(out.values, convolve_causal(constant_modulation(), handed).values)
+
+
 class TestCausalConvolution:
     def test_unit_kernel_integrates(self):
         lam = constant_modulation()

@@ -11,7 +11,9 @@ from wavedamp.grid import Grid2D
 from wavedamp.reconstruct import (
     GN_RTOL,
     ModalMeasurement,
+    UndampedReference,
     _least_squares_step,
+    _solve_probes,
     coefficient_bound_constant,
     damping_l2_error,
     estimate_gap,
@@ -44,7 +46,7 @@ def synthetic_measurement(grid, mode, tau, profile_bottom, profile_left, steps=5
     sin_t = np.sin(omega * times)
     sides = sin_t[None, :, None] * np.stack([profile_bottom, profile_left])[:, None, :]
     trace = BoundaryTrace(times=times, sides=sides, dt=dt, tau=tau)
-    reference = BoundaryTrace(times=times, sides=np.zeros_like(sides), dt=dt, tau=tau)
+    reference = UndampedReference(np.zeros(steps + 1), np.zeros((2, grid.n)), tau)
     return ModalMeasurement(mode=mode, trace=trace, trace_norm=trace.l2_norm(),
                             reference=reference)
 
@@ -63,6 +65,35 @@ class TestProbe:
         meas = probe_mode(a, mode, 1.0, grid, reference=reference)
         assert calls == [meas.trace]
         assert meas.trace_norm == expected
+
+    def test_reference_subtracts_the_bits_of_its_sides(self):
+        grid = Grid2D(33)
+        mode = ModeIndex(1, 0)
+        reference = reference_solution(mode, 1.0, grid)
+        traces = solve_modes([DampingPair.constant(0.2), DampingPair.constant(0.1)], [mode],
+                             grid, 1.0)
+        sides = np.stack([trace.sides for trace in traces])
+        expected = sides - reference.sides
+        assert np.array_equal(reference.subtract_from(sides), expected)
+        materialized = BoundaryTrace(times=traces[0].times, sides=reference.sides,
+                                     dt=reference.dt, tau=1.0)
+        assert reference.l2_norm() == pytest.approx(materialized.l2_norm(), rel=1e-13)
+        with pytest.raises(ValueError, match="matching discretizations"):
+            reference.subtract_from(sides[..., :-1, :])
+
+    def test_zero_damping_members_are_written_not_stepped(self, monkeypatch):
+        grid = Grid2D(17)
+        a, zero = DampingPair.constant(0.2), DampingPair.zero()
+        modes = [ModeIndex(0, 0), ModeIndex(1, 0)]
+        solves = count_probe_solves(monkeypatch)
+        traces = _solve_probes([zero, a, a, zero], modes, 1.0, grid, 0.5)
+        assert solves == [(a, mode) for _ in range(2) for mode in modes]
+        damped = solve_modes([a], modes, grid, 1.0)
+        for b, trace in enumerate(traces):
+            mode = modes[b % 2]
+            expected = damped[b % 2] if b // 2 in (1, 2) else reference_solution(mode, 1.0, grid)
+            assert np.array_equal(trace.sides, expected.sides)
+            assert np.array_equal(trace.times, damped[0].times) and trace.dt == damped[0].dt
 
     def test_zero_damping_probe_is_null(self):
         grid = Grid2D(33)
@@ -341,12 +372,27 @@ class TestSweep:
         budget = 1
         solves = count_probe_solves(monkeypatch)
         stability_sweep(family, eps, 1.0, grid, probe_budget=budget)
-        assert len(solves) == (budget + 1) ** 2 * (len(family) + 1)
+        # the undamped references are in closed form: no member of any batch is undamped
+        assert len(solves) == (budget + 1) ** 2 * len(family)
         modes = [ModeIndex(k, l) for k in range(budget + 1) for l in range(budget + 1)]
         probes = [mode for a, mode in solves if a.minimum() > 0.0]
         references = [mode for a, mode in solves if a.minimum() == 0.0]
         assert Counter(probes) == {mode: len(family) for mode in modes}
-        assert Counter(references) == {mode: 1 for mode in modes}
+        assert references == []
+
+    def test_sweep_holds_no_reference_trace(self):
+        # a member's four damped traces take 0.73 MB here, and materialized references
+        # as many again: measured peaks 1.39 MB, and 2.11 MB with references solved
+        grid = Grid2D(33)
+        family = [DampingPair.constant(0.1).scaled(e) for e in (0.4, 0.2)]
+        stability_sweep(family, [0.4, 0.2], 0.25, grid, probe_budget=1)  # first-call set-up
+        tracemalloc.start()
+        try:
+            stability_sweep(family, [0.4, 0.2], 4.0, grid, probe_budget=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * 2 ** 20
 
     def test_unusable_recovery_mode_rejected_before_any_solve(self, monkeypatch):
         grid = Grid2D(33)
@@ -460,15 +506,16 @@ class TestGaussNewton:
         assert len(calls) == 7
 
     def test_fit_differences_against_the_measurement_reference(self):
-        # data carrying a zero reference: a freshly solved undamped reference
+        # data carrying a zero reference: the closed-form undamped reference
         # (nonzero at the discretization floor) would leave a residual
         grid = Grid2D(33)
         truth = DampingPair.constant(0.1, n=33)
         mode = ModeIndex(0, 0)
         assert reference_solution(mode, 1.0, grid).l2_norm() > 0.0
         damped = solve_from_mode(truth, mode, grid, 1.0).trace
+        zero = UndampedReference(np.zeros_like(damped.times), np.zeros((2, grid.n)), damped.tau)
         meas = ModalMeasurement(mode=mode, trace=damped, trace_norm=damped.l2_norm(),
-                                reference=damped.difference(damped))
+                                reference=zero)
         assert meas.noise_floor == 0.0
         _, info = fit_damping_least_squares([meas], truth, grid, 1.0, iters=1, fit_order=0)
         assert info.residuals == [0.0]
