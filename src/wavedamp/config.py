@@ -26,7 +26,8 @@ DAMPING_KINDS = ("zero", "constant", "affine", "csv")
 # instead of failing in the allocator.  n^2 * steps bounds the work of one
 # solve: 1.9e8 for n = 257 at tau = 4, dt_factor = 0.5.  n * (steps + 1)
 # bounds the memory of one trace, 16 bytes per value for its two sides
-# (80 MB at the cap; a probe holds two traces): 7.4e5 for n = 257 at
+# (80 MB at the cap; the largest trace-sized buffer is the Gauss-Newton
+# Jacobian's 2 (fit_order + 1) traces): 7.4e5 for n = 257 at
 # tau = 4, while n = 17 under the work cap alone could reach 2.9e7.  A damping's
 # samples (damping_samples, or a csv's rows) stay at four per cell of the largest
 # grid: sobolev_norms' (samples - 1)^2 matrices then take 128 MiB each.

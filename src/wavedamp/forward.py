@@ -33,8 +33,11 @@ from .spectral import DampingPair, ModeIndex, eigenpair, mode_shape, trapezoid_w
 __all__ = [
     "CFL_LIMIT",
     "BATCH_NODE_CAP",
+    "TRACE_WINDOW",
     "WaveState",
     "BoundaryTrace",
+    "step_quadrature",
+    "time_quadrature",
     "SourceSpec",
     "SolveResult",
     "mode_boundary_source",
@@ -58,6 +61,7 @@ __all__ = [
 
 CFL_LIMIT = 1.0 / math.sqrt(2.0)
 BATCH_NODE_CAP = 45000  # most nodes, members * n^2, that one batch steps at once
+TRACE_WINDOW = 64  # steps a reduced batch records before it hands them on
 
 
 # ---------------------------------------------------------------------------
@@ -116,18 +120,43 @@ class BoundaryTrace:
 
     def l2_norm(self) -> float:
         """Space-time L2 norm over both damped sides."""
-        h = 1.0 / (self.n - 1)
-        wx = trapezoid_weights(self.n)
-        bottom, left = self.sides
-        per_step = h * ((bottom ** 2) @ wx + (left ** 2) @ wx)
-        wt = trapezoid_weights(self.times.shape[0])
-        return math.sqrt(float(self.dt * (wt * per_step).sum()))
+        return time_quadrature(step_quadrature(self.sides), self.dt)
 
     def difference(self, other: "BoundaryTrace") -> "BoundaryTrace":
         if self.sides.shape != other.sides.shape:
             raise ValueError("traces must come from matching discretizations")
         return BoundaryTrace(times=self.times, sides=self.sides - other.sides, dt=self.dt,
                              tau=self.tau)
+
+
+def step_quadrature(sides: np.ndarray) -> np.ndarray:
+    """h sum_i w_i (bottom_i^2 + left_i^2) at each step of sides, shaped (2, steps, n).
+
+    Formed TRACE_WINDOW steps at a time: a BLAS product rounds a row by
+    where it falls in the product, so a window that a reduced batch hands
+    on (solve_modes), starting at a multiple of TRACE_WINDOW, gets the bits
+    of the same steps of the whole trace.  Raises NumericalError on a value
+    that is not finite.
+    """
+    n = sides.shape[-1]
+    h = 1.0 / (n - 1)
+    wx = trapezoid_weights(n)
+
+    def weighted_rows(side: np.ndarray) -> np.ndarray:
+        squares = side ** 2
+        return np.concatenate([squares[first:first + TRACE_WINDOW] @ wx
+                               for first in range(0, side.shape[0], TRACE_WINDOW)])
+
+    per_step = h * (weighted_rows(sides[0]) + weighted_rows(sides[1]))
+    if not np.isfinite(per_step).all():
+        raise NumericalError("boundary trace norm is not finite")
+    return per_step
+
+
+def time_quadrature(per_step: np.ndarray, dt: float) -> float:
+    """The space-time L2 norm from the per-step values of step_quadrature."""
+    wt = trapezoid_weights(per_step.shape[0])
+    return math.sqrt(float(dt * (wt * per_step).sum()))
 
 
 @dataclass
@@ -465,25 +494,20 @@ def start_step(u0: np.ndarray, u1: np.ndarray, dt: float, grid: Grid2D,
     return grid.zero_dirichlet(work)
 
 
-def _trace_recorder(grid: Grid2D, members: int) -> Callable[[np.ndarray, np.ndarray], None]:
-    """A call record(u, out) writing each member's trace of u into out, shaped (members, 2, n).
+def _trace_recorder(grid: Grid2D) -> Callable[[np.ndarray, np.ndarray], None]:
+    """A call record(u, out) writing the trace of u into out, shaped u.shape[:-2] + (2, n).
 
     The one-sided normal-derivative stencil has weights (3, -4, 1) / (2h)
     down each damped side's first three rows: column k of the field for
-    the bottom side (out[:, 0]) and row k for the left side (out[:, 1]).  u
-    is one (n, n) field when members is 1, or a (members, n, n) stack.
+    the bottom side (out[..., 0, :]) and row k for the left side
+    (out[..., 1, :]).  u is one (n, n) field or a (B, n, n) stack, and both
+    products read it through strided views, with no copy.
     """
-    n = grid.n
-    nodes = np.arange(n)
-    index = np.stack([[nodes * n + k for k in range(3)], [k * n + nodes for k in range(3)]])
-    stencil = np.empty((members,) + index.shape)
     weights = np.array([3.0, -4.0, 1.0]) / (2.0 * grid.h)
 
     def record(u: np.ndarray, out: np.ndarray):
-        # the indices are in range; mode "clip" writes straight into out, "raise" buffers.
-        # matmul applies the weights as np.dot does, bit for bit (einsum does not)
-        np.take(u.reshape(members, -1), index, axis=1, out=stencil, mode="clip")
-        np.matmul(weights, stencil, out=out)
+        np.matmul(u[..., :, :3], weights, out=out[..., 0, :])
+        np.matmul(weights, u[..., :3, :], out=out[..., 1, :])
 
     return record
 
@@ -595,26 +619,38 @@ def _initial_data(u, grid: Grid2D) -> np.ndarray:
 
 def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam: np.ndarray, grid: Grid2D,
                    steps: int, dt: float, traces: np.ndarray,
-                   source: Optional[SourceSpec] = None, log: Optional[_EnergyLog] = None):
+                   source: Optional[SourceSpec] = None, log: Optional[_EnergyLog] = None,
+                   flush: Optional[Callable[[int, np.ndarray], None]] = None):
     """The time loop of every solve, over one (n, n) field or a (B, n, n) batch.
 
     u0 is copied into the kernel's ring and pinned there; u1 must vanish on
     the Dirichlet sides.  gam is the friction's side vectors, (2, n) for
     every member or (B, 2, n) per member (see _Leapfrog).  Records each
-    member's trace at every integer step into traces, shaped
-    (B, 2, steps + 1, n) with B = 1 for a single field: traces[b, 0] is
-    member b's bottom trace and traces[b, 1] its left trace.  The energy log
-    is kept only for a single field.  Returns the step times and the last
-    two fields, u^steps and u^(steps - 1), as views of the ring.
+    member's trace at integer step m into column m % W of traces, shaped
+    (B, 2, W, n) with B = 1 for a single field: traces[b, 0] is member b's
+    bottom trace and traces[b, 1] its left trace.  Without flush, W must
+    be steps + 1, and traces ends up holding every step.  With it,
+    flush(first, window) is called each time the W columns fill and once
+    for the columns left at the end; window, a view of traces, holds steps
+    first, first + 1, ... in its columns.  The energy log is kept only for
+    a single field.  Returns the step times and the last two fields, u^steps
+    and u^(steps - 1), as views of the ring.
     """
     kernel = _Leapfrog(dt, grid, gam, source, u0.shape)
     times = dt * np.arange(steps + 1)
-    record = _trace_recorder(grid, traces.shape[0])
+    record = _trace_recorder(grid)
+    columns = traces if u0.ndim == 3 else traces[0]
+    width = traces.shape[2]
+
+    def put(m: int, u: np.ndarray):
+        record(u, columns[..., m % width, :])
+        if flush is not None and (m + 1) % width == 0:
+            flush(m + 1 - width, traces)
 
     u_prev, u_curr = kernel.fields[0], kernel.fields[1]
     u_prev[...] = u0
     grid.zero_dirichlet(u_prev)
-    record(u_prev, traces[:, :, 0])
+    put(0, u_prev)
     if log is not None:
         log.energy(0, u_prev, u1, 1.0)
     u_curr[...] = start_step(u_prev, u1, dt, grid, gam, source)
@@ -623,13 +659,16 @@ def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam: np.ndarray, grid: Grid2D
 
     for m in range(1, steps):
         u_next, u_curr, u_prev = kernel.advance(times[m])
-        record(u_curr, traces[:, :, m])
+        put(m, u_curr)
         if log is not None:
             log.step(m, u_next, u_curr, u_prev)
         if m % 128 == 0 and not np.isfinite(u_next).all():
             raise NumericalError(f"field blew up at step {m} (t = {times[m]:.3f})")
 
-    record(u_next, traces[:, :, steps])
+    put(steps, u_next)
+    left = (steps + 1) % width
+    if flush is not None and left:
+        flush(steps + 1 - left, traces[:, :, :left])
     if not np.isfinite(u_next).all():
         raise NumericalError("final field contains non-finite values")
     return times, u_next, u_curr
@@ -695,9 +734,9 @@ def undamped_mode_trace(mode: ModeIndex, grid: Grid2D, tau: float,
     mu = (4.0 / grid.h ** 2) * (math.sin((mode.k + 0.5) * half_h) ** 2
                                 + math.sin((mode.l + 0.5) * half_h) ** 2)
     theta = 2.0 * math.asin(0.5 * dt * math.sqrt(mu))
-    start = np.empty((1, 2, grid.n))
-    _trace_recorder(grid, 1)(mode_field(mode, grid), start)
-    return np.cos(theta * np.arange(steps + 1)), start[0]
+    start = np.empty((2, grid.n))
+    _trace_recorder(grid)(mode_field(mode, grid), start)
+    return np.cos(theta * np.arange(steps + 1)), start
 
 
 def solve_from_mode(a: DampingPair, mode: ModeIndex, grid: Grid2D, tau: float,
@@ -709,7 +748,9 @@ def solve_from_mode(a: DampingPair, mode: ModeIndex, grid: Grid2D, tau: float,
 
 def solve_modes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], grid: Grid2D,
                 tau: float, dt_factor: float = 0.5,
-                out: Optional[np.ndarray] = None) -> List[BoundaryTrace]:
+                out: Optional[np.ndarray] = None,
+                reduce: Optional[Callable[[int, int, np.ndarray], None]] = None,
+                ) -> Optional[List[BoundaryTrace]]:
     """Traces of the solves from (mode shape, 0), one per damping pair and mode, as one batch.
 
     The members run damping-major: member b = i * len(modes) + j solves
@@ -718,11 +759,20 @@ def solve_modes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], gri
     members step together, at most BATCH_NODE_CAP // n^2 at a time, and
     record into out, shaped (B, 2, steps + 1, n) and allocated when None;
     member b's trace has out[b] as its sides.
+
+    With reduce, no trace is kept and None is returned: each chunk of
+    members records into its own window of TRACE_WINDOW steps and calls
+    reduce(start, first, window) each time the window fills and once at
+    the end, window[c] holding steps first, first + 1, ... of member
+    start + c.  The window is overwritten after the call returns.
     """
     steps, dt = _time_step(tau, grid.h, dt_factor)
     n, members = grid.n, len(dampings) * len(modes)
     shape = (members, 2, steps + 1, n)
-    if out is None:
+    if reduce is not None:
+        if out is not None:
+            raise ValueError("a reduced batch records into no trace buffer")
+    elif out is None:
         out = np.empty(shape)
     elif out.shape != shape:
         raise ValueError(f"trace buffer must be shaped {shape}, got {out.shape}")
@@ -736,8 +786,15 @@ def solve_modes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], gri
     chunk = max(1, BATCH_NODE_CAP // n ** 2)
     for start in range(0, members, chunk):
         stop = min(start + chunk, members)
+        if reduce is None:
+            traces, flush = out[start:stop], None
+        else:
+            traces = np.empty((stop - start, 2, min(TRACE_WINDOW, steps + 1), n))
+            flush = lambda first, window, start=start: reduce(start, first, window)
         times, _, _ = _leapfrog_loop(u0[start:stop], np.zeros((stop - start, n, n)),
-                                     gam[start:stop], grid, steps, dt, out[start:stop])
+                                     gam[start:stop], grid, steps, dt, traces, flush=flush)
+    if reduce is not None:
+        return None
     return [BoundaryTrace(times=times, sides=sides, dt=dt, tau=tau) for sides in out]
 
 

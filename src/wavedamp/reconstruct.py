@@ -14,12 +14,21 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import RegimeError, ResolutionError
-from .forward import BoundaryTrace, damping_rate, solve_modes, step_count, undamped_mode_trace
+from .forward import (
+    BoundaryTrace,
+    _time_step,
+    damping_rate,
+    solve_modes,
+    step_count,
+    step_quadrature,
+    time_quadrature,
+    undamped_mode_trace,
+)
 from .grid import Grid2D
 from .spectral import (
     DampingPair,
@@ -83,16 +92,19 @@ class UndampedReference:
         """The trace, materialized and shaped (2, steps + 1, n) like BoundaryTrace.sides."""
         return self.start[:, None, :] * self.profile[:, None]
 
-    def subtract_from(self, sides: np.ndarray) -> np.ndarray:
+    def subtract_from(self, sides: np.ndarray, first: Optional[int] = None) -> np.ndarray:
         """sides minus the trace, in place, one side at a time; sides is (..., 2, steps + 1, n).
 
-        The same bits as sides - self.sides, without a trace-sized temporary.
+        With first, sides is a window (..., 2, k, n) of steps first to
+        first + k - 1.  The same bits as subtracting those steps of
+        self.sides, without a trace-sized temporary.
         """
-        if sides.shape[-3:] != (2,) + self.profile.shape + self.start.shape[1:]:
+        profile = self.profile if first is None else self.profile[first:first + sides.shape[-2]]
+        if sides.shape[-3:] != (2,) + profile.shape + self.start.shape[1:]:
             raise ValueError("traces must come from matching discretizations")
         for side, start in enumerate(self.start):
             target = sides[..., side, :, :]
-            np.subtract(target, np.multiply.outer(self.profile, start), out=target)
+            np.subtract(target, np.multiply.outer(profile, start), out=target)
         return sides
 
     def l2_norm(self) -> float:
@@ -180,18 +192,6 @@ def _solve_probes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], t
     return traces
 
 
-def _measurement(mode: ModeIndex, damped: BoundaryTrace,
-                 reference: UndampedReference) -> ModalMeasurement:
-    """The measurement damped - reference, formed in place on the damped trace's arrays.
-
-    The same bits as damped.difference(reference), without a trace-sized copy.
-    """
-    reference.subtract_from(damped.sides)
-    diff = BoundaryTrace(times=damped.times, sides=damped.sides, dt=damped.dt, tau=damped.tau)
-    return ModalMeasurement(mode=mode, trace=diff, trace_norm=diff.l2_norm(),
-                            reference=reference)
-
-
 def probe_mode(a: DampingPair, mode: ModeIndex, tau: float, grid: Grid2D,
                dt_factor: float = 0.5,
                reference: Optional[UndampedReference] = None) -> ModalMeasurement:
@@ -199,12 +199,15 @@ def probe_mode(a: DampingPair, mode: ModeIndex, tau: float, grid: Grid2D,
 
     reference is the undamped trace of the same probe; when not given, it
     is formed here in closed form (reference_solution).  The damped probe
-    is a batch of one.
+    is a batch of one, and the measurement is formed in place on its
+    trace: the same bits as damped.difference(reference), without a copy.
     """
     if reference is None:
         reference = reference_solution(mode, tau, grid, dt_factor)
     damped, = _solve_probes([a], [mode], tau, grid, dt_factor)
-    return _measurement(mode, damped, reference)
+    reference.subtract_from(damped.sides)
+    return ModalMeasurement(mode=mode, trace=damped, trace_norm=damped.l2_norm(),
+                            reference=reference)
 
 
 # ---------------------------------------------------------------------------
@@ -330,36 +333,68 @@ def graph_norm(mode: ModeIndex) -> float:
 class GapEstimate:
     """Finite-probe lower bound used as the working operator-gap estimate.
 
-    measurements holds each probe mode's measurement, keyed by mode in probing order.
+    norms holds each probe mode's trace norm, and measurements the whole
+    measurement of each mode the estimate kept, both keyed by mode in
+    probing order.
     """
 
+    norms: Dict[ModeIndex, float]
     measurements: Dict[ModeIndex, ModalMeasurement]
 
     @property
     def value(self) -> float:
         """Largest ratio of trace norm to graph norm among the probes."""
-        return max(meas.trace_norm / graph_norm(mode) for mode, meas in self.measurements.items())
+        return max(norm / graph_norm(mode) for mode, norm in self.norms.items())
 
 
 def estimate_gap(a: DampingPair, probe_budget: int, tau: float, grid: Grid2D,
                  dt_factor: float = 0.5,
-                 references: Optional[Dict[ModeIndex, UndampedReference]] = None) -> GapEstimate:
+                 references: Optional[Dict[ModeIndex, UndampedReference]] = None,
+                 keep: Optional[Collection[ModeIndex]] = None) -> GapEstimate:
     """Max over probe modes of trace norm over graph norm of the probe.
 
-    The modes {0..probe_budget}^2 are probed as one batch; references maps
-    a mode to its undamped trace (reference_solution), and the modes it
+    The modes {0..probe_budget}^2 are probed as one reduced batch of
+    solve_modes: each window of steps is differenced against its reference
+    and reduced to its per-step norms, so no probe's trace is held whole
+    unless its mode is in keep (every mode when None).  Each norm has the
+    bits of probe_mode's trace_norm, and a damping that is identically zero
+    on the grid is not stepped: its norms are exactly 0.  references maps a
+    mode to its undamped trace (reference_solution), and the modes it
     lacks get theirs here, in closed form.
     """
     if probe_budget < 0:
         raise ValueError("probe budget must be nonnegative")
     modes = [ModeIndex(k, l) for k in range(probe_budget + 1) for l in range(probe_budget + 1)]
-    damped = _solve_probes([a], modes, tau, grid, dt_factor)
+    for mode in modes:
+        _check_probe_resolution(grid, mode)
     refs = dict(references) if references else {}
     missing = [mode for mode in modes if mode not in refs]
     if missing:
         refs.update(_reference_traces(missing, tau, grid, dt_factor))
-    return GapEstimate({mode: _measurement(mode, trace, refs[mode])
-                        for mode, trace in zip(modes, damped)})
+    steps, dt = _time_step(tau, grid.h, dt_factor)
+    if any(refs[mode].profile.shape != (steps + 1,) for mode in modes):
+        raise ValueError("traces must come from matching discretizations")
+    kept = {j: np.zeros((2, steps + 1, grid.n)) for j, mode in enumerate(modes)
+            if keep is None or mode in keep}
+    per_step = np.zeros((len(modes), steps + 1))
+
+    def reduce(start: int, first: int, window: np.ndarray):
+        last = first + window.shape[2]
+        for j, sides in enumerate(window, start):
+            refs[modes[j]].subtract_from(sides, first)
+            if j in kept:
+                kept[j][:, first:last] = sides
+            per_step[j, first:last] = step_quadrature(sides)
+
+    if damping_rate(a, grid).any():
+        solve_modes([a], modes, grid, tau, dt_factor, reduce=reduce)
+    norms = {mode: time_quadrature(per_step[j], dt) for j, mode in enumerate(modes)}
+    times = dt * np.arange(steps + 1)
+    return GapEstimate(norms, {
+        modes[j]: ModalMeasurement(mode=modes[j], trace_norm=norms[modes[j]],
+                                   trace=BoundaryTrace(times=times, sides=sides, dt=dt, tau=tau),
+                                   reference=refs[modes[j]])
+        for j, sides in kept.items()})
 
 
 def select_truncation(c_cal: float, m: float, trunc_rate: float, delta: float) -> int:
@@ -487,8 +522,9 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
         raise ValueError("sweep family must be strictly positive for the stability bound")
 
     def member_record(eps: float, member: DampingPair) -> dict:
-        # the member's measurements are released on return, before the next member probes
-        gap = estimate_gap(member, probe_budget, tau, grid, dt_factor, references=references)
+        # only the recovery mode's trace is held whole, and it is released on return
+        gap = estimate_gap(member, probe_budget, tau, grid, dt_factor, references=references,
+                           keep={recovery_mode})
         y1, y2 = time_project(gap.measurements[recovery_mode])
         estimate = linearized_recover(y1, y2, recovery_mode, guard)
         recon_err = damping_l2_error(estimate, member, guard)

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from wavedamp import forward
 from wavedamp.errors import NumericalError
 from wavedamp.forward import (
+    TRACE_WINDOW,
     _mirror_second_difference,
     _neighbour_sum,
     _stiffness_bilinear,
@@ -26,6 +27,7 @@ from wavedamp.forward import (
     start_step,
     step,
     step_count,
+    step_quadrature,
     stiffness_dual_norm,
     stiffness_energy,
     undamped_mode_trace,
@@ -181,6 +183,14 @@ class TestScheme:
         sides[side, 3, 4] = bad
         with pytest.raises(NumericalError, match="non-finite"):
             BoundaryTrace(times=times, sides=sides, dt=0.25, tau=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200], ids=["nan", "inf", "overflow"])
+    def test_non_finite_window_norm_raises(self, bad):
+        # a reduced batch's windows are never BoundaryTraces; their norms are checked instead
+        window = np.ones((2, 3, 17))
+        window[1, 2, 5] = bad
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
+            step_quadrature(window)
 
     @pytest.mark.parametrize("shape", [(3, 5, 17), (1, 5, 17), (5, 17), (2, 5, 17, 1)])
     def test_trace_needs_two_sides(self, shape):
@@ -455,6 +465,41 @@ def test_trace_is_linear_in_initial_data(alpha, beta, u_coeffs, w_coeffs, dampin
 
 
 coefficient_part = st.floats(0.0, 1.0)
+
+
+def test_step_quadrature_of_a_trace_is_that_of_its_windows():
+    # a BLAS product rounds a row by where it falls in the product: over all 65 steps
+    # of this trace, the last step rounds otherwise than it does alone
+    grid = Grid2D(65)
+    a = DampingPair.from_callables(lambda s: 0.1 * (2 + s), lambda s: 0.2 * np.ones_like(s))
+    sides = solve_from_mode(a, ModeIndex(1, 1), grid, 0.3505).trace.sides
+    assert sides.shape[1] == TRACE_WINDOW + 1
+    windows = [step_quadrature(sides[:, first:first + TRACE_WINDOW]) for first in (0, TRACE_WINDOW)]
+    assert step_quadrature(sides).tobytes() == np.concatenate(windows).tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 5, 46, 47, 64])
+def test_reduced_batch_hands_on_every_step_once(width, monkeypatch):
+    # 46 steps: windows that divide the steps, the steps and one, neither, and none
+    grid = Grid2D(17)
+    pairs = [DampingPair.constant(0.2), DampingPair.constant(0.1)]
+    modes = [ModeIndex(0, 0), ModeIndex(1, 0)]
+    stored = np.stack([trace.sides for trace in solve_modes(pairs, modes, grid, 1.0)])
+    monkeypatch.setattr(forward, "TRACE_WINDOW", width)
+    monkeypatch.setattr(forward, "BATCH_NODE_CAP", 3 * grid.n ** 2)
+    streamed = np.full(stored.shape, np.nan)
+    calls = []
+
+    def reduce(start, first, window):
+        calls.append((start, first))
+        assert window.shape[2] <= width
+        streamed[start:start + window.shape[0], :, first:first + window.shape[2]] = window
+
+    assert solve_modes(pairs, modes, grid, 1.0, reduce=reduce) is None
+    assert streamed.tobytes() == stored.tobytes()
+    assert calls == [(start, first) for start in (0, 3) for first in range(0, 47, width)]
+    with pytest.raises(ValueError, match="no trace buffer"):
+        solve_modes(pairs, modes, grid, 1.0, out=np.empty(stored.shape), reduce=reduce)
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from wavedamp.errors import RegimeError, ResolutionError
-from wavedamp.forward import BoundaryTrace, solve_from_mode, solve_modes
+from wavedamp import forward
+from wavedamp.forward import TRACE_WINDOW, BoundaryTrace, solve_from_mode, solve_modes, step_count
 from wavedamp.grid import Grid2D
 from wavedamp.reconstruct import (
     GN_RTOL,
@@ -252,6 +253,59 @@ class TestGap:
             ratios.append(fresh.trace_norm / graph_norm(mode))
         assert gap.value == max(ratios)
 
+    @pytest.mark.parametrize("tau, case", [(0.3, "shorter_than_a_window"),
+                                           (0.3505, "steps_fill_windows"),
+                                           (0.7, "steps_and_one_fill_windows"),
+                                           (0.6, "generic")])
+    def test_streamed_norms_have_the_stored_bits(self, tau, case):
+        grid = Grid2D(65)
+        steps = step_count(tau, grid.h, 0.5)
+        assert {"shorter_than_a_window": steps + 1 < TRACE_WINDOW,
+                "steps_fill_windows": steps % TRACE_WINDOW == 0,
+                "steps_and_one_fill_windows": (steps + 1) % TRACE_WINDOW == 0,
+                "generic": steps > TRACE_WINDOW and steps % TRACE_WINDOW > 0
+                and (steps + 1) % TRACE_WINDOW > 0}[case]
+        a = DampingPair.from_callables(lambda s: 0.1 * (2 + s), lambda s: 0.2 * np.ones_like(s))
+        kept = ModeIndex(1, 0)
+        gap = estimate_gap(a, 1, tau, grid, keep={kept})
+        assert list(gap.measurements) == [kept]
+        for mode, norm in gap.norms.items():
+            stored = probe_mode(a, mode, tau, grid)
+            assert norm == stored.trace_norm
+            if mode == kept:
+                assert gap.measurements[mode].trace_norm == norm
+                assert gap.measurements[mode].trace.sides.tobytes() == stored.trace.sides.tobytes()
+
+    def test_chunked_batch_gives_the_same_bits(self, monkeypatch):
+        grid = Grid2D(17)
+        a = DampingPair.constant(0.2)
+        whole = estimate_gap(a, 1, 2.2, grid)
+        monkeypatch.setattr(forward, "BATCH_NODE_CAP", 3 * grid.n ** 2)
+        members = count_probe_solves(monkeypatch)
+        chunked = estimate_gap(a, 1, 2.2, grid)
+        assert len(members) == 4
+        assert chunked.norms == whole.norms
+        for mode, meas in whole.measurements.items():
+            assert chunked.measurements[mode].trace.sides.tobytes() == meas.trace.sides.tobytes()
+
+    def test_zero_damping_is_not_stepped_and_its_norms_are_zero(self, monkeypatch):
+        grid = Grid2D(17)
+        members = count_probe_solves(monkeypatch)
+        gap = estimate_gap(DampingPair.zero(), 1, 1.0, grid, keep={ModeIndex(0, 0)})
+        assert members == []
+        assert list(gap.norms.values()) == [0.0] * 4
+        assert not gap.measurements[ModeIndex(0, 0)].trace.sides.any()
+
+    def test_references_must_match_the_horizon(self):
+        # a zero damping steps nothing, so nothing else would notice
+        grid = Grid2D(17)
+        modes = [ModeIndex(k, l) for k in range(2) for l in range(2)]
+        refs = {mode: reference_solution(mode, 1.0, grid) for mode in modes}
+        with pytest.raises(ValueError, match="matching discretizations"):
+            estimate_gap(DampingPair.zero(), 1, 2.0, grid, references=refs)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            estimate_gap(DampingPair.zero(), 1, -1.0, grid, references=refs)
+
     def test_graph_norm_value(self):
         lam = eigenpair(ModeIndex(0, 0)).eigenvalue
         assert graph_norm(ModeIndex(0, 0)) == pytest.approx(math.sqrt(lam + lam * lam))
@@ -381,8 +435,9 @@ class TestSweep:
         assert references == []
 
     def test_sweep_holds_no_reference_trace(self):
-        # a member's four damped traces take 0.73 MB here, and materialized references
-        # as many again: measured peaks 1.39 MB, and 2.11 MB with references solved
+        # a member's four damped traces take 0.73 MB here; streamed, a member holds a
+        # window of them and its recovery trace: measured peaks 0.84 MB, 1.39 MB with
+        # the traces stored, and 2.11 MB with references solved as well
         grid = Grid2D(33)
         family = [DampingPair.constant(0.1).scaled(e) for e in (0.4, 0.2)]
         stability_sweep(family, [0.4, 0.2], 0.25, grid, probe_budget=1)  # first-call set-up
@@ -392,7 +447,28 @@ class TestSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.75 * 2 ** 20
+        assert peak < 1.0 * 2 ** 20
+
+    def test_sweep_peak_grows_with_the_budget_by_no_trace(self):
+        # budget 3 adds twelve probes to budget 1, and so their stepping state to each
+        # batch.  Stored, their traces would also grow that step with tau: 1.11 MB more
+        # at tau = 4 than at tau = 2 (measured).  Streamed, the growth at both horizons
+        # is the same to within one window of the budget-3 batch (measured 0.04 MB)
+        grid = Grid2D(33)
+        family = [DampingPair.constant(0.1).scaled(e) for e in (0.4, 0.2)]
+        stability_sweep(family, [0.4, 0.2], 0.25, grid, probe_budget=3)  # first-call set-up
+
+        def peak(tau, budget):
+            tracemalloc.start()
+            try:
+                stability_sweep(family, [0.4, 0.2], tau, grid, probe_budget=budget)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = {tau: peak(tau, 3) - peak(tau, 1) for tau in (2.0, 4.0)}
+        window = 16 * 2 * TRACE_WINDOW * grid.n * 8
+        assert abs(growth[4.0] - growth[2.0]) < window
 
     def test_unusable_recovery_mode_rejected_before_any_solve(self, monkeypatch):
         grid = Grid2D(33)
