@@ -12,8 +12,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ObservabilityFailure
-from .forward import mode_field, solve_modes, stiffness_energy
+from .errors import ObservabilityFailure, ResolutionError
+from .forward import (
+    _time_step,
+    mode_field,
+    solve_modes,
+    step_quadrature,
+    stiffness_energy,
+    time_quadrature,
+)
 from .grid import Grid2D
 from .spectral import DampingPair, ModeIndex
 
@@ -62,7 +69,8 @@ def fit_decay(times: np.ndarray, energies: np.ndarray) -> DecayFit:
     window = (SKIP_FRACTION * times[-1], times[-1])
     keep = (times >= window[0]) & (times <= window[1])
     if keep.sum() < 8:
-        raise ValueError("window too short for a decay fit")
+        raise ResolutionError(f"window too short for a decay fit: {keep.sum()} samples in "
+                              f"[{window[0]:.3g}, {window[1]:.3g}], need 8")
     t = times[keep]
     log_amp = 0.5 * np.log(2.0 * energies[keep])
     design = np.vstack([t, np.ones_like(t)]).T
@@ -89,8 +97,8 @@ def estimate_observability(a: DampingPair, tau: float, probes: Iterable[ModeInde
     """Estimate the observability constant from modal probes.
 
     For each probe mode, solve with initial data (mode shape, 0), all
-    probes as one batch, and form
-    ||(u0, u1)|| / ||trace||; the estimate is the worst ratio.  A probe
+    probes as one reduced batch, and form ||(u0, u1)|| / ||trace|| from
+    each window's per-step norms; the estimate is the worst ratio.  A probe
     whose trace norm falls below TRACE_FLOOR_FRAC of its initial norm signals
     an observability failure (this is what happens for vanishing damping,
     where the modal traces sit at the discretization floor).
@@ -98,11 +106,19 @@ def estimate_observability(a: DampingPair, tau: float, probes: Iterable[ModeInde
     probes = list(probes)
     if not probes:
         raise ValueError("need at least one probe mode")
+    steps, dt = _time_step(tau, grid.h, dt_factor)
+    per_step = np.empty((len(probes), steps + 1))
+
+    def reduce(start: int, first: int, window: np.ndarray):
+        for j, sides in enumerate(window, start):
+            per_step[j, first:first + sides.shape[1]] = step_quadrature(sides)
+
+    solve_modes([a], probes, grid, tau, dt_factor, reduce=reduce)
     ratios = []
-    for mode, trace in zip(probes, solve_modes([a], probes, grid, tau, dt_factor)):
+    for mode, row in zip(probes, per_step):
         # the data start at rest, so twice the initial energy is the stiffness term
         init_norm = math.sqrt(stiffness_energy(mode_field(mode, grid), grid))
-        trace_norm = trace.l2_norm()
+        trace_norm = time_quadrature(row, dt)
         if trace_norm < TRACE_FLOOR_FRAC * init_norm:
             raise ObservabilityFailure(
                 f"probe ({mode.k},{mode.l}) trace norm {trace_norm:.3e} below "
@@ -112,4 +128,3 @@ def estimate_observability(a: DampingPair, tau: float, probes: Iterable[ModeInde
     kappa = max(r for _, r in ratios)
     return ObservabilityReport(kappa_est=float(kappa), ratios=tuple(ratios),
                                tau=tau, grid_n=grid.n)
-

@@ -18,7 +18,7 @@ class NumericalError(WavedampError):
 
 
 class ResolutionError(WavedampError):
-    """Grid or sample count too coarse to resolve the requested mode."""
+    """Grid, sample count or horizon too coarse to resolve the requested mode or fit."""
 
 
 class RegimeError(WavedampError):

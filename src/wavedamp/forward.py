@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -593,7 +593,7 @@ def step_count(tau: float, h: float, dt_factor: float) -> int:
 
 
 def _time_step(tau: float, h: float, dt_factor: float) -> Tuple[int, float]:
-    """Step count and step of a solve to tau, checked against the CFL bound."""
+    """Step count and step of a solve to tau, checked against the CFL bound and for underflow."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     if not 0.0 < dt_factor <= 0.5:
@@ -601,6 +601,8 @@ def _time_step(tau: float, h: float, dt_factor: float) -> Tuple[int, float]:
     steps = step_count(tau, h, dt_factor)
     dt = tau / steps
     _check_cfl(dt, h)
+    if dt * dt < np.finfo(float).tiny:
+        raise NumericalError(f"dt = {dt:.3e} squares below the smallest normal double; raise tau")
     return steps, dt
 
 
@@ -623,9 +625,10 @@ def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam: np.ndarray, grid: Grid2D
                    flush: Optional[Callable[[int, np.ndarray], None]] = None):
     """The time loop of every solve, over one (n, n) field or a (B, n, n) batch.
 
-    u0 is copied into the kernel's ring and pinned there; u1 must vanish on
-    the Dirichlet sides.  gam is the friction's side vectors, (2, n) for
-    every member or (B, 2, n) per member (see _Leapfrog).  Records each
+    u0 is copied into the kernel's ring and pinned there; u1, of u0's shape
+    or one (n, n) field for every member, must vanish on the Dirichlet
+    sides.  gam is the friction's side vectors, (2, n) for every member or
+    (B, 2, n) per member (see _Leapfrog).  Records each
     member's trace at integer step m into column m % W of traces, shaped
     (B, 2, W, n) with B = 1 for a single field: traces[b, 0] is member b's
     bottom trace and traces[b, 1] its left trace.  Without flush, W must
@@ -747,35 +750,22 @@ def solve_from_mode(a: DampingPair, mode: ModeIndex, grid: Grid2D, tau: float,
 
 
 def solve_modes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], grid: Grid2D,
-                tau: float, dt_factor: float = 0.5,
-                out: Optional[np.ndarray] = None,
-                reduce: Optional[Callable[[int, int, np.ndarray], None]] = None,
-                ) -> Optional[List[BoundaryTrace]]:
-    """Traces of the solves from (mode shape, 0), one per damping pair and mode, as one batch.
+                tau: float, dt_factor: float = 0.5, *,
+                reduce: Callable[[int, int, np.ndarray], None]) -> None:
+    """The solves from (mode shape, 0), one per damping pair and mode, as one reduced batch.
 
     The members run damping-major: member b = i * len(modes) + j solves
     modes[j] under dampings[i], and its trace is bit-identical to that of
     solve_from_mode(dampings[i], modes[j], grid, tau, dt_factor).  The
-    members step together, at most BATCH_NODE_CAP // n^2 at a time, and
-    record into out, shaped (B, 2, steps + 1, n) and allocated when None;
-    member b's trace has out[b] as its sides.
-
-    With reduce, no trace is kept and None is returned: each chunk of
-    members records into its own window of TRACE_WINDOW steps and calls
-    reduce(start, first, window) each time the window fills and once at
-    the end, window[c] holding steps first, first + 1, ... of member
-    start + c.  The window is overwritten after the call returns.
+    members step together, at most BATCH_NODE_CAP // n^2 at a time, and no
+    trace is kept: each chunk of members records into its own window of
+    TRACE_WINDOW steps and calls reduce(start, first, window) each time the
+    window fills and once at the end, window[c] holding steps first,
+    first + 1, ... of member start + c.  The window is overwritten after
+    the call returns.
     """
     steps, dt = _time_step(tau, grid.h, dt_factor)
     n, members = grid.n, len(dampings) * len(modes)
-    shape = (members, 2, steps + 1, n)
-    if reduce is not None:
-        if out is not None:
-            raise ValueError("a reduced batch records into no trace buffer")
-    elif out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise ValueError(f"trace buffer must be shaped {shape}, got {out.shape}")
     # each damping's friction, repeated across the modes, and the mode stack, repeated
     # across the dampings; each is a view when there is one damping or one mode.  The
     # loop copies each chunk into its own ring, so the repeats may share memory
@@ -786,16 +776,9 @@ def solve_modes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], gri
     chunk = max(1, BATCH_NODE_CAP // n ** 2)
     for start in range(0, members, chunk):
         stop = min(start + chunk, members)
-        if reduce is None:
-            traces, flush = out[start:stop], None
-        else:
-            traces = np.empty((stop - start, 2, min(TRACE_WINDOW, steps + 1), n))
-            flush = lambda first, window, start=start: reduce(start, first, window)
-        times, _, _ = _leapfrog_loop(u0[start:stop], np.zeros((stop - start, n, n)),
-                                     gam[start:stop], grid, steps, dt, traces, flush=flush)
-    if reduce is not None:
-        return None
-    return [BoundaryTrace(times=times, sides=sides, dt=dt, tau=tau) for sides in out]
+        window = np.empty((stop - start, 2, min(TRACE_WINDOW, steps + 1), n))
+        _leapfrog_loop(u0[start:stop], np.zeros((n, n)), gam[start:stop], grid, steps, dt, window,
+                       flush=lambda first, part, start=start: reduce(start, first, part))
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,19 @@ available on top of the linearized estimate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import RegimeError, ResolutionError
 from .forward import (
+    TRACE_WINDOW,
     BoundaryTrace,
     _time_step,
     damping_rate,
     solve_modes,
-    step_count,
     step_quadrature,
     time_quadrature,
     undamped_mode_trace,
@@ -76,7 +75,7 @@ class UndampedReference:
     """The undamped trace of one probe mode, held as the rank-one product profile[m] * start[side].
 
     profile, shaped (steps + 1,), and start, shaped (2, n), are the closed
-    form of forward.undamped_mode_trace; the trace is never stored whole.
+    form of forward.undamped_mode_trace; a probe subtracts it a window at a time.
     """
 
     profile: np.ndarray
@@ -92,14 +91,13 @@ class UndampedReference:
         """The trace, materialized and shaped (2, steps + 1, n) like BoundaryTrace.sides."""
         return self.start[:, None, :] * self.profile[:, None]
 
-    def subtract_from(self, sides: np.ndarray, first: Optional[int] = None) -> np.ndarray:
-        """sides minus the trace, in place, one side at a time; sides is (..., 2, steps + 1, n).
+    def subtract_from(self, sides: np.ndarray, first: int) -> np.ndarray:
+        """sides minus steps first to first + k - 1 of the trace, in place; sides is (..., 2, k, n).
 
-        With first, sides is a window (..., 2, k, n) of steps first to
-        first + k - 1.  The same bits as subtracting those steps of
-        self.sides, without a trace-sized temporary.
+        The same bits as subtracting those steps of self.sides, one side at
+        a time, without a trace-sized temporary.
         """
-        profile = self.profile if first is None else self.profile[first:first + sides.shape[-2]]
+        profile = self.profile[first:first + sides.shape[-2]]
         if sides.shape[-3:] != (2,) + profile.shape + self.start.shape[1:]:
             raise ValueError("traces must come from matching discretizations")
         for side, start in enumerate(self.start):
@@ -136,15 +134,6 @@ class ModalMeasurement:
         return self.reference.l2_norm()
 
 
-def _check_probe_resolution(grid: Grid2D, mode: ModeIndex):
-    # at least 8 nodes per half-period of the fastest direction
-    need = 8 * (max(mode.k, mode.l) + 0.5) + 1
-    if grid.n < need:
-        raise ResolutionError(
-            f"grid n = {grid.n} cannot resolve probe mode ({mode.k},{mode.l}); need n >= {math.ceil(need)}"
-        )
-
-
 def reference_solution(mode: ModeIndex, tau: float, grid: Grid2D,
                        dt_factor: float = 0.5) -> UndampedReference:
     """The undamped trace of one probe mode (the measurement reference), in closed form."""
@@ -153,43 +142,77 @@ def reference_solution(mode: ModeIndex, tau: float, grid: Grid2D,
 
 def _reference_traces(modes: Sequence[ModeIndex], tau: float, grid: Grid2D,
                       dt_factor: float = 0.5) -> Dict[ModeIndex, UndampedReference]:
-    """Closed-form undamped traces of the probe modes, once the grid is checked to resolve each."""
-    for mode in modes:
-        _check_probe_resolution(grid, mode)
+    """Closed-form undamped traces of the probe modes."""
     return {mode: UndampedReference(*undamped_mode_trace(mode, grid, tau, dt_factor), tau)
             for mode in modes}
 
 
-def _solve_probes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], tau: float,
-                  grid: Grid2D, dt_factor: float,
-                  out: Optional[np.ndarray] = None) -> List[BoundaryTrace]:
-    """solve_modes over the probe modes, after checking that the grid resolves each.
+def _probe(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex],
+           references: Sequence[UndampedReference], tau: float, grid: Grid2D, dt_factor: float,
+           take: Callable[[int, int, int, np.ndarray], None]):
+    """Every probe of modes[j] under dampings[i], minus references[j], handed on window by window.
 
-    Members run damping-major into out, as in solve_modes.  A damping that
-    is identically zero on the grid is not stepped: its members are written
-    from the closed-form reference, so such a probe minus its reference is
-    exactly zero.  Each run of consecutive other dampings is one batch.
+    Checks first that the grid resolves each mode and that each reference
+    has the horizon's steps + 1 samples on the grid's nodes.  A damping
+    identically zero on the grid is not stepped: its probe is the closed
+    form of forward.undamped_mode_trace.  The rest run as one reduced batch.
+    Steps first to first + k - 1 of a probe, first a multiple of
+    TRACE_WINDOW, are handed on once, as take(i, j, first, sides) with sides
+    shaped (2, k, n) and overwritten after the call returns.
     """
     for mode in modes:
-        _check_probe_resolution(grid, mode)
-    if out is None:
-        steps = step_count(tau, grid.h, dt_factor)
-        out = np.empty((len(dampings) * len(modes), 2, steps + 1, grid.n))
-    rows = out.reshape(len(dampings), len(modes), *out.shape[1:])
-    traces, first = [], 0
-    for undamped, run in itertools.groupby(not damping_rate(a, grid).any() for a in dampings):
-        last = first + len(list(run))
-        block = rows[first:last].reshape((-1,) + out.shape[1:])
-        if undamped:
-            refs = _reference_traces(modes, tau, grid, dt_factor)
-            rows[first:last] = [refs[mode].sides for mode in modes]
-            dt = refs[modes[0]].dt
-            traces += [BoundaryTrace(times=dt * np.arange(out.shape[2]), sides=sides, dt=dt,
-                                     tau=tau) for sides in block]
-        else:
-            traces += solve_modes(dampings[first:last], modes, grid, tau, dt_factor, block)
-        first = last
-    return traces
+        # at least 8 nodes per half-period of the fastest direction
+        need = 8 * (max(mode.k, mode.l) + 0.5) + 1
+        if grid.n < need:
+            raise ResolutionError(f"grid n = {grid.n} cannot resolve probe mode "
+                                  f"({mode.k},{mode.l}); need n >= {math.ceil(need)}")
+    steps, _ = _time_step(tau, grid.h, dt_factor)
+    if any(ref.profile.shape != (steps + 1,) or ref.start.shape != (2, grid.n)
+           for ref in references):
+        raise ValueError("traces must come from matching discretizations")
+    stepped = [i for i, a in enumerate(dampings) if damping_rate(a, grid).any()]
+    for i in sorted(set(range(len(dampings))) - set(stepped)):
+        for j, mode in enumerate(modes):
+            profile, start = undamped_mode_trace(mode, grid, tau, dt_factor)
+            for first in range(0, steps + 1, TRACE_WINDOW):
+                sides = start[:, None, :] * profile[first:first + TRACE_WINDOW, None]
+                take(i, j, first, references[j].subtract_from(sides, first))
+
+    def reduce(start: int, first: int, window: np.ndarray):
+        for b, sides in enumerate(window, start):
+            i, j = divmod(b, len(modes))
+            take(stepped[i], j, first, references[j].subtract_from(sides, first))
+
+    if stepped:
+        solve_modes([dampings[i] for i in stepped], modes, grid, tau, dt_factor, reduce=reduce)
+
+
+def _measure(a: DampingPair, modes: Sequence[ModeIndex],
+             references: Dict[ModeIndex, UndampedReference], tau: float, grid: Grid2D,
+             dt_factor: float, keep: Collection[ModeIndex]) -> GapEstimate:
+    """The trace norm of each mode's probe under a, and the whole measurement of each mode in keep.
+
+    Each window is reduced to its per-step quadrature as it is handed on,
+    so a norm has the bits of the whole trace's l2_norm.
+    """
+    steps, dt = _time_step(tau, grid.h, dt_factor)
+    kept = {j: np.empty((2, steps + 1, grid.n)) for j, mode in enumerate(modes) if mode in keep}
+    per_step = np.empty((len(modes), steps + 1))
+
+    def take(i: int, j: int, first: int, sides: np.ndarray):
+        last = first + sides.shape[1]
+        if j in kept:
+            kept[j][:, first:last] = sides
+        per_step[j, first:last] = step_quadrature(sides)
+
+    _probe([a], modes, [references[mode] for mode in modes], tau, grid, dt_factor, take)
+    norms = {mode: time_quadrature(per_step[j], dt) for j, mode in enumerate(modes)}
+    times = dt * np.arange(steps + 1)
+    return GapEstimate(norms, {
+        modes[j]: ModalMeasurement(mode=modes[j], trace_norm=norms[modes[j]],
+                                   trace=BoundaryTrace(times=times, sides=sides, dt=dt, tau=tau),
+                                   reference=references[modes[j]])
+        for j, sides in kept.items()})
 
 
 def probe_mode(a: DampingPair, mode: ModeIndex, tau: float, grid: Grid2D,
@@ -199,15 +222,12 @@ def probe_mode(a: DampingPair, mode: ModeIndex, tau: float, grid: Grid2D,
 
     reference is the undamped trace of the same probe; when not given, it
     is formed here in closed form (reference_solution).  The damped probe
-    is a batch of one, and the measurement is formed in place on its
-    trace: the same bits as damped.difference(reference), without a copy.
+    is a batch of one, differenced against the reference a window at a
+    time: the same bits as damped.difference(reference).
     """
     if reference is None:
         reference = reference_solution(mode, tau, grid, dt_factor)
-    damped, = _solve_probes([a], [mode], tau, grid, dt_factor)
-    reference.subtract_from(damped.sides)
-    return ModalMeasurement(mode=mode, trace=damped, trace_norm=damped.l2_norm(),
-                            reference=reference)
+    return _measure(a, [mode], {mode: reference}, tau, grid, dt_factor, {mode}).measurements[mode]
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +270,8 @@ def time_project(meas: ModalMeasurement):
     wt = trapezoid_weights(t.shape[0]) * meas.trace.dt
     denom = float((wt * env * env * sin_t * sin_t).sum())
     if denom <= 1e-14 * t[-1]:
-        raise ValueError("degenerate projection window")
+        raise ResolutionError(f"degenerate projection window: a horizon of {t[-1]:.3g} cannot "
+                              f"resolve the mode's time profile sin({pair.omega:.3g} t)")
     weight = wt * env * sin_t
     bottom, left = meas.trace.sides
     y1 = (weight @ bottom) / denom
@@ -353,48 +374,21 @@ def estimate_gap(a: DampingPair, probe_budget: int, tau: float, grid: Grid2D,
                  keep: Optional[Collection[ModeIndex]] = None) -> GapEstimate:
     """Max over probe modes of trace norm over graph norm of the probe.
 
-    The modes {0..probe_budget}^2 are probed as one reduced batch of
-    solve_modes: each window of steps is differenced against its reference
-    and reduced to its per-step norms, so no probe's trace is held whole
-    unless its mode is in keep (every mode when None).  Each norm has the
-    bits of probe_mode's trace_norm, and a damping that is identically zero
-    on the grid is not stepped: its norms are exactly 0.  references maps a
-    mode to its undamped trace (reference_solution), and the modes it
-    lacks get theirs here, in closed form.
+    The modes {0..probe_budget}^2 are probed as one reduced batch, as
+    probe_mode probes one: each window of steps is differenced against its
+    reference and reduced to its per-step norms, so no probe's trace is
+    held whole unless its mode is in keep (every mode when None), and each
+    norm has the bits of probe_mode's trace_norm.  references maps a mode
+    to its undamped trace (reference_solution), and the modes it lacks get
+    theirs here, in closed form.
     """
     if probe_budget < 0:
         raise ValueError("probe budget must be nonnegative")
     modes = [ModeIndex(k, l) for k in range(probe_budget + 1) for l in range(probe_budget + 1)]
-    for mode in modes:
-        _check_probe_resolution(grid, mode)
-    refs = dict(references) if references else {}
-    missing = [mode for mode in modes if mode not in refs]
-    if missing:
-        refs.update(_reference_traces(missing, tau, grid, dt_factor))
-    steps, dt = _time_step(tau, grid.h, dt_factor)
-    if any(refs[mode].profile.shape != (steps + 1,) for mode in modes):
-        raise ValueError("traces must come from matching discretizations")
-    kept = {j: np.zeros((2, steps + 1, grid.n)) for j, mode in enumerate(modes)
-            if keep is None or mode in keep}
-    per_step = np.zeros((len(modes), steps + 1))
-
-    def reduce(start: int, first: int, window: np.ndarray):
-        last = first + window.shape[2]
-        for j, sides in enumerate(window, start):
-            refs[modes[j]].subtract_from(sides, first)
-            if j in kept:
-                kept[j][:, first:last] = sides
-            per_step[j, first:last] = step_quadrature(sides)
-
-    if damping_rate(a, grid).any():
-        solve_modes([a], modes, grid, tau, dt_factor, reduce=reduce)
-    norms = {mode: time_quadrature(per_step[j], dt) for j, mode in enumerate(modes)}
-    times = dt * np.arange(steps + 1)
-    return GapEstimate(norms, {
-        modes[j]: ModalMeasurement(mode=modes[j], trace_norm=norms[modes[j]],
-                                   trace=BoundaryTrace(times=times, sides=sides, dt=dt, tau=tau),
-                                   reference=refs[modes[j]])
-        for j, sides in kept.items()})
+    refs = dict(references or {})
+    refs.update(_reference_traces([mode for mode in modes if mode not in refs], tau, grid,
+                                  dt_factor))
+    return _measure(a, modes, refs, tau, grid, dt_factor, modes if keep is None else keep)
 
 
 def select_truncation(c_cal: float, m: float, trunc_rate: float, delta: float) -> int:
@@ -645,6 +639,9 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
     if iters < 0:
         raise ValueError("iters must be nonnegative")
 
+    steps, _ = _time_step(tau, grid.h, dt_factor)
+    if any(meas.trace.sides.shape != (2, steps + 1, grid.n) for meas in measurements):
+        raise ValueError("measurements must come from matching discretizations")
     modes = [meas.mode for meas in measurements]
     size = sum(meas.trace.sides.size for meas in measurements)
 
@@ -652,16 +649,18 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
         """Each pair's residual, simulated minus measured traces, into one row of out.
 
         A row runs measurement by measurement, the bottom side before the
-        left.  The traces are solved as one batch straight into out, shaped
-        (len(pairs), residual length); the probe's reference and the data
-        are then subtracted in place, which rounds as (damped - reference) - data.
+        left, in out shaped (len(pairs), residual length).  The probes run
+        as one batch, and each window, less its reference, has the data
+        subtracted into out: it rounds as (damped - reference) - data.
         """
-        sims = out.reshape(len(pairs), len(modes), 2, -1, grid.n)
-        _solve_probes(pairs, modes, tau, grid, dt_factor,
-                      out=sims.reshape(-1, *sims.shape[2:]))
-        for j, meas in enumerate(measurements):
-            sim = meas.reference.subtract_from(sims[:, j])
-            np.subtract(sim, meas.trace.sides, out=sim)
+        rows = out.reshape(len(pairs), len(modes), 2, steps + 1, grid.n)
+
+        def take(i: int, j: int, first: int, sides: np.ndarray):
+            window = slice(first, first + sides.shape[1])
+            np.subtract(sides, measurements[j].trace.sides[:, window], out=rows[i, j, :, window])
+
+        _probe(pairs, modes, [meas.reference for meas in measurements], tau, grid, dt_factor,
+               take)
         return out
 
     def residual(pair: DampingPair) -> np.ndarray:
@@ -674,7 +673,7 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
     termination = "zero_residual" if best_norm == 0.0 else "max_iters"
 
     for _ in range(iters if best_norm > 0.0 else 0):
-        # the columns' traces are solved as one batch straight into the Jacobian's storage
+        # the columns' probes run as one batch, each window written into its Jacobian slice
         steps_h = np.empty(params.shape[0])
         bumped_pairs = []
         for p in range(params.shape[0]):

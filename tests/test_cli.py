@@ -117,6 +117,24 @@ def test_oversized_run_exit_2_before_any_solve(tmp_path, monkeypatch, capsys, te
     assert f"'{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("forward", "n = 33\ntau = 0.02\n", "window too short for a decay fit"),
+    ("reconstruct", "n = 33\ntau = 1e-12\n", "degenerate projection window"),
+    ("sweep", "n = 33\ntau = 1e-12\n", "degenerate projection window"),
+    ("forward", "n = 17\ntau = 1e-300\n", "squares below the smallest normal double"),
+], ids=["forward-decay-fit", "reconstruct-projection", "sweep-projection", "forward-dt-underflow"])
+def test_short_horizon_exits_1_without_a_traceback(tmp_path, command, text, message):
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(wavedamp.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "wavedamp.cli", command, "--config",
+                          write_cfg(tmp_path, text), "--out", str(out)],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr and len(run.stderr.splitlines()) == 1
+    assert message in run.stderr
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["forward", "reconstruct", "sweep", "verify"])
 def test_non_utf8_config_exit_2(tmp_path, capsys, command):
     cfg = tmp_path / "c.cfg"

@@ -1,0 +1,89 @@
+"""The artifact ledger: the committed artifacts of seed-1 reconstruct and sweep runs.
+
+Each directory under data/ledger holds a workload's config (config.cfg, the
+text the benchmark's make_inputs(workload, 1) writes) and every artifact its
+run writes except manifest.json, which records timings.  The test reruns
+the command in process and fails when any numeric value moves by more than
+RTOL relative, or when a file, a column, a key or a text field changes.  It
+reports, without failing, a file that stays within RTOL but is not
+byte-equal, so a library upgrade that moves only the last bits passes.
+
+A change that moves these numbers on purpose regenerates the ledger: run
+`wavedamp <command> --config config.cfg --out <that directory>` for each
+workload and delete the manifest.json it writes.
+"""
+
+import json
+import warnings
+from pathlib import Path
+
+import pytest
+
+from wavedamp.cli import main
+
+LEDGER = Path(__file__).parent / "data" / "ledger"
+RTOL = 1e-9
+
+
+def _moved(a, b) -> bool:
+    # a NaN on either side counts as moved
+    return not abs(a - b) <= RTOL * max(abs(a), abs(b))
+
+
+def _number(field: str):
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+def _csv_drift(old: str, new: str) -> list:
+    old_rows = [line.split(",") for line in old.splitlines()]
+    new_rows = [line.split(",") for line in new.splitlines()]
+    if [len(row) for row in old_rows] != [len(row) for row in new_rows]:
+        return ["the table's shape"]
+    drift = []
+    for r, (old_row, new_row) in enumerate(zip(old_rows, new_rows)):
+        for c, (a, b) in enumerate(zip(old_row, new_row)):
+            x, y = _number(a), _number(b)
+            if a != b and (x is None or y is None or _moved(x, y)):
+                drift.append(f"row {r} column {c}: {a} -> {b}")
+    return drift
+
+
+def _json_drift(old, new, key="") -> list:
+    if isinstance(old, dict) and isinstance(new, dict):
+        if sorted(old) != sorted(new):
+            return [f"{key or 'top'}: keys {sorted(old)} -> {sorted(new)}"]
+        return [d for k in old for d in _json_drift(old[k], new[k], f"{key}.{k}")]
+    if isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return [f"{key}: length {len(old)} -> {len(new)}"]
+        return [d for i, (a, b) in enumerate(zip(old, new))
+                for d in _json_drift(a, b, f"{key}[{i}]")]
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
+    if old == new or (numbers and not _moved(old, new)):
+        return []
+    return [f"{key}: {old} -> {new}"]
+
+
+@pytest.mark.parametrize("workload", ["reconstruct-n65", "sweep-n65"])
+def test_artifacts_match_the_ledger(workload, tmp_path):
+    entry, out = LEDGER / workload, tmp_path / "out"
+    command = workload.split("-")[0]
+    assert main([command, "--config", str(entry / "config.cfg"), "--out", str(out)]) == 0
+    names = sorted(path.name for path in entry.iterdir() if path.name != "config.cfg")
+    assert sorted(path.name for path in out.iterdir() if path.name != "manifest.json") == names
+    drift, not_byte_equal = [], []
+    for name in names:
+        old, new = (entry / name).read_text(), (out / name).read_text()
+        if old == new:
+            continue
+        not_byte_equal.append(name)
+        moved = (_json_drift(json.loads(old), json.loads(new)) if name.endswith(".json")
+                 else _csv_drift(old, new))
+        drift += [f"{name} {d}" for d in moved]
+    assert drift == []
+    if not_byte_equal:
+        warnings.warn(f"{workload}: within {RTOL:g} relative of the ledger but not byte-equal: "
+                      f"{', '.join(not_byte_equal)}")

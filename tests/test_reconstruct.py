@@ -4,9 +4,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavedamp.errors import RegimeError, ResolutionError
-from wavedamp import forward
+from wavedamp import forward, reconstruct
 from wavedamp.forward import TRACE_WINDOW, BoundaryTrace, solve_from_mode, solve_modes, step_count
 from wavedamp.grid import Grid2D
 from wavedamp.reconstruct import (
@@ -14,7 +15,7 @@ from wavedamp.reconstruct import (
     ModalMeasurement,
     UndampedReference,
     _least_squares_step,
-    _solve_probes,
+    _probe,
     coefficient_bound_constant,
     damping_l2_error,
     estimate_gap,
@@ -39,6 +40,12 @@ from wavedamp.spectral import (
 from wavedamp.forward import stiffness_energy, weighted_l2_sq
 
 
+# two dampings that are identically zero on every grid, a constant and an affine one
+PROBE_DAMPINGS = [DampingPair.zero(), DampingPair.constant(0.0), DampingPair.constant(0.2),
+                  DampingPair.from_callables(lambda s: 0.1 * (2 + s),
+                                             lambda s: 0.2 * np.ones_like(s))]
+
+
 def synthetic_measurement(grid, mode, tau, profile_bottom, profile_left, steps=500):
     """Trace built directly from sin(omega t) times spatial profiles."""
     omega = eigenpair(mode).omega
@@ -59,42 +66,76 @@ class TestProbe:
         reference = reference_solution(mode, 1.0, grid)
         expected = solve_from_mode(a, mode, grid, 1.0).trace
         expected = expected.difference(reference).l2_norm()
-        calls = []
-        real_norm = BoundaryTrace.l2_norm
-        monkeypatch.setattr(BoundaryTrace, "l2_norm",
-                            lambda self: calls.append(self) or real_norm(self))
+        steps, calls = [], []
+        per_step, whole = reconstruct.step_quadrature, reconstruct.time_quadrature
+        monkeypatch.setattr(reconstruct, "step_quadrature",
+                            lambda sides: steps.append(sides.shape[1]) or per_step(sides))
+        monkeypatch.setattr(reconstruct, "time_quadrature",
+                            lambda rows, dt: calls.append(rows.shape) or whole(rows, dt))
+        monkeypatch.setattr(BoundaryTrace, "l2_norm", lambda self: pytest.fail("norm recomputed"))
         meas = probe_mode(a, mode, 1.0, grid, reference=reference)
-        assert calls == [meas.trace]
+        # each step's quadrature once, as its window is handed on, and one time quadrature
+        assert sum(steps) == meas.trace.sides.shape[1]
+        assert calls == [(meas.trace.sides.shape[1],)]
         assert meas.trace_norm == expected
 
     def test_reference_subtracts_the_bits_of_its_sides(self):
         grid = Grid2D(33)
         mode = ModeIndex(1, 0)
         reference = reference_solution(mode, 1.0, grid)
-        traces = solve_modes([DampingPair.constant(0.2), DampingPair.constant(0.1)], [mode],
-                             grid, 1.0)
-        sides = np.stack([trace.sides for trace in traces])
+        sides = np.stack([solve_from_mode(a, mode, grid, 1.0).trace.sides
+                          for a in (DampingPair.constant(0.2), DampingPair.constant(0.1))])
         expected = sides - reference.sides
-        assert np.array_equal(reference.subtract_from(sides), expected)
-        materialized = BoundaryTrace(times=traces[0].times, sides=reference.sides,
-                                     dt=reference.dt, tau=1.0)
+        for first, last in ((0, 40), (40, sides.shape[-2])):
+            window = reference.subtract_from(sides[..., first:last, :], first)
+            assert np.array_equal(window, expected[..., first:last, :])
+        materialized = BoundaryTrace(times=reference.dt * np.arange(sides.shape[-2]),
+                                     sides=reference.sides, dt=reference.dt, tau=1.0)
         assert reference.l2_norm() == pytest.approx(materialized.l2_norm(), rel=1e-13)
         with pytest.raises(ValueError, match="matching discretizations"):
-            reference.subtract_from(sides[..., :-1, :])
+            reference.subtract_from(sides[..., :-1, :], 2)
 
-    def test_zero_damping_members_are_written_not_stepped(self, monkeypatch):
-        grid = Grid2D(17)
-        a, zero = DampingPair.constant(0.2), DampingPair.zero()
-        modes = [ModeIndex(0, 0), ModeIndex(1, 0)]
-        solves = count_probe_solves(monkeypatch)
-        traces = _solve_probes([zero, a, a, zero], modes, 1.0, grid, 0.5)
-        assert solves == [(a, mode) for _ in range(2) for mode in modes]
-        damped = solve_modes([a], modes, grid, 1.0)
-        for b, trace in enumerate(traces):
-            mode = modes[b % 2]
-            expected = damped[b % 2] if b // 2 in (1, 2) else reference_solution(mode, 1.0, grid)
-            assert np.array_equal(trace.sides, expected.sides)
-            assert np.array_equal(trace.times, damped[0].times) and trace.dt == damped[0].dt
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([17, 33]),
+           kinds=st.lists(st.sampled_from(range(len(PROBE_DAMPINGS))), min_size=1, max_size=4),
+           modes=st.lists(st.sampled_from([ModeIndex(0, 0), ModeIndex(1, 0), ModeIndex(1, 1)]),
+                          min_size=1, max_size=3),
+           closed_form=st.lists(st.booleans(), min_size=3, max_size=3),
+           tau=st.floats(0.05, 1.0), chunk=st.integers(1, 4), width=st.sampled_from([7, 64]))
+    def test_probe_hands_on_each_probe_minus_its_reference(self, n, kinds, modes, closed_form,
+                                                           tau, chunk, width):
+        grid = Grid2D(n)
+        dampings = [PROBE_DAMPINGS[kind] for kind in kinds]
+        steps = step_count(tau, grid.h, 0.5)
+        references = [reference_solution(mode, tau, grid) if closed else
+                      UndampedReference(np.zeros(steps + 1), np.zeros((2, n)), tau)
+                      for mode, closed in zip(modes, closed_form)]
+        probes = np.full((len(dampings), len(modes), 2, steps + 1, n), np.nan)
+        handed = Counter()
+
+        def take(i, j, first, sides):
+            assert first % width == 0 and 1 <= sides.shape[1] <= width
+            handed.update((i, j, m) for m in range(first, first + sides.shape[1]))
+            probes[i, j, :, first:first + sides.shape[1]] = sides
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forward, "BATCH_NODE_CAP", chunk * n * n)
+            patch.setattr(forward, "TRACE_WINDOW", width)
+            patch.setattr(reconstruct, "TRACE_WINDOW", width)
+            solves = count_probe_solves(patch)
+            _probe(dampings, modes, references, tau, grid, 0.5, take)
+        # every (damping, mode, step) once; a damping identically zero on the grid is not
+        # stepped, and the rest run as one batch
+        assert handed == Counter({(i, j, m): 1 for i in range(len(dampings))
+                                  for j in range(len(modes)) for m in range(steps + 1)})
+        stepped = [a for a in dampings if a.minimum() > 0.0]
+        assert solves == [(a, mode) for a in stepped for mode in modes]
+        for i, a in enumerate(dampings):
+            for j, mode in enumerate(modes):
+                # an undamped probe is the closed form, which test_forward holds to the solve
+                run = (solve_from_mode(a, mode, grid, tau).trace if a.minimum() > 0.0
+                       else reference_solution(mode, tau, grid))
+                assert probes[i, j].tobytes() == (run.sides - references[j].sides).tobytes()
 
     def test_zero_damping_probe_is_null(self):
         grid = Grid2D(33)
@@ -565,12 +606,12 @@ class TestGaussNewton:
         frozen = solve_from_mode(DampingPair.constant(0.05, n=33), mode, grid, 1.0).trace
         calls = []
 
-        def fake_solve_modes(dampings, modes, grid, tau, dt_factor=0.5, out=None):
-            # every member, the batched Jacobian columns too, records the frozen trace
+        def fake_solve_modes(dampings, modes, grid, tau, dt_factor=0.5, *, reduce):
+            # every member, the batched Jacobian columns too, hands on the frozen trace
             calls.extend(a for a in dampings for _ in modes)
-            out[:] = frozen.sides
-            return [BoundaryTrace(times=frozen.times, sides=sides, dt=frozen.dt, tau=tau)
-                    for sides in out]
+            for first in range(0, frozen.sides.shape[1], TRACE_WINDOW):
+                window = frozen.sides[:, first:first + TRACE_WINDOW]
+                reduce(0, first, np.stack([window] * (len(dampings) * len(modes))))
 
         monkeypatch.setattr("wavedamp.reconstruct.solve_modes", fake_solve_modes)
         _, info = fit_damping_least_squares([meas], DampingPair.constant(0.05, n=33),
@@ -580,6 +621,31 @@ class TestGaussNewton:
         assert info.termination == "stalled"
         # one initial residual, two Jacobian columns, four line-search trials
         assert len(calls) == 7
+
+    @pytest.mark.parametrize("case", ["horizon", "mixed horizons", "grid", "reference horizon",
+                                      "reference grid"])
+    def test_measurements_from_another_discretization_fail_before_any_solve(self, case,
+                                                                             monkeypatch):
+        grid, a, mode = Grid2D(33), DampingPair.constant(0.1, n=33), ModeIndex(0, 0)
+        meas = probe_mode(a, mode, 1.0, grid)
+        steps = meas.trace.sides.shape[1] - 1
+
+        def with_reference(reference):
+            return ModalMeasurement(mode=mode, trace=meas.trace, trace_norm=meas.trace_norm,
+                                    reference=reference)
+
+        measurements = {
+            "horizon": lambda: [probe_mode(a, mode, 2.0, grid)],
+            "mixed horizons": lambda: [meas, probe_mode(a, ModeIndex(1, 0), 2.0, grid)],
+            "grid": lambda: [probe_mode(a, mode, 1.0, Grid2D(17))],
+            "reference horizon": lambda: [with_reference(reference_solution(mode, 2.0, grid))],
+            "reference grid": lambda: [with_reference(UndampedReference(
+                np.zeros(steps + 1), np.zeros((2, 17)), 1.0))],
+        }[case]()
+        solves = count_probe_solves(monkeypatch)
+        with pytest.raises(ValueError, match="matching discretizations"):
+            fit_damping_least_squares(measurements, a, grid, 1.0, iters=1, fit_order=0)
+        assert solves == []
 
     def test_fit_differences_against_the_measurement_reference(self):
         # data carrying a zero reference: the closed-form undamped reference
