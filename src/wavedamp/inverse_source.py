@@ -177,19 +177,45 @@ def _kernel_panels(lam: Modulation, by_columns: bool):
         yield start, stop, panel
 
 
+def _causal_rows(lam: Modulation, x: np.ndarray):
+    """Yield (t0, t1, rows): rows t0:t1 of K x, that is K[t0:t1, :t1] @ x[:t1], in order.
+
+    x is (steps + 1, cols).  rows is one buffer that the next block
+    overwrites, so a caller reduces or copies each block before it asks
+    for the next.
+    """
+    buf = np.empty((min(PANEL, lam.steps + 1), x.shape[1]))
+    for t0, t1, panel in _kernel_panels(lam, by_columns=False):
+        rows = buf[: t1 - t0]
+        np.matmul(panel, x[:t1], out=rows)
+        yield t0, t1, rows
+
+
+def _anticausal_rows(lam: Modulation, weighted: np.ndarray):
+    """Yield (s0, s1, rows): rows s0:s1 of K^T weighted, that is K[s0:, s0:s1]^T @ weighted[s0:].
+
+    weighted is (steps + 1, cols), the signal already scaled by the
+    trapezoid weights.  rows is reused as in _causal_rows.
+    """
+    buf = np.empty((min(PANEL, lam.steps + 1), weighted.shape[1]))
+    for s0, s1, panel in _kernel_panels(lam, by_columns=True):
+        rows = buf[: s1 - s0]
+        np.matmul(panel.T, weighted[s0:], out=rows)
+        yield s0, s1, rows
+
+
 def convolve_causal(lam: Modulation, sig: TimeSignal) -> TimeSignal:
     """(S h)(t) = int_0^t lam(t - s) h(s) ds; output vanishes at t = 0.
 
-    Computed as K h, one row panel at a time.  Row t of the output is one
-    dot product of K's row t with the samples up to the panel's end, and
-    every entry of that row past t is an exact zero, so causality holds
-    bit-exactly.
+    Computed as K h, one row block at a time (_causal_rows).  Row t of the
+    output is one dot product of K's row t with the samples up to the
+    block's end, and every entry of that row past t is an exact zero, so
+    causality holds bit-exactly.
     """
     _check_aligned(lam, sig)
-    x = sig.values
-    out = np.empty_like(x)
-    for t0, t1, panel in _kernel_panels(lam, by_columns=False):
-        np.matmul(panel, x[:t1], out=out[t0:t1])
+    out = np.empty_like(sig.values)
+    for t0, t1, rows in _causal_rows(lam, sig.values):
+        out[t0:t1] = rows
     return TimeSignal(out, sig.tau, copy=False)
 
 
@@ -197,23 +223,23 @@ def convolve_anticausal(lam: Modulation, sig: TimeSignal) -> TimeSignal:
     """(S* h)(t) = int_t^tau lam(s - t) h(s) ds.
 
     Computed as (K^T (w h)) / w with K the causal matrix of convolve_causal
-    and w the trapezoid weights, one column panel of K at a time: the exact
-    discrete adjoint of convolve_causal under the trapezoid inner product of
-    L2((0, tau); Y), so the adjoint identity holds to roundoff.  Column t of
-    K holds exact zeros at s < t, so the output at t only touches samples at
-    s >= t (anticausality is bit-exact).  Every interior sample matches the
-    trapezoid quadrature of the defining integral; the two end samples
-    carry O(dt) quadrature defects (the value at tau keeps its trapezoid
-    end-weight instead of being an exact zero, and the value at 0 misses
-    the h(0) end-weight that the causal operator's pinned first row never
-    sees).
+    and w the trapezoid weights, one row block of K^T at a time
+    (_anticausal_rows): the exact discrete adjoint of convolve_causal under
+    the trapezoid inner product of L2((0, tau); Y), so the adjoint identity
+    holds to roundoff.  Column t of K holds exact zeros at s < t, so the
+    output at t only touches samples at s >= t (anticausality is
+    bit-exact).  Every interior sample matches the trapezoid quadrature of
+    the defining integral; the two end samples carry O(dt) quadrature
+    defects (the value at tau keeps its trapezoid end-weight instead of
+    being an exact zero, and the value at 0 misses the h(0) end-weight that
+    the causal operator's pinned first row never sees).
     """
     _check_aligned(lam, sig)
     w = trapezoid_weights(lam.steps + 1)[:, None]
     weighted = w * sig.values
     out = np.empty_like(weighted)
-    for s0, s1, panel in _kernel_panels(lam, by_columns=True):
-        np.matmul(panel.T, weighted[s0:], out=out[s0:s1])
+    for s0, s1, rows in _anticausal_rows(lam, weighted):
+        out[s0:s1] = rows
     out /= w
     return TimeSignal(out, sig.tau, copy=False)
 

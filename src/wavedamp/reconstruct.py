@@ -402,15 +402,25 @@ def select_truncation(c_cal: float, m: float, trunc_rate: float, delta: float) -
         raise ValueError("c_cal, m and trunc_rate must be positive")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    base = math.log(c_cal) - math.log(m) + math.log(delta)
+    log_margin = math.log(c_cal) - math.log(m) + math.log(delta) + trunc_rate
+    return _truncation_order(log_margin, trunc_rate, delta)
 
+
+def _truncation_order(log_margin: float, trunc_rate: float, delta: float) -> int:
+    """select_truncation's scan from log_margin = ln((c_cal/m) exp(trunc_rate) delta).
+
+    N passes when log_margin + trunc_rate (N^2 - 1) <= -2 ln N.  Written
+    relative to N = 1, the test never forms exp(-trunc_rate), which
+    underflows to 0 past trunc_rate = 745, nor cancels a large rate
+    against itself.
+    """
     def passes(n: int) -> bool:
-        return base + trunc_rate * n * n <= -2.0 * math.log(n)
+        return log_margin + trunc_rate * (n * n - 1) <= -2.0 * math.log(n)
 
     if not passes(1):
         raise RegimeError(
             f"gap {delta:.3e} too large for truncation selection "
-            f"(needs delta <= {m / c_cal * math.exp(-trunc_rate):.3e})"
+            f"(needs delta <= {delta * math.exp(-log_margin):.3e})"
         )
     n = 1
     while passes(n + 1):
@@ -537,7 +547,8 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
     calib = raw[calib_index]
     denom = abs(math.log(calib["delta"] / m)) ** -0.5 + calib["delta"] / m
     c_cal = calib["a_l2"] / (M * denom)
-    # truncation constant chosen so the calibration member passes N = 1 with margin 2
+    # truncation constant chosen so the calibration member passes N = 1 with margin 2; it
+    # underflows to 0 for a large trunc_rate, so N0 reads its log margin ln(delta / (2 delta_cal))
     c_trunc = m * math.exp(-trunc_rate) / (2.0 * calib["delta"])
 
     records = []
@@ -548,7 +559,8 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
             delta=r["delta"],
             a_l2=r["a_l2"],
             bound_rhs=stability_bound_rhs(r["delta"], m, M, c_cal),
-            n0=select_truncation(c_trunc, m, trunc_rate, r["delta"]),
+            n0=_truncation_order(math.log(r["delta"] / (2.0 * calib["delta"])), trunc_rate,
+                                 r["delta"]),
             recon_error_l2=r["recon"],
             c_emp=r["c_emp"],
         ))

@@ -6,9 +6,10 @@ invariants: the acceptance criteria on dissipation, adjoint and
 causality, Gronwall, Rellich and the multiplier bound read their
 verdicts from `run_checks` as well.
 
-The 100 adjoint pairs run batched: each convolution takes all of them at
-once as the columns of one signal, and the defect of each pair is read
-off its own column.
+The 100 adjoint pairs run batched as the columns of two arrays, h and g.
+Each block of convolution rows is reduced into the pairs' inner products
+as soon as it is formed, so no whole convolution output is held, and the
+defect of each pair is read off its own column.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .grid import Grid2D
 from .inverse_source import (
     Modulation,
     TimeSignal,
+    _anticausal_rows,
+    _causal_rows,
     convolve_anticausal,
     convolve_causal,
     gronwall_bound_check,
@@ -68,17 +71,27 @@ def _random_trig(rng, n=257, terms=6, decay=2.0, offset=0.0):
 
 
 def _adjoint_checks(rng) -> List[CheckResult]:
-    tau, steps = 3.0, 2048
+    tau, steps, count = 3.0, 2048, 100
     lam = Modulation.from_callable(lambda t: np.cos(2.0 * t), tau, steps)
-    # pair k is (h, g) = pairs[k]; column k of each signal below belongs to pair k
-    pairs = rng.standard_normal((100, 2, steps + 1))
-    h = TimeSignal(pairs[:, 0].T, tau)
-    g = TimeSignal(pairs[:, 1].T, tau)
-    w = lam.dt * trapezoid_weights(steps + 1)
-    lhs = w @ (convolve_causal(lam, h).values * g.values)
-    rhs = w @ (h.values * convolve_anticausal(lam, g).values)
-    norms = np.sqrt((w @ h.values ** 2) * (w @ g.values ** 2))
-    worst = float(np.max(np.abs(lhs - rhs) / norms))
+    # column k of h and of g is pair k, drawn as one (2, steps + 1) block per pair
+    h = np.empty((steps + 1, count))
+    g = np.empty((steps + 1, count))
+    for k in range(count):
+        h[:, k], g[:, k] = rng.standard_normal((2, steps + 1))
+    weights = trapezoid_weights(steps + 1)
+    w = lam.dt * weights
+    # <S h, g> = w^T (K h * g) and |h|^2, |g|^2, one block of K h's rows at a time
+    lhs, h_sq, g_sq = np.zeros(count), np.zeros(count), np.zeros(count)
+    for t0, t1, rows in _causal_rows(lam, h):
+        lhs += w[t0:t1] @ (rows * g[t0:t1])
+        h_sq += w[t0:t1] @ h[t0:t1] ** 2
+        g_sq += w[t0:t1] @ g[t0:t1] ** 2
+    # <h, S* g> = w^T (h * K^T (weights g) / weights) = dt 1^T (h * K^T (weights g))
+    g *= weights[:, None]
+    rhs = np.zeros(count)
+    for s0, s1, rows in _anticausal_rows(lam, g):
+        rhs += lam.dt * (h[s0:s1] * rows).sum(axis=0)
+    worst = float(np.max(np.abs(lhs - rhs) / np.sqrt(h_sq * g_sq)))
 
     cut = steps // 2
     h0 = rng.standard_normal(steps + 1)

@@ -135,6 +135,22 @@ def test_short_horizon_exits_1_without_a_traceback(tmp_path, command, text, mess
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("rate", ["745", "1e308"])
+def test_large_trunc_rate_sweeps_without_a_traceback(tmp_path, rate):
+    # exp(-trunc_rate) underflows, so c_trunc reads 0; N0 comes from its log margin instead
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(wavedamp.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "wavedamp.cli", "sweep", "--config",
+                          write_cfg(tmp_path, f"n = 33\ntau = 1.0\ntrunc_rate = {rate}\n"),
+                          "--out", str(out)], capture_output=True, text=True, env=env)
+    assert run.returncode == 0
+    assert "Traceback" not in run.stderr
+    assert json.loads((out / "sweep_context.json").read_text())["c_trunc"] == 0.0
+    # the calibration member passes N = 1 with margin 2, and any N = 2 costs 3 * trunc_rate
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[5] for row in rows] == ["N0", "1", "1", "1", "1"]
+
+
 @pytest.mark.parametrize("command", ["forward", "reconstruct", "sweep", "verify"])
 def test_non_utf8_config_exit_2(tmp_path, capsys, command):
     cfg = tmp_path / "c.cfg"
