@@ -25,7 +25,6 @@ from .io import (
     write_energy_csv,
     write_manifest,
     write_trace_binary,
-    write_trace_csv,
 )
 from .reconstruct import (
     check_recovery_mode,
@@ -77,8 +76,6 @@ def cmd_forward(config: ExperimentConfig) -> int:
 
     t0 = time.perf_counter()
     write_energy_csv(out / "energy.csv", result.times, result.energies)
-    write_trace_csv(out / "trace_bottom.csv", result.trace, "bottom")
-    write_trace_csv(out / "trace_left.csv", result.trace, "left")
     write_trace_binary(out / "trace.bin", result.trace)
     if fit is not None:
         (out / "decay.json").write_text(json.dumps({

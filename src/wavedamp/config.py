@@ -93,7 +93,7 @@ class ExperimentConfig:
             raise ConfigError("damping_samples", f"must lie in [19, {MAX_DAMPING_SAMPLES}], "
                                                  f"got {self.damping_samples}")
         # the largest mode index that the largest grid resolves, n >= 8 (k + 1/2) + 1
-        # (reconstruct._probe); the sweep probes {0 .. probe_budget}^2
+        # (spectral.check_probe_resolution); the sweep probes {0 .. probe_budget}^2
         max_index = (MAX_N - 5) // 8
         for name in ("probe_k", "probe_l", "probe_budget"):
             if not 0 <= getattr(self, name) <= max_index:

@@ -22,7 +22,7 @@ from .forward import (
     time_quadrature,
 )
 from .grid import Grid2D
-from .spectral import DampingPair, ModeIndex
+from .spectral import DampingPair, ModeIndex, check_probe_resolution
 
 __all__ = [
     "DecayFit",
@@ -101,11 +101,14 @@ def estimate_observability(a: DampingPair, tau: float, probes: Iterable[ModeInde
     each window's per-step norms; the estimate is the worst ratio.  A probe
     whose trace norm falls below TRACE_FLOOR_FRAC of its initial norm signals
     an observability failure (this is what happens for vanishing damping,
-    where the modal traces sit at the discretization floor).
+    where the modal traces sit at the discretization floor).  A probe the
+    grid does not resolve (spectral.check_probe_resolution) fails before any solve.
     """
     probes = list(probes)
     if not probes:
         raise ValueError("need at least one probe mode")
+    for mode in probes:
+        check_probe_resolution(grid.n, mode)
     steps, dt = _time_step(tau, grid.h, dt_factor)
     per_step = np.empty((len(probes), steps + 1))
 

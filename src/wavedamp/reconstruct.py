@@ -35,6 +35,7 @@ from .spectral import (
     SampledFunction1D,
     boundary_mode,
     check_mode_resolution,
+    check_probe_resolution,
     eigenpair,
     project_onto_modes,
     trapezoid_weights,
@@ -137,14 +138,7 @@ class ModalMeasurement:
 def reference_solution(mode: ModeIndex, tau: float, grid: Grid2D,
                        dt_factor: float = 0.5) -> UndampedReference:
     """The undamped trace of one probe mode (the measurement reference), in closed form."""
-    return _reference_traces([mode], tau, grid, dt_factor)[mode]
-
-
-def _reference_traces(modes: Sequence[ModeIndex], tau: float, grid: Grid2D,
-                      dt_factor: float = 0.5) -> Dict[ModeIndex, UndampedReference]:
-    """Closed-form undamped traces of the probe modes."""
-    return {mode: UndampedReference(*undamped_mode_trace(mode, grid, tau, dt_factor), tau)
-            for mode in modes}
+    return UndampedReference(*undamped_mode_trace(mode, grid, tau, dt_factor), tau)
 
 
 def _probe(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex],
@@ -161,11 +155,7 @@ def _probe(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex],
     shaped (2, k, n) and overwritten after the call returns.
     """
     for mode in modes:
-        # at least 8 nodes per half-period of the fastest direction
-        need = 8 * (max(mode.k, mode.l) + 0.5) + 1
-        if grid.n < need:
-            raise ResolutionError(f"grid n = {grid.n} cannot resolve probe mode "
-                                  f"({mode.k},{mode.l}); need n >= {math.ceil(need)}")
+        check_probe_resolution(grid.n, mode)
     steps, _ = _time_step(tau, grid.h, dt_factor)
     if any(ref.profile.shape != (steps + 1,) or ref.start.shape != (2, grid.n)
            for ref in references):
@@ -386,8 +376,8 @@ def estimate_gap(a: DampingPair, probe_budget: int, tau: float, grid: Grid2D,
         raise ValueError("probe budget must be nonnegative")
     modes = [ModeIndex(k, l) for k in range(probe_budget + 1) for l in range(probe_budget + 1)]
     refs = dict(references or {})
-    refs.update(_reference_traces([mode for mode in modes if mode not in refs], tau, grid,
-                                  dt_factor))
+    refs.update({mode: reference_solution(mode, tau, grid, dt_factor)
+                 for mode in modes if mode not in refs})
     return _measure(a, modes, refs, tau, grid, dt_factor, modes if keep is None else keep)
 
 
@@ -518,7 +508,7 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
     if recovery_mode not in modes:
         raise ResolutionError(f"recovery mode ({recovery_mode.k}, {recovery_mode.l}) lies "
                               f"outside the probe set of budget {probe_budget}")
-    references = _reference_traces(modes, tau, grid, dt_factor)
+    references = {mode: reference_solution(mode, tau, grid, dt_factor) for mode in modes}
 
     m = min(member.minimum() for member in family)
     M = max(member.h1_sq_max() for member in family)

@@ -37,6 +37,7 @@ __all__ = [
     "mode_shape",
     "boundary_mode",
     "check_mode_resolution",
+    "check_probe_resolution",
     "project_onto_modes",
     "synthesize_from_modes",
     "sobolev_norms",
@@ -178,6 +179,14 @@ def check_mode_resolution(n: int, order: int):
         raise ResolutionError(
             f"{n} samples cannot resolve mode order {order}; need n >= {4 * order + 3}"
         )
+
+
+def check_probe_resolution(n: int, mode: ModeIndex):
+    """Raise ResolutionError unless n >= 8 (max(k, l) + 1/2) + 1: 8 nodes per half-period."""
+    need = 8 * (max(mode.k, mode.l) + 0.5) + 1
+    if n < need:
+        raise ResolutionError(f"grid n = {n} cannot resolve probe mode "
+                              f"({mode.k},{mode.l}); need n >= {math.ceil(need)}")
 
 
 def project_onto_modes(f: SampledFunction1D, order: int) -> FourierCoeffs:

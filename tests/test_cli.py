@@ -9,7 +9,11 @@ import pytest
 
 import wavedamp
 from wavedamp.cli import main
+from wavedamp.config import load_config
+from wavedamp.forward import solve_from_mode
+from wavedamp.grid import Grid2D
 from wavedamp.io import read_trace_binary
+from wavedamp.spectral import ModeIndex
 from wavedamp.verify import CheckResult
 
 
@@ -19,11 +23,18 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def assert_forward_writes(out, artifacts):
+    """The run wrote exactly these artifacts and its manifest, and the manifest lists them."""
+    assert sorted(path.name for path in out.iterdir()) == sorted(artifacts + ["manifest.json"])
+    assert sorted(json.loads((out / "manifest.json").read_text())["files"]) == sorted(artifacts)
+
+
 class TestForwardCommand:
     def test_undamped_run_conserves_energy(self, tmp_path):
         cfg = write_cfg(tmp_path, "n = 33\ntau = 2.0\ndamping_kind = zero\n")
         out = tmp_path / "fwd"
         assert main(["forward", "--config", cfg, "--out", str(out)]) == 0
+        assert_forward_writes(out, ["energy.csv", "trace.bin"])
         rows = (out / "energy.csv").read_text().splitlines()[1:]
         energies = np.array([float(r.split(",")[1]) for r in rows])
         assert np.abs(energies - energies[0]).max() / energies[0] < 1e-3
@@ -36,8 +47,14 @@ class TestForwardCommand:
         cfg = write_cfg(tmp_path, "n = 33\ntau = 8.0\ndamping_kind = constant\ndamping_base = 1.0\n")
         out = tmp_path / "fwd"
         assert main(["forward", "--config", cfg, "--out", str(out)]) == 0
+        assert_forward_writes(out, ["decay.json", "energy.csv", "trace.bin"])
         decay = json.loads((out / "decay.json").read_text())
         assert decay["omega_fit"] > 0
+        # trace.bin holds the solve's trace bit for bit
+        config = load_config(cfg)
+        result = solve_from_mode(config.build_damping(), ModeIndex(config.probe_k, config.probe_l),
+                                 Grid2D(config.n), config.tau, config.dt_factor)
+        assert read_trace_binary(out / "trace.bin")["sides"].tobytes() == result.trace.sides.tobytes()
 
     def test_invalid_field_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "n = 5\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavedamp.diagnostics import estimate_observability, fit_decay
-from wavedamp.errors import ObservabilityFailure
+from wavedamp.errors import ObservabilityFailure, ResolutionError
 from wavedamp.forward import solve
 from wavedamp.grid import Grid2D
 from wavedamp.spectral import DampingPair, ModeIndex, mode_shape
@@ -68,6 +68,11 @@ class TestObservability:
         rep4 = estimate_observability(a, 4.0, [ModeIndex(0, 0)], grid)
         rep8 = estimate_observability(a, 8.0, [ModeIndex(0, 0)], grid)
         assert rep8.kappa_est <= rep4.kappa_est * (1 + 1e-12)
+
+    def test_unresolved_probe_rejected_before_solving(self):
+        # the probe rule of reconstruct's probes: mode (5, 0) needs n >= 45
+        with pytest.raises(ResolutionError, match="need n >= 45"):
+            estimate_observability(DampingPair.constant(1.0), 1.0, [ModeIndex(5, 0)], Grid2D(33))
 
     def test_empty_probe_set_rejected(self):
         with pytest.raises(ValueError):

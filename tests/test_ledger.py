@@ -1,8 +1,10 @@
-"""The artifact ledger: the committed artifacts of seed-1 reconstruct, sweep and verify runs.
+"""The artifact ledger: the committed artifacts of seed-1 runs of every benchmark workload.
 
 Each directory under data/ledger holds a workload's config (config.cfg, the
 text the benchmark's make_inputs(workload, 1) writes) and every artifact its
-run writes except manifest.json, which records timings.  The test reruns
+run writes except manifest.json, which records timings.  The forward run's
+3 MB trace.bin is held as trace.json instead: its header and the L2 norm of
+each side (trace_summary), compared like any other JSON.  The test reruns
 the command in process and fails when any numeric value moves by more than
 RTOL relative, or when a file, a column, a key or a text field changes.  It
 reports, without failing, a file that stays within RTOL but is not
@@ -15,16 +17,19 @@ more than RTOL relative.  Every other value passes on RTOL alone.
 
 A change that moves these numbers on purpose regenerates the ledger: run
 `wavedamp <command> --config config.cfg --out <that directory>` for each
-workload and delete any manifest.json it writes.
+workload, delete any manifest.json it writes, and replace a trace.bin by
+the trace_summary text of it, saved as trace.json.
 """
 
 import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wavedamp.cli import main
+from wavedamp.io import read_trace_binary
 
 LEDGER = Path(__file__).parent / "data" / "ledger"
 RTOL = 1e-9
@@ -74,11 +79,23 @@ def _json_drift(old, new, key="") -> list:
     return [f"{key}: {old} -> {new}"]
 
 
-@pytest.mark.parametrize("workload", ["reconstruct-n65", "sweep-n65", "verify"])
+def trace_summary(path) -> str:
+    """The ledger's trace.json for a trace.bin: n, steps, dt and the L2 norm of each side."""
+    dump = read_trace_binary(path)
+    norms = {side: float(np.linalg.norm(sides)) for side, sides in zip(("bottom", "left"),
+                                                                       dump["sides"])}
+    summary = {"n": dump["n"], "steps": dump["steps"], "dt": dump["dt"], "norms": norms}
+    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("workload", ["forward-n129", "reconstruct-n65", "sweep-n65", "verify"])
 def test_artifacts_match_the_ledger(workload, tmp_path):
     entry, out = LEDGER / workload, tmp_path / "out"
     command = workload.split("-")[0]
     assert main([command, "--config", str(entry / "config.cfg"), "--out", str(out)]) == 0
+    if (out / "trace.bin").exists():
+        (out / "trace.json").write_text(trace_summary(out / "trace.bin"))
+        (out / "trace.bin").unlink()
     names = sorted(path.name for path in entry.iterdir() if path.name != "config.cfg")
     assert sorted(path.name for path in out.iterdir() if path.name != "manifest.json") == names
     drift, not_byte_equal = [], []
