@@ -13,16 +13,10 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ObservabilityFailure, ResolutionError
-from .forward import (
-    _time_step,
-    mode_field,
-    solve_modes,
-    step_quadrature,
-    stiffness_energy,
-    time_quadrature,
-)
+from .forward import _time_step, mode_field, stiffness_energy
 from .grid import Grid2D
-from .spectral import DampingPair, ModeIndex, check_probe_resolution
+from .reconstruct import UndampedReference, _measure
+from .spectral import DampingPair, ModeIndex
 
 __all__ = [
     "DecayFit",
@@ -88,40 +82,35 @@ class ObservabilityReport:
 
     kappa_est: float
     ratios: tuple
-    tau: float
-    grid_n: int
 
 
 def estimate_observability(a: DampingPair, tau: float, probes: Iterable[ModeIndex],
                            grid: Grid2D, dt_factor: float = 0.5) -> ObservabilityReport:
     """Estimate the observability constant from modal probes.
 
-    For each probe mode, solve with initial data (mode shape, 0), all
-    probes as one reduced batch, and form ||(u0, u1)|| / ||trace|| from
-    each window's per-step norms; the estimate is the worst ratio.  A probe
-    whose trace norm falls below TRACE_FLOOR_FRAC of its initial norm signals
-    an observability failure (this is what happens for vanishing damping,
-    where the modal traces sit at the discretization floor).  A probe the
-    grid does not resolve (spectral.check_probe_resolution) fails before any solve.
+    For each probe mode, solve with initial data (mode shape, 0) and form
+    ||(u0, u1)|| / ||trace||; the estimate is the worst ratio.  The probes
+    are measured by reconstruct._measure against an all-zero reference, so
+    they run the one probe path (reconstruct._probe): a probe the grid does
+    not resolve (spectral.check_probe_resolution) fails before any solve,
+    and a damping identically zero on the grid gets the closed-form
+    undamped trace without stepping.  A probe whose trace norm falls below
+    TRACE_FLOOR_FRAC of its initial norm signals an observability failure
+    (this is what happens for vanishing damping, where the modal traces sit
+    at the discretization floor).
     """
     probes = list(probes)
     if not probes:
         raise ValueError("need at least one probe mode")
-    for mode in probes:
-        check_probe_resolution(grid.n, mode)
-    steps, dt = _time_step(tau, grid.h, dt_factor)
-    per_step = np.empty((len(probes), steps + 1))
-
-    def reduce(start: int, first: int, window: np.ndarray):
-        for j, sides in enumerate(window, start):
-            per_step[j, first:first + sides.shape[1]] = step_quadrature(sides)
-
-    solve_modes([a], probes, grid, tau, dt_factor, reduce=reduce)
+    steps, _ = _time_step(tau, grid.h, dt_factor)
+    zero = UndampedReference(np.zeros(steps + 1), np.zeros((2, grid.n)), tau)
+    norms = _measure(a, probes, {mode: zero for mode in probes}, tau, grid, dt_factor,
+                     keep=()).norms
     ratios = []
-    for mode, row in zip(probes, per_step):
+    for mode in probes:
         # the data start at rest, so twice the initial energy is the stiffness term
         init_norm = math.sqrt(stiffness_energy(mode_field(mode, grid), grid))
-        trace_norm = time_quadrature(row, dt)
+        trace_norm = norms[mode]
         if trace_norm < TRACE_FLOOR_FRAC * init_norm:
             raise ObservabilityFailure(
                 f"probe ({mode.k},{mode.l}) trace norm {trace_norm:.3e} below "
@@ -129,5 +118,4 @@ def estimate_observability(a: DampingPair, tau: float, probes: Iterable[ModeInde
             )
         ratios.append((mode, init_norm / trace_norm))
     kappa = max(r for _, r in ratios)
-    return ObservabilityReport(kappa_est=float(kappa), ratios=tuple(ratios),
-                               tau=tau, grid_n=grid.n)
+    return ObservabilityReport(kappa_est=float(kappa), ratios=tuple(ratios))

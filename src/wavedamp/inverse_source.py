@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ObservabilityFailure
-from .forward import SourceSpec, solve, stiffness_dual_norm
+from .forward import SourceSpec, solve, stiffness_dual_norm, time_quadrature
 from .grid import Grid2D
 from .spectral import DampingPair, trapezoid_weights
 
@@ -86,8 +86,7 @@ class Modulation:
     def derivative_l2(self) -> float:
         """L2(0, tau) norm of the time derivative, finite differences."""
         d = np.gradient(self.values, self.dt, edge_order=2)
-        w = trapezoid_weights(d.shape[0])
-        return math.sqrt(float(self.dt * (w * d * d).sum()))
+        return time_quadrature(d * d, self.dt)
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,7 @@ class TimeSignal:
 
     def l2_norm(self) -> float:
         """Norm in L2((0, tau); Y), trapezoid in time."""
-        w = trapezoid_weights(self.steps + 1)
-        return math.sqrt(float(self.dt * (w * (self.values ** 2).sum(axis=1)).sum()))
+        return time_quadrature((self.values ** 2).sum(axis=1), self.dt)
 
     def inner(self, other: "TimeSignal") -> float:
         if self.values.shape != other.values.shape:
@@ -264,8 +262,7 @@ def gronwall_bound_check(lam: Modulation, sig: TimeSignal) -> GronwallCheck:
     """Check ||h|| <= stability_factor * ||(S* h)'|| in L2((0, tau); Y)."""
     k = convolve_anticausal(lam, sig)
     kp = np.gradient(k.values, k.dt, axis=0, edge_order=2)
-    w = trapezoid_weights(k.steps + 1)
-    kp_norm = math.sqrt(float(k.dt * (w * (kp ** 2).sum(axis=1)).sum()))
+    kp_norm = time_quadrature((kp ** 2).sum(axis=1), k.dt)
     lhs = sig.l2_norm()
     rhs = stability_factor(lam) * kp_norm
     return GronwallCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1.0 + 1e-9))

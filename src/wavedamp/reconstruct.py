@@ -298,11 +298,15 @@ def linearized_recover(y1: SampledFunction1D, y2: SampledFunction1D, mode: ModeI
         a_hat[~usable] = last
         estimates.append(a_hat)
     a1, a2 = estimates
-    corner = 0.5 * (a1[0] + a2[0])
-    a1[0] = a2[0] = corner
+    return _joined_pair(a1, a2)
+
+
+def _joined_pair(a1: np.ndarray, a2: np.ndarray) -> DampingPair:
+    """The pair of a1 and a2, in place, with both corners set to their mean and clipped at 0."""
+    a1[0] = a2[0] = 0.5 * (a1[0] + a2[0])
     np.clip(a1, 0.0, None, out=a1)
     np.clip(a2, 0.0, None, out=a2)
-    return DampingPair(SampledFunction1D(a1), SampledFunction1D(a2), corner_tol=1e-9)
+    return DampingPair(SampledFunction1D(a1), SampledFunction1D(a2))
 
 
 def check_recovery_mode(mode: ModeIndex, grid: Grid2D, guard: float = 0.2):
@@ -612,11 +616,7 @@ def _apply_correction(init: DampingPair, params: np.ndarray, order: int) -> Damp
         phi = boundary_mode(k, s)
         a1 += params[k] * phi
         a2 += params[half + k] * phi
-    corner = 0.5 * (a1[0] + a2[0])
-    a1[0] = a2[0] = corner
-    np.clip(a1, 0.0, None, out=a1)
-    np.clip(a2, 0.0, None, out=a2)
-    return DampingPair(SampledFunction1D(a1), SampledFunction1D(a2), corner_tol=1e-9)
+    return _joined_pair(a1, a2)
 
 
 def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: DampingPair,

@@ -182,7 +182,10 @@ def check_mode_resolution(n: int, order: int):
 
 
 def check_probe_resolution(n: int, mode: ModeIndex):
-    """Raise ResolutionError unless n >= 8 (max(k, l) + 1/2) + 1: 8 nodes per half-period."""
+    """Raise ResolutionError unless n >= 8 (max(k, l) + 1/2) + 1: 8 nodes per half-period.
+
+    reconstruct._probe, the one probe path, runs this check before any solve.
+    """
     need = 8 * (max(mode.k, mode.l) + 0.5) + 1
     if n < need:
         raise ResolutionError(f"grid n = {n} cannot resolve probe mode "
@@ -311,11 +314,10 @@ class DampingPair:
 
     a1: SampledFunction1D
     a2: SampledFunction1D
-    corner_tol: float = 1e-12
 
     def __post_init__(self):
         gap = abs(self.a1.values[0] - self.a2.values[0])
-        if gap > self.corner_tol:
+        if gap > 1e-12:
             raise ValueError(f"corner mismatch |a1(0) - a2(0)| = {gap:.3e} exceeds tolerance")
         for name, a in (("a1", self.a1), ("a2", self.a2)):
             if a.values.min() < -1e-12:
@@ -336,11 +338,8 @@ class DampingPair:
     def scaled(self, factor: float) -> "DampingPair":
         if factor < 0:
             raise ValueError("scaling must be nonnegative")
-        return DampingPair(
-            SampledFunction1D(factor * self.a1.values),
-            SampledFunction1D(factor * self.a2.values),
-            corner_tol=self.corner_tol,
-        )
+        return DampingPair(SampledFunction1D(factor * self.a1.values),
+                           SampledFunction1D(factor * self.a2.values))
 
     def minimum(self) -> float:
         return float(min(self.a1.values.min(), self.a2.values.min()))

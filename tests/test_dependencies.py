@@ -9,15 +9,22 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wavedamp"
 
 
-def third_party_imports():
-    """Top-level names of every absolute import under the package, function bodies included."""
-    names = set()
+def import_nodes():
+    """(module stem, node) of every import under the package, function bodies included."""
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names.add(node.module.split(".")[0])
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield path.stem, node
+
+
+def third_party_imports():
+    """Top-level names of every absolute import under the package."""
+    names = set()
+    for _, node in import_nodes():
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif node.level == 0:
+            names.add(node.module.split(".")[0])
     return {name for name in names
             if name not in sys.stdlib_module_names and name != PACKAGE.name}
 
@@ -28,3 +35,11 @@ def test_declared_dependencies_are_the_imported_ones():
     declared = {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
                 for req in project["dependencies"]}
     assert third_party_imports() == declared
+
+
+def test_only_the_probe_path_imports_solve_modes():
+    # every modal probe runs through reconstruct._probe, the one caller of the batch solver
+    importers = {stem for stem, node in import_nodes()
+                 if isinstance(node, ast.ImportFrom)
+                 and any(alias.name == "solve_modes" for alias in node.names)}
+    assert importers == {"reconstruct"}

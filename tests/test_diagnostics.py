@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import wavedamp.reconstruct
 from wavedamp.diagnostics import estimate_observability, fit_decay
 from wavedamp.errors import ObservabilityFailure, ResolutionError
 from wavedamp.forward import solve
@@ -58,9 +59,37 @@ class TestObservability:
         assert rep65.kappa_est == pytest.approx(1.41411, rel=1e-4)
         assert abs(rep65.kappa_est - rep129.kappa_est) / rep129.kappa_est < 0.05
 
+    def test_variable_damping_kappa_pinned(self):
+        a = DampingPair.from_callables(lambda s: 0.1 * (1 + s / 2), lambda s: np.full_like(s, 0.1))
+        kappas = {n: estimate_observability(a, 4.0, self.PROBES, Grid2D(n)).kappa_est
+                  for n in (33, 65)}
+        assert kappas == {33: 4.745966479628067, 65: 4.768066002761954}
+
     def test_zero_damping_fails(self):
         with pytest.raises(ObservabilityFailure):
             estimate_observability(DampingPair.zero(), 4.0, [ModeIndex(0, 0)], Grid2D(65))
+
+    def test_zero_damping_fails_without_stepping(self, monkeypatch):
+        # a damping identically zero on the grid gets the closed-form undamped trace
+        def no_steps(*args, **kwargs):
+            raise AssertionError("the leapfrog loop ran")
+
+        monkeypatch.setattr("wavedamp.forward._leapfrog_loop", no_steps)
+        with pytest.raises(ObservabilityFailure):
+            estimate_observability(DampingPair.zero(), 4.0, [ModeIndex(0, 0)], Grid2D(65))
+
+    def test_damped_probes_run_the_one_probe_path(self, monkeypatch):
+        calls = []
+        real_probe = wavedamp.reconstruct._probe
+
+        def counting_probe(dampings, modes, *args, **kwargs):
+            calls.append((len(dampings), list(modes)))
+            return real_probe(dampings, modes, *args, **kwargs)
+
+        monkeypatch.setattr("wavedamp.reconstruct._probe", counting_probe)
+        probes = [ModeIndex(0, 0), ModeIndex(1, 0)]
+        estimate_observability(DampingPair.constant(1.0), 1.0, probes, Grid2D(33))
+        assert calls == [(1, probes)]
 
     def test_kappa_monotone_in_horizon(self):
         grid = Grid2D(65)
