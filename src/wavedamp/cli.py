@@ -7,6 +7,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -78,13 +79,9 @@ def cmd_forward(config: ExperimentConfig) -> int:
     write_energy_csv(out / "energy.csv", result.times, result.energies)
     write_trace_binary(out / "trace.bin", result.trace)
     if fit is not None:
-        (out / "decay.json").write_text(json.dumps({
-            "M_fit": fit.M_fit,
-            "omega_fit": fit.omega_fit,
-            "residual": fit.residual,
-            "relative_misfit": fit.relative_misfit,
-            "window": list(fit.window),
-        }, indent=2, sort_keys=True) + "\n")
+        (out / "decay.json").write_text(json.dumps(
+            dict(dataclasses.asdict(fit), relative_misfit=fit.relative_misfit),
+            indent=2, sort_keys=True) + "\n")
     timings["write"] = time.perf_counter() - t0
 
     write_manifest(out, config.canonical_text(), __version__, timings)
@@ -187,16 +184,12 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     write_csv(out / "sweep.csv",
               ["damping_id", "epsilon", "delta", "a_l2", "bound_rhs", "N0",
                "recon_error_l2", "C_emp"],
-              [(r.damping_id, r.epsilon, r.delta, r.a_l2, r.bound_rhs, r.n0,
-                r.recon_error_l2, r.c_emp) for r in records])
+              [dataclasses.astuple(r) for r in records])
     ordered = sorted(records, key=lambda r: r.delta)
     write_csv(out / "bound_curve.csv", ["delta", "a_l2", "bound_rhs"],
               [(r.delta, r.a_l2, r.bound_rhs) for r in ordered])
-    (out / "sweep_context.json").write_text(json.dumps({
-        "m": context.m, "M": context.M, "c_cal": context.c_cal,
-        "c_trunc": context.c_trunc, "c_emp_cal": context.c_emp_cal,
-        "trunc_rate": context.trunc_rate, "calib_id": context.calib_id,
-    }, indent=2, sort_keys=True) + "\n")
+    (out / "sweep_context.json").write_text(json.dumps(
+        dataclasses.asdict(context), indent=2, sort_keys=True) + "\n")
     write_manifest(out, config.canonical_text(), __version__, timings)
     print(f"sweep complete ({len(records)} members): {out}")
     return 0

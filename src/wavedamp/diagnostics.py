@@ -1,7 +1,8 @@
 """Empirical semigroup diagnostics: decay rates and observability constants.
 
-Post-processing over forward trajectories only; nothing here touches the
-solver state.
+fit_decay post-processes a forward trajectory's energy log.
+estimate_observability measures its probes through the one probe path,
+reconstruct._measure, so it runs the solver as every probe does.
 """
 
 from __future__ import annotations

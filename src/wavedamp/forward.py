@@ -173,12 +173,11 @@ class SourceSpec:
     load: np.ndarray
 
 
-def mode_boundary_source(a: DampingPair, mode: ModeIndex, grid: Grid2D,
-                         profile: Optional[Callable[[float], float]] = None) -> SourceSpec:
+def mode_boundary_source(a: DampingPair, mode: ModeIndex, grid: Grid2D) -> SourceSpec:
     """Boundary functional -sqrt(lam) * integral over damped sides of a * mode * v.
 
     This is the source whose response with zero initial data reproduces
-    the damped-minus-undamped modal probe; the default time profile is
+    the damped-minus-undamped modal probe; its time profile is
     cos(omega t) with omega the mode frequency.
     """
     pair = eigenpair(mode)
@@ -187,10 +186,8 @@ def mode_boundary_source(a: DampingPair, mode: ModeIndex, grid: Grid2D,
     load = np.zeros((grid.n, grid.n))
     load[:, 0] += -pair.omega * w_side * a.a1.at(s) * mode_shape(mode, s, 0.0)
     load[0, :] += -pair.omega * w_side * a.a2.at(s) * mode_shape(mode, 0.0, s)
-    if profile is None:
-        omega = pair.omega
-        profile = lambda t: math.cos(omega * t)
-    return SourceSpec(profile=profile, load=load)
+    omega = pair.omega
+    return SourceSpec(profile=lambda t: math.cos(omega * t), load=load)
 
 
 def probe_equivalent_source(a: DampingPair, mode: ModeIndex, grid: Grid2D) -> SourceSpec:
@@ -799,44 +796,23 @@ def dissipation_residual(result: SolveResult, a: DampingPair) -> float:
     return float(np.abs(dedt + flux).max())
 
 
-def rellich_residual(phi, x0, grid: Grid2D, laplacian=None) -> float:
+def rellich_residual(phi, x0, grid: Grid2D, laplacian) -> float:
     """Defect of the multiplier identity with m(x) = x - x0.
 
     Checks 2 int lap(phi) (m . grad phi) dx against
     2 int_bdry d_nu phi (m . grad phi) - int_bdry (m . nu) |grad phi|^2.
-    Gradients are centered inside and one-sided first order on the
-    boundary, so the defect is O(h) for smooth nonlinear fields and at
-    roundoff for constant and affine ones.
+    phi and its exact Laplacian are callables of (x, y), sampled on the
+    grid.  Gradients are centered inside and one-sided first order on
+    the boundary (np.gradient), so the defect is O(h) for smooth
+    nonlinear fields and at roundoff for constant and affine ones.
     """
     cx, cy = float(x0[0]), float(x0[1])
     if not (cx > 1.0 and cy > 1.0):
         raise ValueError("x0 must lie strictly beyond the far corner")
-    u = grid.sample(phi) if callable(phi) else np.asarray(phi, dtype=float)
+    u = grid.sample(phi)
+    lap = grid.sample(laplacian)
     h = grid.h
-    n = grid.n
-
-    if laplacian is None:
-        d2 = lambda f: (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h ** 2
-        dxx = np.empty_like(u)
-        dxx[1:-1, :] = (u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]) / h ** 2
-        dxx[0, :] = d2(u[:4, :])
-        dxx[-1, :] = d2(u[-1:-5:-1, :])
-        dyy = np.empty_like(u)
-        dyy[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / h ** 2
-        dyy[:, 0] = d2(u[:, :4].T)
-        dyy[:, -1] = d2(u[:, -1:-5:-1].T)
-        lap = dxx + dyy
-    else:
-        lap = grid.sample(laplacian) if callable(laplacian) else np.asarray(laplacian, dtype=float)
-
-    gx = np.empty_like(u)
-    gx[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2.0 * h)
-    gx[0, :] = (u[1, :] - u[0, :]) / h
-    gx[-1, :] = (u[-1, :] - u[-2, :]) / h
-    gy = np.empty_like(u)
-    gy[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * h)
-    gy[:, 0] = (u[:, 1] - u[:, 0]) / h
-    gy[:, -1] = (u[:, -1] - u[:, -2]) / h
+    gx, gy = np.gradient(u, h)
 
     x, y = grid.meshgrid()
     mdotgrad = (x - cx) * gx + (y - cy) * gy
@@ -844,7 +820,7 @@ def rellich_residual(phi, x0, grid: Grid2D, laplacian=None) -> float:
 
     vol = 2.0 * h ** 2 * float((grid.quad_weights * lap * mdotgrad).sum())
 
-    w = trapezoid_weights(n) * h
+    w = trapezoid_weights(grid.n) * h
     # per side: outward normal derivative, m . nu, m . grad, |grad|^2
     bdry1 = 0.0
     bdry2 = 0.0

@@ -1,10 +1,12 @@
 """Named invariant checks behind the `verify` command.
 
 Every check reports a measured value and a tolerance; the check passes
-when value <= tolerance.  This module is the one home of these
-invariants: the acceptance criteria on dissipation, adjoint and
-causality, Gronwall, Rellich and the multiplier bound read their
-verdicts from `run_checks` as well.
+when value <= tolerance.  The invariants are computed where their
+objects live (`forward.rellich_residual` and `dissipation_residual`,
+`spectral.multiplier_bound_check`, `inverse_source.gronwall_bound_check`);
+this module is the one registry that names and bounds them.  The
+acceptance criteria on dissipation, adjoint and causality, Gronwall,
+Rellich and the multiplier bound read their verdicts from `run_checks`.
 
 The 100 adjoint pairs run batched as the columns of two arrays, h and g.
 Each block of convolution rows is reduced into the pairs' inner products
@@ -61,12 +63,13 @@ def _result(name, value, tol, detail="") -> CheckResult:
                        passed=bool(value <= tol), detail=detail)
 
 
-def _random_trig(rng, n=257, terms=6, decay=2.0, offset=0.0):
-    s = np.linspace(0.0, 1.0, n)
-    vals = np.full(n, offset)
-    for k in range(terms):
-        vals += rng.normal() / (k + 1) ** decay * np.cos((k + 0.5) * math.pi * s)
-        vals += rng.normal() / (k + 1) ** decay * np.sin((k + 1) * math.pi * s)
+def _random_trig(rng, offset=0.0):
+    """Six-term trigonometric profile on 257 nodes, term k scaled by 1/(k + 1)^2."""
+    s = np.linspace(0.0, 1.0, 257)
+    vals = np.full(257, offset)
+    for k in range(6):
+        vals += rng.normal() / (k + 1) ** 2 * np.cos((k + 0.5) * math.pi * s)
+        vals += rng.normal() / (k + 1) ** 2 * np.sin((k + 1) * math.pi * s)
     return SampledFunction1D(vals)
 
 
@@ -140,8 +143,9 @@ def _dissipation_checks() -> List[CheckResult]:
 def _rellich_checks() -> List[CheckResult]:
     x0 = (1.25, 1.25)
     grid = Grid2D(65)
-    r_const = rellich_residual(lambda x, y: np.ones_like(x), x0, grid)
-    r_lin = rellich_residual(lambda x, y: x, x0, grid)
+    zero = lambda x, y: np.zeros_like(x)  # exact Laplacian of both affine fields
+    r_const = rellich_residual(lambda x, y: np.ones_like(x), x0, grid, zero)
+    r_lin = rellich_residual(lambda x, y: x, x0, grid, zero)
     mode = ModeIndex(0, 0)
     lam = eigenpair(mode).eigenvalue
     res = {}

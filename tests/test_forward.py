@@ -691,23 +691,32 @@ class TestSources:
 class TestRellich:
     X0 = (1.25, 1.25)
 
-    def test_constant_field(self):
-        assert rellich_residual(lambda x, y: np.ones_like(x), self.X0, Grid2D(65)) < 1e-8
+    @staticmethod
+    def zero(x, y):
+        return np.zeros_like(x)
 
-    def test_linear_field(self):
-        assert rellich_residual(lambda x, y: x, self.X0, Grid2D(65)) < 1e-8
+    def test_constant_field(self):
+        assert rellich_residual(lambda x, y: np.ones_like(x), self.X0, Grid2D(65),
+                                self.zero) < 1e-8
+
+    @pytest.mark.parametrize("field", [lambda x, y: x, lambda x, y: 0.3 + 2.0 * x - y],
+                             ids=["x", "affine"])
+    def test_linear_field(self, field):
+        assert rellich_residual(field, self.X0, Grid2D(65), self.zero) < 1e-13
 
     def test_mode_residual_decreases(self):
         mode = ModeIndex(0, 0)
         lam = eigenpair(mode).eigenvalue
         vals = [rellich_residual(lambda x, y: mode_shape(mode, x, y), self.X0, Grid2D(n),
-                                 laplacian=lambda x, y: -lam * mode_shape(mode, x, y))
+                                 lambda x, y: -lam * mode_shape(mode, x, y))
                 for n in (33, 65, 129)]
         assert vals[0] > vals[1] > vals[2]
+        # pinned bits: the gradients and the quadrature must not change
+        assert vals == [0.2624300282031058, 0.12345055076052525, 0.05977905340788148]
 
     def test_interior_x0_rejected(self):
         with pytest.raises(ValueError):
-            rellich_residual(lambda x, y: x, (0.5, 0.5), Grid2D(33))
+            rellich_residual(lambda x, y: x, (0.5, 0.5), Grid2D(33), self.zero)
 
 
 class TestStiffnessForm:
