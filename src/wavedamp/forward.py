@@ -132,22 +132,15 @@ class BoundaryTrace:
 def step_quadrature(sides: np.ndarray) -> np.ndarray:
     """h sum_i w_i (bottom_i^2 + left_i^2) at each step of sides, shaped (2, steps, n).
 
-    Formed TRACE_WINDOW steps at a time: a BLAS product rounds a row by
-    where it falls in the product, so a window that a reduced batch hands
-    on (solve_modes), starting at a multiple of TRACE_WINDOW, gets the bits
-    of the same steps of the whole trace.  Raises NumericalError on a value
-    that is not finite.
+    Each step is reduced on its own (einsum, no BLAS call), so any run of
+    steps cut from a trace gets the bits of the same steps of the whole
+    trace.  Raises NumericalError on a value that is not finite.
     """
     n = sides.shape[-1]
     h = 1.0 / (n - 1)
     wx = trapezoid_weights(n)
-
-    def weighted_rows(side: np.ndarray) -> np.ndarray:
-        squares = side ** 2
-        return np.concatenate([squares[first:first + TRACE_WINDOW] @ wx
-                               for first in range(0, side.shape[0], TRACE_WINDOW)])
-
-    per_step = h * (weighted_rows(sides[0]) + weighted_rows(sides[1]))
+    per_step = h * (np.einsum("kj,j->k", sides[0] ** 2, wx)
+                    + np.einsum("kj,j->k", sides[1] ** 2, wx))
     if not np.isfinite(per_step).all():
         raise NumericalError("boundary trace norm is not finite")
     return per_step

@@ -40,6 +40,16 @@ VANISHING_NORM = 1e-12  # dual and trace norms at or below this count as zero
 PANEL = 128  # rows or columns of the convolution matrix formed at a time
 
 
+def _check_samples(v: np.ndarray, ndim: int, tau: float, what: str):
+    """Raise ValueError unless v has ndim axes and at least 3 finite samples, and 0 < tau < inf."""
+    if v.ndim != ndim or v.shape[0] < 3:
+        raise ValueError(f"{what} needs at least 3 samples")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} samples must be finite")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+
+
 @dataclass(frozen=True)
 class Modulation:
     """Known time modulation of the source, sampled on [0, tau].
@@ -52,12 +62,7 @@ class Modulation:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.shape[0] < 3:
-            raise ValueError("modulation needs at least 3 samples")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("modulation samples must be finite")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        _check_samples(v, 1, self.tau, "modulation")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -107,10 +112,7 @@ class TimeSignal:
         v = np.asarray(self.values, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
-        if v.ndim != 2 or v.shape[0] < 3:
-            raise ValueError("signal needs at least 3 time samples")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("signal samples must be finite")
+        _check_samples(v, 2, self.tau, "signal")
         if copy:
             v = v.copy()
         v.setflags(write=False)

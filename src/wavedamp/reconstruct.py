@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import RegimeError, ResolutionError
 from .forward import (
-    TRACE_WINDOW,
     BoundaryTrace,
     _time_step,
     damping_rate,
@@ -144,15 +143,16 @@ def reference_solution(mode: ModeIndex, tau: float, grid: Grid2D,
 def _probe(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex],
            references: Sequence[UndampedReference], tau: float, grid: Grid2D, dt_factor: float,
            take: Callable[[int, int, int, np.ndarray], None]):
-    """Every probe of modes[j] under dampings[i], minus references[j], handed on window by window.
+    """Every probe of modes[j] under dampings[i], minus references[j], handed on in runs of steps.
 
     Checks first that the grid resolves each mode and that each reference
     has the horizon's steps + 1 samples on the grid's nodes.  A damping
     identically zero on the grid is not stepped: its probe is the closed
-    form of forward.undamped_mode_trace.  The rest run as one reduced batch.
-    Steps first to first + k - 1 of a probe, first a multiple of
-    TRACE_WINDOW, are handed on once, as take(i, j, first, sides) with sides
-    shaped (2, k, n) and overwritten after the call returns.
+    form of forward.undamped_mode_trace, handed on in one piece.  The rest
+    run as one reduced batch.  Each step of a probe is handed on exactly
+    once, in order, in runs of any length: steps first to first + k - 1 as
+    take(i, j, first, sides), with sides shaped (2, k, n) and overwritten
+    after the call returns.
     """
     for mode in modes:
         check_probe_resolution(grid.n, mode)
@@ -164,9 +164,7 @@ def _probe(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex],
     for i in sorted(set(range(len(dampings))) - set(stepped)):
         for j, mode in enumerate(modes):
             profile, start = undamped_mode_trace(mode, grid, tau, dt_factor)
-            for first in range(0, steps + 1, TRACE_WINDOW):
-                sides = start[:, None, :] * profile[first:first + TRACE_WINDOW, None]
-                take(i, j, first, references[j].subtract_from(sides, first))
+            take(i, j, 0, references[j].subtract_from(start[:, None, :] * profile[:, None], 0))
 
     def reduce(start: int, first: int, window: np.ndarray):
         for b, sides in enumerate(window, start):
@@ -182,8 +180,8 @@ def _measure(a: DampingPair, modes: Sequence[ModeIndex],
              dt_factor: float, keep: Collection[ModeIndex]) -> GapEstimate:
     """The trace norm of each mode's probe under a, and the whole measurement of each mode in keep.
 
-    Each window is reduced to its per-step quadrature as it is handed on,
-    so a norm has the bits of the whole trace's l2_norm.
+    Each run of steps is reduced to its per-step quadrature as it is handed
+    on, so a norm has the bits of the whole trace's l2_norm.
     """
     steps, dt = _time_step(tau, grid.h, dt_factor)
     kept = {j: np.empty((2, steps + 1, grid.n)) for j, mode in enumerate(modes) if mode in keep}

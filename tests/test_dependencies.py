@@ -37,9 +37,18 @@ def test_declared_dependencies_are_the_imported_ones():
     assert third_party_imports() == declared
 
 
+def importers_of(name):
+    """Stems of the modules under the package that import name from another module."""
+    return {stem for stem, node in import_nodes()
+            if isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names)}
+
+
 def test_only_the_probe_path_imports_solve_modes():
     # every modal probe runs through reconstruct._probe, the one caller of the batch solver
-    importers = {stem for stem, node in import_nodes()
-                 if isinstance(node, ast.ImportFrom)
-                 and any(alias.name == "solve_modes" for alias in node.names)}
-    assert importers == {"reconstruct"}
+    assert importers_of("solve_modes") == {"reconstruct"}
+
+
+def test_only_forward_reads_the_trace_window():
+    # the window bounds the memory of forward's reduced batch; no other module's bits
+    # may depend on where its windows fall
+    assert importers_of("TRACE_WINDOW") == set()

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import types
 
@@ -10,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from wavedamp import forward
 from wavedamp.errors import NumericalError
 from wavedamp.forward import (
-    TRACE_WINDOW,
     _mirror_second_difference,
     _neighbour_sum,
     _stiffness_bilinear,
@@ -467,15 +467,26 @@ def test_trace_is_linear_in_initial_data(alpha, beta, u_coeffs, w_coeffs, dampin
 coefficient_part = st.floats(0.0, 1.0)
 
 
-def test_step_quadrature_of_a_trace_is_that_of_its_windows():
-    # a BLAS product rounds a row by where it falls in the product: over all 65 steps
-    # of this trace, the last step rounds otherwise than it does alone
-    grid = Grid2D(65)
+@functools.lru_cache(maxsize=None)
+def damped_sides_n65():
+    """The 129 steps of one damped probe trace at n = 65."""
     a = DampingPair.from_callables(lambda s: 0.1 * (2 + s), lambda s: 0.2 * np.ones_like(s))
-    sides = solve_from_mode(a, ModeIndex(1, 1), grid, 0.3505).trace.sides
-    assert sides.shape[1] == TRACE_WINDOW + 1
-    windows = [step_quadrature(sides[:, first:first + TRACE_WINDOW]) for first in (0, TRACE_WINDOW)]
-    assert step_quadrature(sides).tobytes() == np.concatenate(windows).tobytes()
+    return solve_from_mode(a, ModeIndex(1, 1), Grid2D(65), 1.0).trace.sides
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.integers(0, 128), length=st.integers(1, 129))
+@example(start=0, length=1)
+@example(start=37, length=5)
+@example(start=1, length=64)
+@example(start=64, length=65)
+def test_step_quadrature_of_any_cut_is_that_of_the_whole(start, length):
+    # each step is reduced on its own, so a run of steps cut anywhere from a trace,
+    # of any length, has the bits of the same steps of the whole trace
+    sides = damped_sides_n65()
+    stop = min(start + length, sides.shape[1])
+    whole = step_quadrature(sides)
+    assert step_quadrature(sides[:, start:stop]).tobytes() == whole[start:stop].tobytes()
 
 
 def reduced_traces(pairs, modes, grid, tau):

@@ -28,6 +28,15 @@ def constant_modulation(tau=2.0, steps=400):
     return Modulation.from_callable(lambda t: np.ones_like(t), tau, steps)
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("kind", [Modulation, TimeSignal])
+def test_horizon_must_be_finite_and_positive(kind, tau):
+    # a horizon that is not a finite positive number is rejected when the samples are
+    # taken, not left to end in a math domain error in l2_norm
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
+        kind(np.ones(5), tau)
+
+
 def test_signal_copies_only_an_array_its_caller_keeps():
     data = np.ones((401, 2))
     kept = TimeSignal(data, 2.0)
