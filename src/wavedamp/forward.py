@@ -382,7 +382,7 @@ class _Leapfrog:
 
     u^{m-1}, u^m and u^{m+1} rotate through `fields`, shaped (3,) + shape
     for one (n, n) field or a (B, n, n) batch; fields[0] and fields[1] take
-    u^0 and u^1 before the first advance.
+    u^0 and u^1 before the first advance, u^1 either given or formed by start.
     """
 
     def __init__(self, dt: float, grid: Grid2D, gam: np.ndarray,
@@ -399,6 +399,7 @@ class _Leapfrog:
         self.slot = 1
         self.work = np.empty(shape)
         self.row = np.empty(shape[:-2] + (n,))
+        self.dt, self.grid, self.gam, self.source = dt, grid, gam, source
         r = dt * dt / (grid.h * grid.h)
         load = None if source is None else (dt * dt) * _accel_load(source, grid)
         self.phases = [self._phase(k, r, source, load) for k in range(3)]
@@ -446,6 +447,29 @@ class _Leapfrog:
         self.slot = (self.slot + 1) % 3
         return fields
 
+    def start(self, u1: np.ndarray) -> np.ndarray:
+        """The Taylor start from u^0 in fields[0] and velocity u1, written into fields[1].
+
+        u^1 = u^0 + dt u1 + dt^2 / 2 (lap u^0 - gam u1 + profile(0) accel_load),
+        with fields[2] holding the acceleration and work the rest, so no
+        field-sized array is allocated.  u1 is of fields[0]'s shape or one
+        (n, n) field for every member; gam u1 is formed on the damped sides
+        only, the corner once.
+        """
+        u0, u, acc, work = self.fields[0], self.fields[1], self.fields[2], self.work
+        gam, h = self.gam, self.grid.h
+        _neighbour_sum_into(u0, acc, self.row)()
+        np.subtract(acc, np.multiply(4.0, u0, out=work), out=acc)
+        np.divide(acc, h * h, out=acc)
+        acc[..., :, 0] -= gam[..., 0, :] * u1[..., :, 0]
+        acc[..., 0, 1:] -= gam[..., 1, 1:] * u1[..., 0, 1:]
+        if self.source is not None:
+            load = _accel_load(self.source, self.grid)
+            np.add(acc, np.multiply(self.source.profile(0.0), load, out=work), out=acc)
+        np.add(u0, np.multiply(self.dt, u1, out=work), out=work)
+        np.add(work, np.multiply(0.5 * self.dt * self.dt, acc, out=acc), out=u)
+        return self.grid.zero_dirichlet(u)
+
 
 def step(u: np.ndarray, u_prev: np.ndarray, t: float, dt: float, grid: Grid2D,
          gam: np.ndarray, source: Optional[SourceSpec] = None) -> np.ndarray:
@@ -466,22 +490,15 @@ def step(u: np.ndarray, u_prev: np.ndarray, t: float, dt: float, grid: Grid2D,
 
 def start_step(u0: np.ndarray, u1: np.ndarray, dt: float, grid: Grid2D,
                gam: np.ndarray, source: Optional[SourceSpec] = None) -> np.ndarray:
-    """Taylor start producing u at t = dt from initial data u0, u1 of one shape.
+    """Taylor start producing u at t = dt from initial data u0, u1 of one shape, into a fresh array.
 
-    u^1 = u0 + dt u1 + dt^2 / 2 (lap u0 - gam u1 + profile(0) accel_load), in
-    place on two field-sized arrays.  u0 and u1 are (n, n) fields or
-    (B, n, n) stacks, and gam is shaped as _Leapfrog takes it; gam u1 is
-    formed on the damped sides only, the corner once.
+    u^1 = u0 + dt u1 + dt^2 / 2 (lap u0 - gam u1 + profile(0) accel_load), as
+    _Leapfrog.start forms it.  u0 and u1 are (n, n) fields or (B, n, n)
+    stacks, and gam is shaped as _Leapfrog takes it.
     """
-    acc = _mirror_laplacian(u0, grid.h)
-    acc[..., :, 0] -= gam[..., 0, :] * u1[..., :, 0]
-    acc[..., 0, 1:] -= gam[..., 1, 1:] * u1[..., 0, 1:]
-    work = np.empty(acc.shape)
-    if source is not None:
-        np.add(acc, np.multiply(source.profile(0.0), _accel_load(source, grid), out=work), out=acc)
-    np.add(u0, np.multiply(dt, u1, out=work), out=work)
-    np.add(work, np.multiply(0.5 * dt * dt, acc, out=acc), out=work)
-    return grid.zero_dirichlet(work)
+    kernel = _Leapfrog(dt, grid, gam, source, u0.shape)
+    kernel.fields[0] = u0
+    return kernel.start(u1)
 
 
 def _trace_recorder(grid: Grid2D) -> Callable[[np.ndarray, np.ndarray], None]:
@@ -640,13 +657,13 @@ def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam: np.ndarray, grid: Grid2D
         if flush is not None and (m + 1) % width == 0:
             flush(m + 1 - width, traces)
 
-    u_prev, u_curr = kernel.fields[0], kernel.fields[1]
+    u_prev = kernel.fields[0]
     u_prev[...] = u0
     grid.zero_dirichlet(u_prev)
     put(0, u_prev)
     if log is not None:
         log.energy(0, u_prev, u1, 1.0)
-    u_curr[...] = start_step(u_prev, u1, dt, grid, gam, source)
+    u_curr = kernel.start(u1)
     if log is not None:
         log.staggered_energy(0, u_curr, u_prev)
 

@@ -7,7 +7,6 @@ string that round-trips, so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import struct
@@ -140,6 +139,10 @@ def load_damping_csv(path) -> SampledFunction1D:
 
 
 def sha256_file(path) -> str:
+    # hashlib maps OpenSSL's libcrypto, megabytes of resident memory, so only the code
+    # that hashes imports it
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -152,6 +155,8 @@ def write_manifest(out_dir, config_text: str, version: str, timings: dict) -> Pa
 
     Written last, so a complete manifest certifies a complete run.
     """
+    import hashlib
+
     out_dir = Path(out_dir)
     manifest_path = out_dir / "manifest.json"
     files = {}

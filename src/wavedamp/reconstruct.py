@@ -596,7 +596,10 @@ def _predicted_decrease(columns: np.ndarray, gram: np.ndarray, r: np.ndarray) ->
     """Relative decrease of |r| that the linear model r + J s promises at its best step."""
     step = _least_squares_step(columns, gram, r)
     norm = float(np.linalg.norm(r))
-    return (norm - float(np.linalg.norm(r + columns.T @ step))) / norm
+    # r + J s in one residual-sized buffer; the sum has the bits of r + (J s)
+    model = np.matmul(columns.T, step, out=np.empty(r.shape))
+    np.add(model, r, out=model)
+    return (norm - float(np.linalg.norm(model))) / norm
 
 
 def _apply_correction(init: DampingPair, params: np.ndarray, order: int) -> DampingPair:

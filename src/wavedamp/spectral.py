@@ -239,20 +239,27 @@ def _masked_inverse_distance(n: int, midpoints: bool, power: int) -> np.ndarray:
     return inverse
 
 
+def _l2_h1_sq(f: SampledFunction1D) -> tuple[float, float]:
+    """The squared discrete L2 and H1 norms of an interval sample, in O(samples)."""
+    v = f.values
+    dx = f.dx
+    l2sq = integrate(v * v, dx)
+    dv = np.gradient(v, dx, edge_order=2)
+    return l2sq, l2sq + integrate(dv * dv, dx)
+
+
 def sobolev_norms(f: SampledFunction1D) -> SobolevNorms:
     """Discrete L2, H1 and H^{1/2} norms of an interval sample.
 
     The half-order norm uses the double-integral form
     (||f||_{L2}^2 + iint |f(x)-f(y)|^2 / |x-y|^2 dx dy)^{1/2},
     discretized on the cell-midpoint grid so the diagonal is excluded (its
-    inverse squared distance is held as 0).
+    inverse squared distance is held as 0).  That part builds two
+    (samples - 1)^2 matrices; the L2 and H1 norms alone come from _l2_h1_sq.
     """
+    l2sq, h1sq = _l2_h1_sq(f)
     v = f.values
     dx = f.dx
-    l2sq = integrate(v * v, dx)
-    dv = np.gradient(v, dx, edge_order=2)
-    h1sq = l2sq + integrate(dv * dv, dx)
-
     mid = 0.5 * (v[1:] + v[:-1])
     diff = mid[:, None] - mid[None, :]
     np.multiply(diff, diff, out=diff)
@@ -345,11 +352,10 @@ class DampingPair:
         return float(min(self.a1.values.min(), self.a2.values.min()))
 
     def h1_sq_max(self) -> float:
-        """Largest squared H1 norm among the two components."""
-        return max(sobolev_norms(self.a1).h1 ** 2, sobolev_norms(self.a2).h1 ** 2)
+        """Largest squared H1 norm among the two components, as sobolev_norms' h1 squared."""
+        return max(math.sqrt(_l2_h1_sq(a)[1]) ** 2 for a in (self.a1, self.a2))
 
     def l2_norm(self) -> float:
-        """Norm of the pair in L2((0,1))^2."""
-        n1 = sobolev_norms(self.a1).l2
-        n2 = sobolev_norms(self.a2).l2
+        """Norm of the pair in L2((0,1))^2, from sobolev_norms' l2 of each component."""
+        n1, n2 = (math.sqrt(_l2_h1_sq(a)[0]) for a in (self.a1, self.a2))
         return math.sqrt(n1 * n1 + n2 * n2)

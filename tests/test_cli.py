@@ -334,6 +334,21 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_openssl_unloaded():
+    # hashlib maps OpenSSL's libcrypto through _hashlib; only io's hashing code imports it
+    code = ("import sys\n"
+            "before = '_hashlib' in sys.modules\n"
+            "import wavedamp.cli\n"
+            "print(before, '_hashlib' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(wavedamp.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    before, after = out.stdout.split()
+    if before == "True":
+        pytest.skip("this interpreter loads _hashlib before any import")
+    assert after == "False"
+
+
 def test_source_bound_check_leaves_scipy_unloaded():
     code = ("import sys\n"
             "from wavedamp.forward import mode_boundary_source\n"

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -365,6 +366,24 @@ def test_start_step_on_a_stack_matches_each_member(case, forced):
             acc = acc + source.profile(0.0) * (source.load / (grid.h ** 2 * grid.quad_weights))
         expected = grid.zero_dirichlet(u0[b] + dt * u1[b] + 0.5 * dt * dt * acc)
         assert np.array_equal(alone, expected)
+
+
+def test_batch_starts_inside_the_kernels_ring():
+    # the Taylor start of a batch from rest allocates nothing field-sized: fields[2] and
+    # work hold its sums, and only the damped sides' friction terms are formed apart
+    grid, members = Grid2D(65), 9
+    gam = np.stack([damping_rate(DampingPair.constant(0.1 * (b + 1)), grid) for b in range(members)])
+    kernel = forward._Leapfrog(0.5 * forward.CFL_LIMIT * grid.h, grid, gam, None,
+                               (members, grid.n, grid.n))
+    kernel.fields[0] = mode_field(grid)
+    u1 = np.zeros((grid.n, grid.n))
+    tracemalloc.start()
+    try:
+        kernel.start(u1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < u1.nbytes
 
 
 def plain_laplacian(u, h):

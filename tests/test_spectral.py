@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wavedamp.config import MAX_DAMPING_SAMPLES
 from wavedamp.errors import ResolutionError
 from wavedamp.spectral import (
     DampingPair,
@@ -278,6 +280,26 @@ class TestDampingPair:
     def test_pair_norm(self):
         a = DampingPair.constant(0.3)
         assert a.l2_norm() == pytest.approx(0.3 * math.sqrt(2), rel=1e-6)
+
+    def test_pair_norms_have_the_bits_of_sobolev_norms(self):
+        a = DampingPair.from_callables(lambda s: 0.1 + 0.05 * np.sin(3 * s),
+                                       lambda s: 0.1 + 0.03 * s * s, 129)
+        n1, n2 = (sobolev_norms(c) for c in (a.a1, a.a2))
+        assert a.l2_norm() == math.sqrt(n1.l2 * n1.l2 + n2.l2 * n2.l2)
+        assert a.h1_sq_max() == max(n1.h1 ** 2, n2.h1 ** 2)
+
+    def test_pair_norms_take_memory_linear_in_the_samples(self):
+        # only the H^{1/2} norm builds (samples - 1)^2 matrices, 128 MiB each at the cap
+        a = DampingPair.from_callables(lambda s: 0.1 + 0.05 * s, lambda s: 0.1 + 0.02 * s * s,
+                                       MAX_DAMPING_SAMPLES)
+        tracemalloc.start()
+        try:
+            a.l2_norm()
+            a.h1_sq_max()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_scaling(self):
         a = DampingPair.from_callables(lambda s: 0.1 * (1 + s / 2), lambda s: 0.1 * np.ones_like(s))
