@@ -26,9 +26,9 @@ DAMPING_KINDS = ("zero", "constant", "affine", "csv")
 # instead of failing in the allocator.  n^2 * steps bounds the work of one
 # solve: 1.9e8 for n = 257 at tau = 4, dt_factor = 0.5.  n * (steps + 1)
 # bounds the memory of one trace, 16 bytes per value for its two sides
-# (80 MB at the cap; the largest trace-sized buffer is the Gauss-Newton
-# Jacobian's 2 (fit_order + 1) traces): 7.4e5 for n = 257 at
-# tau = 4, while n = 17 under the work cap alone could reach 2.9e7.  A damping's
+# (80 MB at the cap; the largest trace-sized buffer is the Gauss-Newton Jacobian,
+# 2 (fit_order + 1) traces per measurement, and reconstruct fits one): 7.4e5 for
+# n = 257 at tau = 4, while n = 17 under the work cap alone could reach 2.9e7.  A damping's
 # samples (damping_samples, or a csv's rows) stay at four per cell of the largest
 # grid: the H^{1/2} norms of multiplier_bound_check, the one caller that needs them,
 # then build (samples - 1)^2 matrices of 128 MiB each.
@@ -89,7 +89,8 @@ class ExperimentConfig:
         if self.damping_kind not in DAMPING_KINDS:
             raise ConfigError("damping_kind", f"must be one of {DAMPING_KINDS}")
         if self.damping_kind == "csv" and not (self.damping_csv1 and self.damping_csv2):
-            raise ConfigError("damping_csv1", "csv damping needs both file paths")
+            missing = "damping_csv2" if self.damping_csv1 else "damping_csv1"
+            raise ConfigError(missing, "csv damping needs both file paths")
         if not 19 <= self.damping_samples <= MAX_DAMPING_SAMPLES:
             raise ConfigError("damping_samples", f"must lie in [19, {MAX_DAMPING_SAMPLES}], "
                                                  f"got {self.damping_samples}")
@@ -139,7 +140,9 @@ class ExperimentConfig:
         try:
             return DampingPair(a1, a2)
         except ValueError as exc:
-            raise ConfigError("damping_csv1", str(exc)) from exc
+            # the pair names the side at fault, a1 or a2; a corner mismatch is charged to a1
+            side = "damping_csv2" if str(exc).startswith("a2") else "damping_csv1"
+            raise ConfigError(side, str(exc)) from exc
 
     def canonical_text(self) -> str:
         lines = []

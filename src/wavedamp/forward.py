@@ -296,11 +296,6 @@ def _neighbour_sum_into(u: np.ndarray, out: np.ndarray,
     return neighbour_sum
 
 
-def _neighbour_sum(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The mirrored neighbour sum S(u), written into out once; see _neighbour_sum_into."""
-    return _neighbour_sum_into(np.ascontiguousarray(u), out, np.empty(u[..., 0, :].shape))()
-
-
 def _mirror_second_difference(u: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """4 u - S(u), summed from the first differences of u.
 
@@ -327,17 +322,6 @@ def _mirror_second_difference(u: np.ndarray, out: np.ndarray, work: np.ndarray) 
     return out
 
 
-def _mirror_laplacian(u: np.ndarray, h: float) -> np.ndarray:
-    """5-point Laplacian (S(u) - 4 u) / h^2 over the mirrored neighbour sum S.
-
-    Valid on all non-Dirichlet nodes; Dirichlet rows are pinned by the
-    caller and never read back.
-    """
-    lap = _neighbour_sum(u, np.empty(u.shape))
-    np.subtract(lap, 4.0 * u, out=lap)
-    return np.divide(lap, h * h, out=lap)
-
-
 def damping_rate(a: DampingPair, grid: Grid2D) -> np.ndarray:
     """The friction 2 a / h from ghost elimination, as its two side vectors, shaped (2, n).
 
@@ -351,11 +335,6 @@ def damping_rate(a: DampingPair, grid: Grid2D) -> np.ndarray:
     return rates
 
 
-def _accel_load(source: SourceSpec, grid: Grid2D) -> np.ndarray:
-    """The source's load per unit mass: the load over each node's quadrature weight."""
-    return source.load / (grid.h ** 2 * grid.quad_weights)
-
-
 def _check_cfl(dt: float, h: float):
     if dt > CFL_LIMIT * h * (1.0 + 1e-12):
         raise NumericalError(f"dt = {dt:.3e} violates the CFL bound {CFL_LIMIT * h:.3e}")
@@ -366,9 +345,10 @@ class _Leapfrog:
 
     With r = dt^2 / h^2, every node first takes the undamped update
 
-        U = r S(u^m) + (2 - 4 r) u^m - u^{m-1} + profile(t) dt^2 accel_load,
+        U = r S(u^m) + (2 - 4 r) u^m - u^{m-1} + profile(t) dt^2 accel,
 
-    S being the mirrored neighbour sum.  gam holds the friction on the
+    S being the mirrored neighbour sum and accel the source's load per unit
+    mass, its load over each node's quadrature weight.  gam holds the friction on the
     damped sides only, column 0 and row 0 (see damping_rate): shaped (2, n)
     for every member, or (B, 2, n) with one row pair per member.  With
     half = gam dt / 2, the damped sides are then corrected in place, column
@@ -377,7 +357,7 @@ class _Leapfrog:
         u^{m+1} = U / (1 + half) + u^{m-1} half / (1 + half),
 
     which is the scheme (1 + half) u^{m+1} = 2 u^m - (1 - half) u^{m-1}
-    + dt^2 (lap u^m + accel_load) up to roundoff.  Off the damped sides
+    + dt^2 (lap u^m + profile(t) accel) up to roundoff.  Off the damped sides
     half = 0, and U is u^{m+1}.
 
     u^{m-1}, u^m and u^{m+1} rotate through `fields`, shaped (3,) + shape
@@ -401,7 +381,8 @@ class _Leapfrog:
         self.row = np.empty(shape[:-2] + (n,))
         self.dt, self.grid, self.gam, self.source = dt, grid, gam, source
         r = dt * dt / (grid.h * grid.h)
-        load = None if source is None else (dt * dt) * _accel_load(source, grid)
+        self.accel = None if source is None else source.load / (grid.h ** 2 * grid.quad_weights)
+        load = None if source is None else (dt * dt) * self.accel
         self.phases = [self._phase(k, r, source, load) for k in range(3)]
 
     def _phase(self, k: int, r: float, source: Optional[SourceSpec],
@@ -450,7 +431,7 @@ class _Leapfrog:
     def start(self, u1: np.ndarray) -> np.ndarray:
         """The Taylor start from u^0 in fields[0] and velocity u1, written into fields[1].
 
-        u^1 = u^0 + dt u1 + dt^2 / 2 (lap u^0 - gam u1 + profile(0) accel_load),
+        u^1 = u^0 + dt u1 + dt^2 / 2 (lap u^0 - gam u1 + profile(0) accel),
         with fields[2] holding the acceleration and work the rest, so no
         field-sized array is allocated.  u1 is of fields[0]'s shape or one
         (n, n) field for every member; gam u1 is formed on the damped sides
@@ -464,8 +445,7 @@ class _Leapfrog:
         acc[..., :, 0] -= gam[..., 0, :] * u1[..., :, 0]
         acc[..., 0, 1:] -= gam[..., 1, 1:] * u1[..., 0, 1:]
         if self.source is not None:
-            load = _accel_load(self.source, self.grid)
-            np.add(acc, np.multiply(self.source.profile(0.0), load, out=work), out=acc)
+            np.add(acc, np.multiply(self.source.profile(0.0), self.accel, out=work), out=acc)
         np.add(u0, np.multiply(self.dt, u1, out=work), out=work)
         np.add(work, np.multiply(0.5 * self.dt * self.dt, acc, out=acc), out=u)
         return self.grid.zero_dirichlet(u)
@@ -492,7 +472,7 @@ def start_step(u0: np.ndarray, u1: np.ndarray, dt: float, grid: Grid2D,
                gam: np.ndarray, source: Optional[SourceSpec] = None) -> np.ndarray:
     """Taylor start producing u at t = dt from initial data u0, u1 of one shape, into a fresh array.
 
-    u^1 = u0 + dt u1 + dt^2 / 2 (lap u0 - gam u1 + profile(0) accel_load), as
+    u^1 = u0 + dt u1 + dt^2 / 2 (lap u0 - gam u1 + profile(0) accel), as
     _Leapfrog.start forms it.  u0 and u1 are (n, n) fields or (B, n, n)
     stacks, and gam is shaped as _Leapfrog takes it.
     """
@@ -580,8 +560,9 @@ class SolveResult:
     energies (integer-step energy, read by the forward command and the
     energy checks), staggered_energies (E^{m+1/2} at t = (m + 1/2) dt, the
     series carrying the exact dissipation identity) and velocities, shaped
-    like the trace's sides (the centered velocities on the damped sides,
-    which only the dissipation identity reads).
+    like the trace's sides (the centered velocities (u^{m+1} - u^{m-1}) / (2 dt)
+    on the damped sides, which only the dissipation identity reads; the last,
+    final.v's, from one step past tau that the trace does not record).
     """
 
     final: WaveState
@@ -643,8 +624,9 @@ def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam: np.ndarray, grid: Grid2D
     flush(first, window) is called each time the W columns fill and once
     for the columns left at the end; window, a view of traces, holds steps
     first, first + 1, ... in its columns.  The energy log is kept only for
-    a single field.  Returns the step times and the last two fields, u^steps
-    and u^(steps - 1), as views of the ring.
+    a single field, and its last energy is left to the caller.  Returns the
+    step times and the kernel, whose next advance(times[steps]) steps past
+    tau from u^steps and u^(steps - 1).
     """
     kernel = _Leapfrog(dt, grid, gam, source, u0.shape)
     times = dt * np.arange(steps + 1)
@@ -681,7 +663,7 @@ def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam: np.ndarray, grid: Grid2D
         flush(steps + 1 - left, traces[:, :, :left])
     if not np.isfinite(u_next).all():
         raise NumericalError("final field contains non-finite values")
-    return times, u_next, u_curr
+    return times, kernel
 
 
 def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: float,
@@ -702,19 +684,13 @@ def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: flo
     gam = damping_rate(a, grid)
     traces = np.empty((1, 2, steps + 1, grid.n))
     log = _EnergyLog(steps, dt, grid)
-    times, u_curr, u_prev = _leapfrog_loop(u0, u1, gam, grid, steps, dt, traces, source, log)
+    times, kernel = _leapfrog_loop(u0, u1, gam, grid, steps, dt, traces, source, log)
 
-    # close the staggered velocity to second order at the final time; the
-    # friction divides it by 1 + gam dt / 2 on the damped sides, the corner once
-    acc_end = _mirror_laplacian(u_curr, grid.h)
-    if source is not None:
-        acc_end = acc_end + source.profile(float(times[-1])) * _accel_load(source, grid)
-    v_final = (u_curr - u_prev) / dt + 0.5 * dt * acc_end
-    divisor = 1.0 + 0.5 * dt * gam
-    v_final[:, 0] /= divisor[0]
-    v_final[0, 1:] /= divisor[1, 1:]
-    log.energy(steps, u_curr, v_final, 1.0)
-    return SolveResult(final=WaveState(u=u_curr.copy(), v=v_final, t=float(times[-1])),
+    # one step past tau, so the final velocity is centered like every other
+    u_next, u_curr, u_prev = kernel.advance(times[-1])
+    d = u_next - u_prev
+    log.energy(steps, u_curr, d, 2.0 * dt)
+    return SolveResult(final=WaveState(u=u_curr.copy(), v=d / (2.0 * dt), t=float(times[-1])),
                        trace=BoundaryTrace(times=times, sides=traces[0], dt=dt, tau=tau),
                        times=times, grid=grid, dt=dt, energies=log.energies,
                        staggered_energies=log.staggered_energies, velocities=log.velocities)

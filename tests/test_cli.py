@@ -101,13 +101,21 @@ DAMPING_FIELDS = ("damping_kind", "damping_base", "damping_slope1", "damping_slo
      "damping_csv1"),
     ("sweep", "damping_kind = csv\ndamping_csv1 = {positive}\ndamping_csv2 = {vanishing}\n",
      "damping_csv2"),
+    # a csv error names the file at fault
+    ("forward", "damping_kind = csv\ndamping_csv1 = {positive}\n", "damping_csv2"),
+    ("forward", "damping_kind = csv\ndamping_csv1 = {positive}\ndamping_csv2 = {negative}\n",
+     "damping_csv2"),
 ], ids=["damping_base", "damping_slope1", "damping_slope2", "sweep-zero", "sweep-constant",
-        "sweep-affine-base", "sweep-affine-slope2", "sweep-csv1", "sweep-csv2"])
+        "sweep-affine-base", "sweep-affine-slope2", "sweep-csv1", "sweep-csv2", "csv2-missing",
+        "csv2-negative"])
 def test_negative_affine_damping_names_its_field_exit_2(tmp_path, capsys, command, text, field):
     positive, vanishing = tmp_path / "positive.csv", tmp_path / "vanishing.csv"
+    negative = tmp_path / "negative.csv"
     positive.write_text("s,value\n0.0,0.1\n0.5,0.1\n1.0,0.1\n")
     vanishing.write_text("s,value\n0.0,0.1\n0.5,0.05\n1.0,0.0\n")
-    cfg = write_cfg(tmp_path, "n = 17\n" + text.format(positive=positive, vanishing=vanishing))
+    negative.write_text("s,value\n0.0,0.1\n0.5,-0.05\n1.0,0.1\n")
+    cfg = write_cfg(tmp_path, "n = 17\n" + text.format(positive=positive, vanishing=vanishing,
+                                                        negative=negative))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert [name for name in DAMPING_FIELDS if f"'{name}'" in err] == [field]
@@ -316,6 +324,12 @@ class TestVerifyCommand:
         printed = capsys.readouterr().out
         assert "demo.check  FAIL" in printed
         assert "FAILED: demo.check" in printed
+
+    def test_unmatched_prefix_exits_1_and_writes_no_report(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert main(["verify", "--filter", "nosuch", "--out", str(out)]) == 1
+        assert "no checks match prefix 'nosuch'" in capsys.readouterr().out
+        assert not (out / "verify.csv").exists()
 
     def test_report_artifact(self, tmp_path):
         out = tmp_path / "v"

@@ -13,7 +13,6 @@ from wavedamp import forward
 from wavedamp.errors import NumericalError
 from wavedamp.forward import (
     _mirror_second_difference,
-    _neighbour_sum,
     _stiffness_bilinear,
     BoundaryTrace,
     damping_rate,
@@ -361,7 +360,8 @@ def test_start_step_on_a_stack_matches_each_member(case, forced):
         alone = start_step(u0[b], u1[b], dt, grid, member_gam, source)
         assert stacked[b].tobytes() == alone.tobytes()
         # the Taylor start with the per-node friction field, equal up to the sign of zeros
-        acc = forward._mirror_laplacian(u0[b], grid.h) - friction_field(member_gam) * u1[b]
+        lap = (mirrored_neighbours(u0[b]) - 4.0 * u0[b]) / (grid.h * grid.h)
+        acc = lap - friction_field(member_gam) * u1[b]
         if source is not None:
             acc = acc + source.profile(0.0) * (source.load / (grid.h ** 2 * grid.quad_weights))
         expected = grid.zero_dirichlet(u0[b] + dt * u1[b] + 0.5 * dt * dt * acc)
@@ -648,6 +648,21 @@ class TestEnergy:
             increases = np.diff(res.staggered_energies)
             assert increases.max() <= 1e-12 * res.staggered_energies[0]
 
+    def test_top_of_the_spectrum_keeps_its_energy_as_the_grid_refines(self):
+        # the scheme loses uniform observability at the top of its spectrum (Zuazua,
+        # SIAM Rev. 47 (2005) 197-243): under a = 1 over tau = 4 the top mode (n - 2, 0)
+        # keeps most of its energy, more on the finer grid, while mode (0, 0) gives
+        # nearly all of it up.  The probe rule filters the top out
+        a = DampingPair.constant(1.0)
+
+        def kept(n, mode):
+            res = solve_from_mode(a, mode, Grid2D(n), 4.0)
+            return res.energies[-1] / res.energies[0]
+
+        top = [kept(n, ModeIndex(n - 2, 0)) for n in (33, 65)]
+        assert 0.6 < top[0] < top[1]
+        assert max(kept(n, ModeIndex(0, 0)) for n in (33, 65)) < 1e-3
+
 
 class TestDissipationIdentity:
     def test_zero_damping_residual(self):
@@ -804,7 +819,7 @@ def test_stiffness_form_by_summation_by_parts(data, n):
         f[-1, :] = 0.0
         f[:, -1] = 0.0
     second = _mirror_second_difference(u, np.empty((n, n)), np.empty((n, n)))
-    by_sum = 4.0 * u - _neighbour_sum(u, np.empty((n, n)))
+    by_sum = 4.0 * u - mirrored_neighbours(u)
     assert np.abs(second - by_sum)[:-1, :-1].max() <= 1e-14 * np.abs(u).max()
     weights = trapezoid_weights(n)
     grid = types.SimpleNamespace(side_weights=weights)  # Grid2D needs n >= 17
@@ -828,15 +843,19 @@ def test_diagnostics_match_a_per_step_recomputation(n):
     dt, times = res.dt, res.times
     gam = damping_rate(a, grid)
     fields = [u0, start_step(u0, u1, dt, grid, gam, source)]
-    for m in range(1, times.shape[0] - 1):
+    for m in range(1, times.shape[0]):
         fields.append(step(fields[m], fields[m - 1], times[m], dt, grid, gam, source))
+    past = fields.pop()  # u^{M+1}, one step past tau
     assert np.array_equal(fields[-1], res.final.u)
-    # the closing velocity, divided by 1 + gam dt / 2 as a per-node field
-    acc_end = (forward._mirror_laplacian(fields[-1], grid.h) + source.profile(float(times[-1]))
-               * (source.load / (grid.h ** 2 * grid.quad_weights)))
-    v_final = (((fields[-1] - fields[-2]) / dt + 0.5 * dt * acc_end)
-               / (1.0 + 0.5 * dt * friction_field(gam)))
-    assert np.array_equal(v_final, res.final.v)
+    # the final velocity is centered like every other
+    assert np.array_equal((past - fields[-2]) / (2.0 * dt), res.final.v)
+    # and is the closed second-order closure at tau, divided by 1 + gam dt / 2 per node
+    lap = (mirrored_neighbours(fields[-1]) - 4.0 * fields[-1]) / (grid.h * grid.h)
+    accel = source.load / (grid.h ** 2 * grid.quad_weights)
+    acc = lap + source.profile(float(times[-1])) * accel
+    closed = (((fields[-1] - fields[-2]) / dt + 0.5 * dt * acc)
+              / (1.0 + 0.5 * dt * friction_field(gam)))
+    assert np.abs(closed - res.final.v).max() <= 1e-12 * np.abs(res.final.v).max()
 
     velocities = [u1] + [(fields[m + 1] - fields[m - 1]) / (2.0 * dt)
                          for m in range(1, len(fields) - 1)] + [res.final.v]
@@ -849,3 +868,16 @@ def test_diagnostics_match_a_per_step_recomputation(n):
     assert np.abs(res.staggered_energies - staggered).max() <= 1e-13 * e0
     assert np.array_equal(res.velocities[0], [v[:, 0] for v in velocities])
     assert np.array_equal(res.velocities[1], [v[0, :] for v in velocities])
+
+
+@pytest.mark.parametrize("n, tau, message", [
+    (33, 2.0, "field blew up at step 128"),
+    (17, 0.5, "final field contains non-finite values"),
+], ids=["every-128-steps", "final"])
+def test_time_loop_raises_on_a_field_that_blows_up(n, tau, message):
+    # finite data at the edge of the float range overflow in the loop, which checks
+    # every 128th step and the last, so no NaN leaves a solve silently
+    grid = Grid2D(n)
+    u0 = 5e307 * forward.mode_field(ModeIndex(0, 0), grid)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match=message):
+        solve(u0, np.zeros_like(u0), DampingPair.constant(0.1), grid, tau)
