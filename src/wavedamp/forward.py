@@ -205,20 +205,40 @@ def stiffness_energy(u: np.ndarray, grid: Grid2D) -> float:
 
     Cell-midpoint differences in the derivative direction with trapezoid
     weights transversally; this is exactly the form whose decay the
-    leapfrog scheme reproduces.
+    leapfrog scheme reproduces.  The energy log pairs the same first
+    differences by the same helper, so a solve's energy at a state of rest
+    is half this value bit for bit.
     """
-    return _stiffness_bilinear(u, u, grid)
+    return _stiffness_bilinear(u, u)
 
 
-def _stiffness_bilinear(u: np.ndarray, w: np.ndarray, grid: Grid2D) -> float:
-    tw = grid.side_weights
-    du_x = u[1:, :] - u[:-1, :]
-    dw_x = w[1:, :] - w[:-1, :]
-    du_y = u[:, 1:] - u[:, :-1]
-    dw_y = w[:, 1:] - w[:, :-1]
-    bx = float(((du_x * dw_x) @ tw).sum())
-    by = float(((du_y * dw_y) * tw[:, None]).sum())
-    return bx + by
+def _stiffness_bilinear(u: np.ndarray, w: np.ndarray) -> float:
+    n = u.shape[0]
+    du, dw = [(np.empty((n - 1, n)), np.empty((n, n - 1))) for _ in range(2)]
+    _first_differences(u, *du)
+    _first_differences(w, *dw)
+    return _paired_differences(du, dw)
+
+
+def _first_differences(u: np.ndarray, dx: np.ndarray, dy: np.ndarray):
+    """Write u[i + 1, j] - u[i, j] into dx, shaped (n - 1, n), and u[i, j + 1] - u[i, j] into dy."""
+    np.subtract(u[1:], u[:-1], out=dx)
+    np.subtract(u[:, 1:], u[:, :-1], out=dy)
+
+
+def _paired_differences(du: Tuple[np.ndarray, np.ndarray],
+                        dw: Tuple[np.ndarray, np.ndarray]) -> float:
+    """B(u, w) from the first differences (dx, dy) of u and of w.
+
+    Each product of differences takes the trapezoid weight across its
+    direction: 1 inside and 1/2 on either edge, so the full sums lose half
+    of each edge's.  The edge sums read strided views, which np.dot does
+    not copy.
+    """
+    (ux, uy), (wx, wy) = du, dw
+    edges = (np.dot(ux[:, 0], wx[:, 0]) + np.dot(ux[:, -1], wx[:, -1])
+             + np.dot(uy[0], wy[0]) + np.dot(uy[-1], wy[-1]))
+    return float(np.vdot(ux, wx) + np.vdot(uy, wy) - 0.5 * edges)
 
 
 def stiffness_dual_norm(load: np.ndarray, grid: Grid2D) -> float:
@@ -294,32 +314,6 @@ def _neighbour_sum_into(u: np.ndarray, out: np.ndarray,
         return out
 
     return neighbour_sum
-
-
-def _mirror_second_difference(u: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """4 u - S(u), summed from the first differences of u.
-
-    Each node gets (u - u_west) - (u_east - u) + (u - u_south) - (u_north - u),
-    with even reflection across y = 0 and x = 0.  Forming the first
-    differences before their differences keeps the rounding at the size of
-    the differences; 4 u - S(u) itself cancels down from the size of u.
-    Valid on all non-Dirichlet nodes.  out and work are C-contiguous, of
-    u's shape, and share no memory with u or with each other.
-    """
-    flat, diff = u.reshape(-1), work.reshape(-1)
-    # y-differences over the flattened field; the second differences that wrap a
-    # row end land in columns 0 and n-1, which are then rewritten
-    np.subtract(flat[1:], flat[:-1], out=diff[:-1])
-    np.subtract(diff[:-2], diff[1:-1], out=out.reshape(-1)[1:-1])
-    np.multiply(-2.0, work[:, 0], out=out[:, 0])
-    out[:, -1] = 0.0
-    np.subtract(u[1:], u[:-1], out=work[:-1])
-    inner = out[1:-1]
-    np.add(inner, work[:-2], out=inner)
-    np.subtract(inner, work[1:-1], out=inner)
-    out[0] -= work[0]
-    out[0] -= work[0]
-    return out
 
 
 def damping_rate(a: DampingPair, grid: Grid2D) -> np.ndarray:
@@ -502,13 +496,12 @@ def _trace_recorder(grid: Grid2D) -> Callable[[np.ndarray, np.ndarray], None]:
 class _EnergyLog:
     """The diagnostics of one solve, recorded into buffers allocated once.
 
-    For x vanishing on the Dirichlet sides, summation by parts gives
-    B(x, u) = sum q x (4 u - S(u)), with q the tensor trapezoid weights and S
-    the mirrored neighbour sum.  So each step forms the stiffness load
-    L = q (4 u^m - S(u^m)) once (by _mirror_second_difference) and reads
-    B(u^m, u^m) = <u^m, L> for the energy and B(u^{m+1}, u^m) = <u^{m+1}, L>
-    for the staggered energy.  Only the two damped sides of each velocity
-    are kept, as velocities[0] (bottom) and velocities[1] (left).
+    Both stiffness terms pair first differences as stiffness_energy does:
+    B(u^m, u^m) for the energy and B(u^{m+1}, u^m) for the staggered
+    energy.  The differences of u^m and u^{m+1} are kept in two slots that
+    swap every step, so each field's differences are formed once.  Only
+    the two damped sides of each velocity are kept, as velocities[0]
+    (bottom) and velocities[1] (left).
     """
 
     def __init__(self, steps: int, dt: float, grid: Grid2D):
@@ -519,9 +512,10 @@ class _EnergyLog:
         self.dt = dt
         self.h2 = grid.h ** 2
         self.q = grid.quad_weights
-        self.load = np.empty((n, n))
         self.diff = np.empty((n, n))
         self.work = np.empty((n, n))
+        # slots[0] holds the first differences of the field energy() reads next
+        self.slots = [(np.empty((n - 1, n)), np.empty((n, n - 1))) for _ in range(2)]
 
     def _weighted_sq(self, d: np.ndarray) -> float:
         np.multiply(self.q, d, out=self.work)
@@ -530,20 +524,24 @@ class _EnergyLog:
     def energy(self, m: int, u: np.ndarray, d: np.ndarray, span: float):
         """Energy and boundary velocities at step m, for displacement u and velocity d / span.
 
-        Leaves the stiffness load of u behind for staggered_energy.
+        The differences of u are those staggered_energy left at step m - 1,
+        or, at m = 0, formed here.
         """
-        _mirror_second_difference(u, self.load, self.work)
-        np.multiply(self.q, self.load, out=self.load)
+        if m == 0:
+            _first_differences(u, *self.slots[0])
         kinetic = self.h2 / (span * span) * self._weighted_sq(d)
-        self.energies[m] = 0.5 * (float(np.vdot(u, self.load)) + kinetic)
+        self.energies[m] = 0.5 * (_paired_differences(self.slots[0], self.slots[0]) + kinetic)
         np.divide(d[:, 0], span, out=self.velocities[0, m])
         np.divide(d[0, :], span, out=self.velocities[1, m])
 
     def staggered_energy(self, m: int, u_new: np.ndarray, u_old: np.ndarray):
-        """E^{m+1/2} from u^{m+1} and u^m, after energy() has formed the load of u^m."""
+        """E^{m+1/2} from u^{m+1} and u^m, u^m's differences in slots[0]; puts u^{m+1}'s there."""
+        old, new = self.slots
+        _first_differences(u_new, *new)
         np.subtract(u_new, u_old, out=self.diff)
         kinetic = self.h2 / (self.dt * self.dt) * self._weighted_sq(self.diff)
-        self.staggered_energies[m] = 0.5 * (kinetic + float(np.vdot(u_new, self.load)))
+        self.staggered_energies[m] = 0.5 * (kinetic + _paired_differences(new, old))
+        self.slots.reverse()
 
     def step(self, m: int, u_next: np.ndarray, u_curr: np.ndarray, u_prev: np.ndarray):
         """Energy at step m from the centered velocity, then E^{m+1/2}."""

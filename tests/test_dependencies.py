@@ -9,12 +9,18 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wavedamp"
 
 
+def package_trees():
+    """(module stem, parsed module) of every module under the package."""
+    for path in PACKAGE.glob("*.py"):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def import_nodes():
     """(module stem, node) of every import under the package, function bodies included."""
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for stem, tree in package_trees():
+        for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                yield path.stem, node
+                yield stem, node
 
 
 def third_party_imports():
@@ -52,3 +58,25 @@ def test_only_forward_reads_the_trace_window():
     # the window bounds the memory of forward's reduced batch; no other module's bits
     # may depend on where its windows fall
     assert importers_of("TRACE_WINDOW") == set()
+
+
+def callers_of(name):
+    """(module stem, enclosing top-level definition) of every call of name under the package."""
+    callers = set()
+    for stem, tree in package_trees():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None)):
+                    callers.add((stem, getattr(top, "name", None)))
+    return callers
+
+
+def test_one_coding_of_the_stiffness_form():
+    # stiffness_energy and the energy log pair the same first differences, formed by one
+    # helper, and no second-difference coding of the form is left
+    names = {getattr(node, attr, None) for _, tree in package_trees() for node in ast.walk(tree)
+             for attr in ("id", "attr", "name")}
+    assert "_mirror_second_difference" not in names
+    assert callers_of("_first_differences") == {("forward", "_stiffness_bilinear"),
+                                                ("forward", "_EnergyLog")}
