@@ -205,40 +205,38 @@ def stiffness_energy(u: np.ndarray, grid: Grid2D) -> float:
 
     Cell-midpoint differences in the derivative direction with trapezoid
     weights transversally; this is exactly the form whose decay the
-    leapfrog scheme reproduces.  The energy log pairs the same first
-    differences by the same helper, so a solve's energy at a state of rest
-    is half this value bit for bit.
+    leapfrog scheme reproduces.  B(u, w) is the dot product of u's and w's
+    weighted gradients, which the energy log forms by the same helper, so
+    a solve's energy at a state of rest is half this value bit for bit.
     """
     return _stiffness_bilinear(u, u)
 
 
 def _stiffness_bilinear(u: np.ndarray, w: np.ndarray) -> float:
     n = u.shape[0]
-    du, dw = [(np.empty((n - 1, n)), np.empty((n, n - 1))) for _ in range(2)]
-    _first_differences(u, *du)
-    _first_differences(w, *dw)
-    return _paired_differences(du, dw)
+    gu, gw = np.empty((2 * n - 1, n)), np.empty((2 * n - 1, n))
+    return float(np.vdot(_weighted_gradient(u, gu), _weighted_gradient(w, gw)))
 
 
-def _first_differences(u: np.ndarray, dx: np.ndarray, dy: np.ndarray):
-    """Write u[i + 1, j] - u[i, j] into dx, shaped (n - 1, n), and u[i, j + 1] - u[i, j] into dy."""
-    np.subtract(u[1:], u[:-1], out=dx)
-    np.subtract(u[:, 1:], u[:, :-1], out=dy)
+def _weighted_gradient(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Write u's first differences, each times the root of its transverse weight, into g.
 
-
-def _paired_differences(du: Tuple[np.ndarray, np.ndarray],
-                        dw: Tuple[np.ndarray, np.ndarray]) -> float:
-    """B(u, w) from the first differences (dx, dy) of u and of w.
-
-    Each product of differences takes the trapezoid weight across its
-    direction: 1 inside and 1/2 on either edge, so the full sums lose half
-    of each edge's.  The edge sums read strided views, which np.dot does
-    not copy.
+    g, C-contiguous and shaped (2n - 1, n), takes u[i + 1, j] - u[i, j] in
+    rows :n-1 and u[i, j + 1] - u[i, j] in rows n-1:, the latter from one
+    contiguous pass over the flattened field whose row-end wraps land in
+    the last column, then zeroed.  The x block's columns 0 and n-1 and the
+    y block's rows 0 and n-1 have trapezoid weight 1/2, so scale by sqrt(1/2).
     """
-    (ux, uy), (wx, wy) = du, dw
-    edges = (np.dot(ux[:, 0], wx[:, 0]) + np.dot(ux[:, -1], wx[:, -1])
-             + np.dot(uy[0], wy[0]) + np.dot(uy[-1], wy[-1]))
-    return float(np.vdot(ux, wx) + np.vdot(uy, wy) - 0.5 * edges)
+    n = u.shape[0]
+    dx, dy = g[:n - 1], g[n - 1:]
+    np.subtract(u[1:], u[:-1], out=dx)
+    flat, flat_dy = u.ravel(), dy.ravel()
+    np.subtract(flat[1:], flat[:-1], out=flat_dy[:-1])
+    dy[:, -1].fill(0.0)
+    # one call per x-block edge: a (n - 1, 2) view of both loops per row, at twice the cost
+    for edges in (dx[:, 0], dx[:, -1], dy[::n - 1]):
+        np.multiply(edges, math.sqrt(0.5), out=edges)
+    return g
 
 
 def stiffness_dual_norm(load: np.ndarray, grid: Grid2D) -> float:
@@ -496,12 +494,12 @@ def _trace_recorder(grid: Grid2D) -> Callable[[np.ndarray, np.ndarray], None]:
 class _EnergyLog:
     """The diagnostics of one solve, recorded into buffers allocated once.
 
-    Both stiffness terms pair first differences as stiffness_energy does:
-    B(u^m, u^m) for the energy and B(u^{m+1}, u^m) for the staggered
-    energy.  The differences of u^m and u^{m+1} are kept in two slots that
-    swap every step, so each field's differences are formed once.  Only
-    the two damped sides of each velocity are kept, as velocities[0]
-    (bottom) and velocities[1] (left).
+    B(u^m, u^m) and B(u^{m+1}, u^m) are dot products of weighted gradients
+    from stiffness_energy's helper, kept in two slots that swap every step.
+    Each kinetic term forms its difference of fields in the log's own diff,
+    which vanishes on the Dirichlet sides, reads the velocities' damped
+    sides off it (velocities[0] bottom, [1] left), and scales its row 0 and
+    column 0 by sqrt(1/2), so that its dot product is the trapezoid norm.
     """
 
     def __init__(self, steps: int, dt: float, grid: Grid2D):
@@ -511,42 +509,43 @@ class _EnergyLog:
         self.velocities = np.empty((2, steps + 1, n))
         self.dt = dt
         self.h2 = grid.h ** 2
-        self.q = grid.quad_weights
         self.diff = np.empty((n, n))
-        self.work = np.empty((n, n))
-        # slots[0] holds the first differences of the field energy() reads next
-        self.slots = [(np.empty((n - 1, n)), np.empty((n, n - 1))) for _ in range(2)]
+        self.edges = self.diff[0], self.diff[:, 0]
+        # slots[0] holds the weighted gradient of the field energy() reads next
+        self.slots = [np.empty((2 * n - 1, n)) for _ in range(2)]
 
-    def _weighted_sq(self, d: np.ndarray) -> float:
-        np.multiply(self.q, d, out=self.work)
-        return float(np.vdot(d, self.work))
+    def _trapezoid_sq(self) -> float:
+        """sum_ij w_i w_j diff_ij^2, diff vanishing on the Dirichlet sides; scales diff in place."""
+        for side in self.edges:
+            np.multiply(side, math.sqrt(0.5), out=side)
+        return float(np.vdot(self.diff, self.diff))
 
-    def energy(self, m: int, u: np.ndarray, d: np.ndarray, span: float):
-        """Energy and boundary velocities at step m, for displacement u and velocity d / span.
+    def energy(self, m: int, u: np.ndarray, later: np.ndarray, earlier, span: float):
+        """Energy and boundary velocities at step m of u, with velocity (later - earlier) / span.
 
-        The differences of u are those staggered_energy left at step m - 1,
-        or, at m = 0, formed here.
+        earlier is a field or 0.0, and the difference is formed in diff.  The
+        gradient of u is staggered_energy's from step m - 1, or formed here at m = 0.
         """
         if m == 0:
-            _first_differences(u, *self.slots[0])
-        kinetic = self.h2 / (span * span) * self._weighted_sq(d)
-        self.energies[m] = 0.5 * (_paired_differences(self.slots[0], self.slots[0]) + kinetic)
+            _weighted_gradient(u, self.slots[0])
+        d = np.subtract(later, earlier, out=self.diff)
         np.divide(d[:, 0], span, out=self.velocities[0, m])
         np.divide(d[0, :], span, out=self.velocities[1, m])
+        kinetic = self.h2 / (span * span) * self._trapezoid_sq()
+        self.energies[m] = 0.5 * (float(np.vdot(self.slots[0], self.slots[0])) + kinetic)
 
     def staggered_energy(self, m: int, u_new: np.ndarray, u_old: np.ndarray):
-        """E^{m+1/2} from u^{m+1} and u^m, u^m's differences in slots[0]; puts u^{m+1}'s there."""
+        """E^{m+1/2} from u^{m+1} and u^m, u^m's gradient in slots[0]; puts u^{m+1}'s there."""
         old, new = self.slots
-        _first_differences(u_new, *new)
+        _weighted_gradient(u_new, new)
         np.subtract(u_new, u_old, out=self.diff)
-        kinetic = self.h2 / (self.dt * self.dt) * self._weighted_sq(self.diff)
-        self.staggered_energies[m] = 0.5 * (kinetic + _paired_differences(new, old))
+        kinetic = self.h2 / (self.dt * self.dt) * self._trapezoid_sq()
+        self.staggered_energies[m] = 0.5 * (kinetic + float(np.vdot(new, old)))
         self.slots.reverse()
 
     def step(self, m: int, u_next: np.ndarray, u_curr: np.ndarray, u_prev: np.ndarray):
         """Energy at step m from the centered velocity, then E^{m+1/2}."""
-        np.subtract(u_next, u_prev, out=self.diff)
-        self.energy(m, u_curr, self.diff, 2.0 * self.dt)
+        self.energy(m, u_curr, u_next, u_prev, 2.0 * self.dt)
         self.staggered_energy(m, u_next, u_curr)
 
 
@@ -560,7 +559,8 @@ class SolveResult:
     series carrying the exact dissipation identity) and velocities, shaped
     like the trace's sides (the centered velocities (u^{m+1} - u^{m-1}) / (2 dt)
     on the damped sides, which only the dissipation identity reads; the last,
-    final.v's, from one step past tau that the trace does not record).
+    final.v's, from one step past tau that the trace does not record).  The
+    energies are formed as _EnergyLog says, in buffers of the log's own.
     """
 
     final: WaveState
@@ -642,7 +642,7 @@ def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam: np.ndarray, grid: Grid2D
     grid.zero_dirichlet(u_prev)
     put(0, u_prev)
     if log is not None:
-        log.energy(0, u_prev, u1, 1.0)
+        log.energy(0, u_prev, u1, 0.0, 1.0)  # the velocity u1 - 0, formed in the log's buffer
     u_curr = kernel.start(u1)
     if log is not None:
         log.staggered_energy(0, u_curr, u_prev)
@@ -686,9 +686,9 @@ def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: flo
 
     # one step past tau, so the final velocity is centered like every other
     u_next, u_curr, u_prev = kernel.advance(times[-1])
-    d = u_next - u_prev
-    log.energy(steps, u_curr, d, 2.0 * dt)
-    return SolveResult(final=WaveState(u=u_curr.copy(), v=d / (2.0 * dt), t=float(times[-1])),
+    log.energy(steps, u_curr, u_next, u_prev, 2.0 * dt)
+    v = (u_next - u_prev) / (2.0 * dt)
+    return SolveResult(final=WaveState(u=u_curr.copy(), v=v, t=float(times[-1])),
                        trace=BoundaryTrace(times=times, sides=traces[0], dt=dt, tau=tau),
                        times=times, grid=grid, dt=dt, energies=log.energies,
                        staggered_energies=log.staggered_energies, velocities=log.velocities)

@@ -73,10 +73,10 @@ def callers_of(name):
 
 
 def test_one_coding_of_the_stiffness_form():
-    # stiffness_energy and the energy log pair the same first differences, formed by one
-    # helper, and no second-difference coding of the form is left
+    # stiffness_energy and the energy log take dot products of the same weighted gradients,
+    # formed by one helper, and no other coding of the form's differences is left
     names = {getattr(node, attr, None) for _, tree in package_trees() for node in ast.walk(tree)
              for attr in ("id", "attr", "name")}
-    assert "_mirror_second_difference" not in names
-    assert callers_of("_first_differences") == {("forward", "_stiffness_bilinear"),
+    assert not names & {"_mirror_second_difference", "_first_differences", "_paired_differences"}
+    assert callers_of("_weighted_gradient") == {("forward", "_stiffness_bilinear"),
                                                 ("forward", "_EnergyLog")}

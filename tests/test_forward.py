@@ -830,6 +830,57 @@ def test_stiffness_form_by_summation_by_parts(data, n):
     assert abs(lhs - rhs) <= 1e-13 * scale
 
 
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.sampled_from([17, 33]))
+def test_weighted_gradient_is_the_trapezoid_form(data, n):
+    # B(u, u) against the trapezoid-weighted sum of squared first differences, written out;
+    # the fields are not pinned on the Dirichlet sides, so every edge weight counts
+    magnitude = st.floats(1e-6, 1e3)
+    entry = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda v: -v))
+    u = data.draw(arrays(float, (n, n), elements=entry, fill=entry))
+    w = trapezoid_weights(n)
+    explicit = float((w * (u[1:] - u[:-1]) ** 2).sum()
+                     + (w[:, None] * (u[:, 1:] - u[:, :-1]) ** 2).sum())
+    assert abs(stiffness_energy(u, Grid2D(n)) - explicit) <= 1e-14 * explicit
+    # every entry is written, and the y block's wrap column is exactly zero
+    g = forward._weighted_gradient(u, np.full((2 * n - 1, n), np.nan))
+    assert np.isfinite(g).all()
+    assert (g[n - 1:, -1] == 0.0).all()
+
+
+def test_energy_log_writes_only_its_own_buffers():
+    # the log scales the differences it forms in place, never the caller's data, the
+    # kernel's ring or the final state
+    grid, a = Grid2D(17), DampingPair.constant(0.3)
+    rng = np.random.default_rng(17)
+    u0, u1 = (grid.zero_dirichlet(rng.standard_normal((17, 17))) for _ in range(2))
+    kept = u0.copy(), u1.copy()
+    res = solve(u0, u1, a, grid, 0.5)
+    assert np.array_equal(u0, kept[0]) and np.array_equal(u1, kept[1])
+    dt, gam = res.dt, damping_rate(a, grid)
+    fields = [u0, start_step(u0, u1, dt, grid, gam)]
+    for t in res.times[1:]:
+        fields.append(step(fields[-1], fields[-2], t, dt, grid, gam))
+    assert np.array_equal(fields[-2], res.final.u)
+    assert np.array_equal((fields[-1] - fields[-3]) / (2.0 * dt), res.final.v)
+    assert np.array_equal(res.velocities[:, 0], [u1[:, 0], u1[0, :]])
+
+    # 200 log steps at n = 65 allocate no field-sized array
+    grid = Grid2D(65)
+    ring = [grid.zero_dirichlet(rng.standard_normal((65, 65))) for _ in range(3)]
+    log = forward._EnergyLog(201, 0.01, grid)
+    log.energy(0, ring[0], ring[1], 0.0, 1.0)
+    log.staggered_energy(0, ring[1], ring[0])
+    tracemalloc.start()
+    try:
+        for m in range(1, 201):
+            log.step(m, ring[(m + 1) % 3], ring[m % 3], ring[(m - 1) % 3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ring[0].nbytes
+
+
 @pytest.mark.parametrize("n", [17, 33])
 def test_diagnostics_match_a_per_step_recomputation(n):
     grid = Grid2D(n)
