@@ -70,7 +70,7 @@ def cmd_forward(config: ExperimentConfig) -> int:
     mode = ModeIndex(config.probe_k, config.probe_l)
 
     t0 = time.perf_counter()
-    result = solve_from_mode(damping, mode, grid, config.tau, config.dt_factor)
+    result = solve_from_mode(damping, mode, grid, config.tau)
     timings["solve"] = time.perf_counter() - t0
 
     fit = fit_decay(result.times, result.energies) if damping.minimum() > 0 else None
@@ -100,7 +100,7 @@ def cmd_reconstruct(config: ExperimentConfig) -> int:
     check_mode_resolution(grid.n, config.trunc_order)
 
     t0 = time.perf_counter()
-    meas = probe_mode(truth, mode, config.tau, grid, dt_factor=config.dt_factor)
+    meas = probe_mode(truth, mode, config.tau, grid)
     timings["probe"] = time.perf_counter() - t0
 
     below_floor = meas.trace_norm <= 10.0 * meas.noise_floor
@@ -131,7 +131,7 @@ def cmd_reconstruct(config: ExperimentConfig) -> int:
         t0 = time.perf_counter()
         refined, info = fit_damping_least_squares(
             [meas], estimate, grid, config.tau, iters=config.gn_iters,
-            fit_order=min(config.trunc_order, 4), dt_factor=config.dt_factor)
+            fit_order=min(config.trunc_order, 4))
         timings["gauss_newton"] = time.perf_counter() - t0
         save_damping_csv(out / "refined_a1.csv", refined.a1)
         save_damping_csv(out / "refined_a2.csv", refined.a2)
@@ -177,8 +177,7 @@ def cmd_sweep(config: ExperimentConfig) -> int:
         probe_budget=config.probe_budget,
         recovery_mode=ModeIndex(config.probe_k, config.probe_l),
         guard=config.guard, trunc_rate=config.trunc_rate,
-        trunc_order=config.trunc_order, calib_index=calib,
-        dt_factor=config.dt_factor)
+        trunc_order=config.trunc_order, calib_index=calib)
     timings["sweep"] = time.perf_counter() - t0
 
     write_csv(out / "sweep.csv",

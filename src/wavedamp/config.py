@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .forward import CFL_LIMIT, step_count
+from .forward import CFL_LIMIT, DT_FACTOR, step_count
 from .spectral import DampingPair, SampledFunction1D
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config"]
@@ -24,7 +24,7 @@ __all__ = ["ExperimentConfig", "parse_config", "load_config"]
 DAMPING_KINDS = ("zero", "constant", "affine", "csv")
 # Caps checked before anything is allocated, so an oversized run exits 2
 # instead of failing in the allocator.  n^2 * steps bounds the work of one
-# solve: 1.9e8 for n = 257 at tau = 4, dt_factor = 0.5.  n * (steps + 1)
+# solve: 1.9e8 for n = 257 at tau = 4.  n * (steps + 1)
 # bounds the memory of one trace, 16 bytes per value for its two sides
 # (80 MB at the cap; the largest trace-sized buffer is the Gauss-Newton Jacobian,
 # 2 (fit_order + 1) traces per measurement, and reconstruct fits one): 7.4e5 for
@@ -42,7 +42,8 @@ MAX_DAMPING_SAMPLES = 4 * (MAX_N - 1) + 1
 class ExperimentConfig:
     n: int = 65
     tau: float = 4.0
-    dt_factor: float = 0.5
+    # fixed at forward.DT_FACTOR; the key is accepted so that older configs parse
+    dt_factor: float = DT_FACTOR
     seed: int = 20260809
     out_dir: str = "out"
     damping_kind: str = "affine"
@@ -73,17 +74,17 @@ class ExperimentConfig:
             raise ConfigError("n", f"must lie in [17, {MAX_N}], got {self.n}")
         if not self.tau > 0:
             raise ConfigError("tau", f"must be positive, got {self.tau}")
-        if not 0.0 < self.dt_factor <= 0.5:
-            raise ConfigError("dt_factor", f"must lie in (0, 0.5], got {self.dt_factor}")
+        if self.dt_factor != DT_FACTOR:
+            raise ConfigError("dt_factor", f"is fixed at {DT_FACTOR}, got {self.dt_factor}")
         h = 1.0 / (self.n - 1)
-        # the first test keeps step_count finite for an extreme tau / dt_factor
-        if (self.tau / (self.dt_factor * CFL_LIMIT * h) > MAX_NODE_STEPS
-                or self.n ** 2 * step_count(self.tau, h, self.dt_factor) > MAX_NODE_STEPS):
+        # the first test keeps step_count finite for an extreme tau
+        if (self.tau / (DT_FACTOR * CFL_LIMIT * h) > MAX_NODE_STEPS
+                or self.n ** 2 * step_count(self.tau, h) > MAX_NODE_STEPS):
             raise ConfigError("tau", f"n^2 * steps of one solve exceeds {MAX_NODE_STEPS:.0e}; "
-                                     "lower n or tau, or raise dt_factor")
-        if self.n * (step_count(self.tau, h, self.dt_factor) + 1) > MAX_TRACE_VALUES:
+                                     "lower n or tau")
+        if self.n * (step_count(self.tau, h) + 1) > MAX_TRACE_VALUES:
             raise ConfigError("tau", f"n * (steps + 1) of one trace exceeds "
-                                     f"{MAX_TRACE_VALUES:.0e}; lower tau, or raise dt_factor")
+                                     f"{MAX_TRACE_VALUES:.0e}; lower tau")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed", "must fit in an unsigned 64-bit integer")
         if self.damping_kind not in DAMPING_KINDS:

@@ -86,7 +86,7 @@ class ObservabilityReport:
 
 
 def estimate_observability(a: DampingPair, tau: float, probes: Iterable[ModeIndex],
-                           grid: Grid2D, dt_factor: float = 0.5) -> ObservabilityReport:
+                           grid: Grid2D) -> ObservabilityReport:
     """Estimate the observability constant from modal probes.
 
     For each probe mode, solve with initial data (mode shape, 0) and form
@@ -103,10 +103,9 @@ def estimate_observability(a: DampingPair, tau: float, probes: Iterable[ModeInde
     probes = list(probes)
     if not probes:
         raise ValueError("need at least one probe mode")
-    steps, _ = _time_step(tau, grid.h, dt_factor)
+    steps, _ = _time_step(tau, grid.h)
     zero = UndampedReference(np.zeros(steps + 1), np.zeros((2, grid.n)), tau)
-    norms = _measure(a, probes, {mode: zero for mode in probes}, tau, grid, dt_factor,
-                     keep=()).norms
+    norms = _measure(a, probes, {mode: zero for mode in probes}, tau, grid, keep=()).norms
     ratios = []
     for mode in probes:
         # the data start at rest, so twice the initial energy is the stiffness term

@@ -32,6 +32,7 @@ from .spectral import DampingPair, ModeIndex, eigenpair, mode_shape, trapezoid_w
 
 __all__ = [
     "CFL_LIMIT",
+    "DT_FACTOR",
     "BATCH_NODE_CAP",
     "TRACE_WINDOW",
     "WaveState",
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 CFL_LIMIT = 1.0 / math.sqrt(2.0)
+DT_FACTOR = 0.5  # fraction of the CFL limit every solve steps at
 BATCH_NODE_CAP = 45000  # most nodes, members * n^2, that one batch steps at once
 TRACE_WINDOW = 64  # steps a reduced batch records before it hands them on
 
@@ -573,20 +575,20 @@ class SolveResult:
     velocities: np.ndarray
 
 
-def step_count(tau: float, h: float, dt_factor: float) -> int:
+def step_count(tau: float, h: float) -> int:
     """Number of leapfrog steps a solve takes to reach tau on spacing h."""
-    return max(2, int(math.ceil(tau / (dt_factor * CFL_LIMIT * h))))
+    return max(2, int(math.ceil(tau / (DT_FACTOR * CFL_LIMIT * h))))
 
 
-def _time_step(tau: float, h: float, dt_factor: float) -> Tuple[int, float]:
-    """Step count and step of a solve to tau, checked against the CFL bound and for underflow."""
+def _time_step(tau: float, h: float) -> Tuple[int, float]:
+    """Step count and step of a solve to tau, checked for underflow.
+
+    The step is at most DT_FACTOR * CFL_LIMIT * h up to roundoff, so within the CFL bound.
+    """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if not 0.0 < dt_factor <= 0.5:
-        raise ValueError("dt_factor must lie in (0, 1/2]")
-    steps = step_count(tau, h, dt_factor)
+    steps = step_count(tau, h)
     dt = tau / steps
-    _check_cfl(dt, h)
     if dt * dt < np.finfo(float).tiny:
         raise NumericalError(f"dt = {dt:.3e} squares below the smallest normal double; raise tau")
     return steps, dt
@@ -665,7 +667,7 @@ def _leapfrog_loop(u0: np.ndarray, u1: np.ndarray, gam: np.ndarray, grid: Grid2D
 
 
 def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: float,
-          source: Optional[SourceSpec] = None, dt_factor: float = 0.5) -> SolveResult:
+          source: Optional[SourceSpec] = None) -> SolveResult:
     """Advance the damped wave problem to time tau.
 
     Records, at every integer step, the normal-derivative trace on both
@@ -676,7 +678,7 @@ def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: flo
     only a single solve carries; its trace is bit-identical to a batch
     member's.
     """
-    steps, dt = _time_step(tau, grid.h, dt_factor)
+    steps, dt = _time_step(tau, grid.h)
     u0 = _initial_data(u0, grid)
     u1 = grid.zero_dirichlet(np.array(_initial_data(u1, grid)))
     gam = damping_rate(a, grid)
@@ -699,8 +701,8 @@ def mode_field(mode: ModeIndex, grid: Grid2D) -> np.ndarray:
     return grid.zero_dirichlet(grid.sample(lambda x, y: mode_shape(mode, x, y)))
 
 
-def undamped_mode_trace(mode: ModeIndex, grid: Grid2D, tau: float,
-                        dt_factor: float = 0.5) -> Tuple[np.ndarray, np.ndarray]:
+def undamped_mode_trace(mode: ModeIndex, grid: Grid2D,
+                        tau: float) -> Tuple[np.ndarray, np.ndarray]:
     """The trace of the undamped solve from (mode shape, 0), in closed form, as (profile, start).
 
     The sampled mode is an eigenvector of the mirrored 5-point Laplacian,
@@ -713,7 +715,7 @@ def undamped_mode_trace(mode: ModeIndex, grid: Grid2D, tau: float,
     step m is profile[m] = cos(m theta) times start, the step-0 trace,
     shaped (2, n) and recorded as a solve records it.
     """
-    steps, dt = _time_step(tau, grid.h, dt_factor)
+    steps, dt = _time_step(tau, grid.h)
     half_h = 0.5 * math.pi * grid.h
     mu = (4.0 / grid.h ** 2) * (math.sin((mode.k + 0.5) * half_h) ** 2
                                 + math.sin((mode.l + 0.5) * half_h) ** 2)
@@ -723,21 +725,19 @@ def undamped_mode_trace(mode: ModeIndex, grid: Grid2D, tau: float,
     return np.cos(theta * np.arange(steps + 1)), start
 
 
-def solve_from_mode(a: DampingPair, mode: ModeIndex, grid: Grid2D, tau: float,
-                    dt_factor: float = 0.5) -> SolveResult:
+def solve_from_mode(a: DampingPair, mode: ModeIndex, grid: Grid2D, tau: float) -> SolveResult:
     """Solve from the initial data (mode shape, 0) that generates every modal measurement."""
     u0 = mode_field(mode, grid)
-    return solve(u0, np.zeros_like(u0), a, grid, tau, dt_factor=dt_factor)
+    return solve(u0, np.zeros_like(u0), a, grid, tau)
 
 
 def solve_modes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], grid: Grid2D,
-                tau: float, dt_factor: float = 0.5, *,
-                reduce: Callable[[int, int, np.ndarray], None]) -> None:
+                tau: float, *, reduce: Callable[[int, int, np.ndarray], None]) -> None:
     """The solves from (mode shape, 0), one per damping pair and mode, as one reduced batch.
 
     The members run damping-major: member b = i * len(modes) + j solves
     modes[j] under dampings[i], and its trace is bit-identical to that of
-    solve_from_mode(dampings[i], modes[j], grid, tau, dt_factor).  The
+    solve_from_mode(dampings[i], modes[j], grid, tau).  The
     members step together, at most BATCH_NODE_CAP // n^2 at a time, and no
     trace is kept: each chunk of members records into its own window of
     TRACE_WINDOW steps and calls reduce(start, first, window) each time the
@@ -745,7 +745,7 @@ def solve_modes(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex], gri
     first + 1, ... of member start + c.  The window is overwritten after
     the call returns.
     """
-    steps, dt = _time_step(tau, grid.h, dt_factor)
+    steps, dt = _time_step(tau, grid.h)
     n, members = grid.n, len(dampings) * len(modes)
     # each damping's friction, repeated across the modes, and the mode stack, repeated
     # across the dampings; each is a view when there is one damping or one mode.  The

@@ -284,8 +284,8 @@ class SourceBoundCheck:
     c_emp: float
 
 
-def source_bound_check(a: DampingPair, source: SourceSpec, tau: float, grid: Grid2D,
-                       dt_factor: float = 0.5) -> SourceBoundCheck:
+def source_bound_check(a: DampingPair, source: SourceSpec, tau: float,
+                       grid: Grid2D) -> SourceBoundCheck:
     """Drive the zero-data problem with the source and compare norms.
 
     Runs the forward solver from rest, measures the boundary trace norm,
@@ -296,7 +296,7 @@ def source_bound_check(a: DampingPair, source: SourceSpec, tau: float, grid: Gri
     if a.minimum() <= 0:
         raise ValueError("source bound check needs a strictly positive damping")
     zeros = np.zeros((grid.n, grid.n))
-    result = solve(zeros, zeros, a, grid, tau, source=source, dt_factor=dt_factor)
+    result = solve(zeros, zeros, a, grid, tau, source=source)
     wnorm = stiffness_dual_norm(source.load, grid)
     trace_norm = result.trace.l2_norm()
     if wnorm <= VANISHING_NORM and trace_norm <= VANISHING_NORM:

@@ -134,14 +134,13 @@ class ModalMeasurement:
         return self.reference.l2_norm()
 
 
-def reference_solution(mode: ModeIndex, tau: float, grid: Grid2D,
-                       dt_factor: float = 0.5) -> UndampedReference:
+def reference_solution(mode: ModeIndex, tau: float, grid: Grid2D) -> UndampedReference:
     """The undamped trace of one probe mode (the measurement reference), in closed form."""
-    return UndampedReference(*undamped_mode_trace(mode, grid, tau, dt_factor), tau)
+    return UndampedReference(*undamped_mode_trace(mode, grid, tau), tau)
 
 
 def _probe(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex],
-           references: Sequence[UndampedReference], tau: float, grid: Grid2D, dt_factor: float,
+           references: Sequence[UndampedReference], tau: float, grid: Grid2D,
            take: Callable[[int, int, int, np.ndarray], None]):
     """Every probe of modes[j] under dampings[i], minus references[j], handed on in runs of steps.
 
@@ -156,14 +155,14 @@ def _probe(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex],
     """
     for mode in modes:
         check_probe_resolution(grid.n, mode)
-    steps, _ = _time_step(tau, grid.h, dt_factor)
+    steps, _ = _time_step(tau, grid.h)
     if any(ref.profile.shape != (steps + 1,) or ref.start.shape != (2, grid.n)
            for ref in references):
         raise ValueError("traces must come from matching discretizations")
     stepped = [i for i, a in enumerate(dampings) if damping_rate(a, grid).any()]
     for i in sorted(set(range(len(dampings))) - set(stepped)):
         for j, mode in enumerate(modes):
-            profile, start = undamped_mode_trace(mode, grid, tau, dt_factor)
+            profile, start = undamped_mode_trace(mode, grid, tau)
             take(i, j, 0, references[j].subtract_from(start[:, None, :] * profile[:, None], 0))
 
     def reduce(start: int, first: int, window: np.ndarray):
@@ -172,18 +171,18 @@ def _probe(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex],
             take(stepped[i], j, first, references[j].subtract_from(sides, first))
 
     if stepped:
-        solve_modes([dampings[i] for i in stepped], modes, grid, tau, dt_factor, reduce=reduce)
+        solve_modes([dampings[i] for i in stepped], modes, grid, tau, reduce=reduce)
 
 
 def _measure(a: DampingPair, modes: Sequence[ModeIndex],
              references: Dict[ModeIndex, UndampedReference], tau: float, grid: Grid2D,
-             dt_factor: float, keep: Collection[ModeIndex]) -> GapEstimate:
+             keep: Collection[ModeIndex]) -> GapEstimate:
     """The trace norm of each mode's probe under a, and the whole measurement of each mode in keep.
 
     Each run of steps is reduced to its per-step quadrature as it is handed
     on, so a norm has the bits of the whole trace's l2_norm.
     """
-    steps, dt = _time_step(tau, grid.h, dt_factor)
+    steps, dt = _time_step(tau, grid.h)
     kept = {j: np.empty((2, steps + 1, grid.n)) for j, mode in enumerate(modes) if mode in keep}
     per_step = np.empty((len(modes), steps + 1))
 
@@ -193,7 +192,7 @@ def _measure(a: DampingPair, modes: Sequence[ModeIndex],
             kept[j][:, first:last] = sides
         per_step[j, first:last] = step_quadrature(sides)
 
-    _probe([a], modes, [references[mode] for mode in modes], tau, grid, dt_factor, take)
+    _probe([a], modes, [references[mode] for mode in modes], tau, grid, take)
     norms = {mode: time_quadrature(per_step[j], dt) for j, mode in enumerate(modes)}
     times = dt * np.arange(steps + 1)
     return GapEstimate(norms, {
@@ -203,19 +202,16 @@ def _measure(a: DampingPair, modes: Sequence[ModeIndex],
         for j, sides in kept.items()})
 
 
-def probe_mode(a: DampingPair, mode: ModeIndex, tau: float, grid: Grid2D,
-               dt_factor: float = 0.5,
-               reference: Optional[UndampedReference] = None) -> ModalMeasurement:
+def probe_mode(a: DampingPair, mode: ModeIndex, tau: float, grid: Grid2D) -> ModalMeasurement:
     """Boundary measurement generated by initial data (mode shape, 0).
 
-    reference is the undamped trace of the same probe; when not given, it
-    is formed here in closed form (reference_solution).  The damped probe
-    is a batch of one, differenced against the reference a window at a
-    time: the same bits as damped.difference(reference).
+    The reference is the undamped trace of the same probe, in closed form
+    (reference_solution).  The damped probe is a batch of one, differenced
+    against the reference a window at a time: the same bits as
+    damped.difference(reference).
     """
-    if reference is None:
-        reference = reference_solution(mode, tau, grid, dt_factor)
-    return _measure(a, [mode], {mode: reference}, tau, grid, dt_factor, {mode}).measurements[mode]
+    references = {mode: reference_solution(mode, tau, grid)}
+    return _measure(a, [mode], references, tau, grid, {mode}).measurements[mode]
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +357,6 @@ class GapEstimate:
 
 
 def estimate_gap(a: DampingPair, probe_budget: int, tau: float, grid: Grid2D,
-                 dt_factor: float = 0.5,
                  references: Optional[Dict[ModeIndex, UndampedReference]] = None,
                  keep: Optional[Collection[ModeIndex]] = None) -> GapEstimate:
     """Max over probe modes of trace norm over graph norm of the probe.
@@ -378,9 +373,8 @@ def estimate_gap(a: DampingPair, probe_budget: int, tau: float, grid: Grid2D,
         raise ValueError("probe budget must be nonnegative")
     modes = [ModeIndex(k, l) for k in range(probe_budget + 1) for l in range(probe_budget + 1)]
     refs = dict(references or {})
-    refs.update({mode: reference_solution(mode, tau, grid, dt_factor)
-                 for mode in modes if mode not in refs})
-    return _measure(a, modes, refs, tau, grid, dt_factor, modes if keep is None else keep)
+    refs.update({mode: reference_solution(mode, tau, grid) for mode in modes if mode not in refs})
+    return _measure(a, modes, refs, tau, grid, modes if keep is None else keep)
 
 
 def select_truncation(c_cal: float, m: float, trunc_rate: float, delta: float) -> int:
@@ -485,7 +479,7 @@ class SweepContext:
 def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], tau: float,
                     grid: Grid2D, probe_budget: int = 2, recovery_mode: ModeIndex = ModeIndex(0, 0),
                     guard: float = 0.2, trunc_rate: float = 2.0, trunc_order: int = 4,
-                    calib_index: Optional[int] = None, dt_factor: float = 0.5,
+                    calib_index: Optional[int] = None,
                     ) -> Tuple[List[SweepRecord], SweepContext]:
     """Run the full gap-vs-coefficient-size study over a damping family.
 
@@ -510,7 +504,7 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
     if recovery_mode not in modes:
         raise ResolutionError(f"recovery mode ({recovery_mode.k}, {recovery_mode.l}) lies "
                               f"outside the probe set of budget {probe_budget}")
-    references = {mode: reference_solution(mode, tau, grid, dt_factor) for mode in modes}
+    references = {mode: reference_solution(mode, tau, grid) for mode in modes}
 
     m = min(member.minimum() for member in family)
     M = max(member.h1_sq_max() for member in family)
@@ -519,7 +513,7 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
 
     def member_record(eps: float, member: DampingPair) -> dict:
         # only the recovery mode's trace is held whole, and it is released on return
-        gap = estimate_gap(member, probe_budget, tau, grid, dt_factor, references=references,
+        gap = estimate_gap(member, probe_budget, tau, grid, references=references,
                            keep={recovery_mode})
         y1, y2 = time_project(gap.measurements[recovery_mode])
         estimate = linearized_recover(y1, y2, recovery_mode, guard)
@@ -621,8 +615,8 @@ def _apply_correction(init: DampingPair, params: np.ndarray, order: int) -> Damp
 
 
 def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: DampingPair,
-                              grid: Grid2D, tau: float, iters: int = 6, fit_order: int = 4,
-                              dt_factor: float = 0.5) -> Tuple[DampingPair, GaussNewtonInfo]:
+                              grid: Grid2D, tau: float, iters: int = 6,
+                              fit_order: int = 4) -> Tuple[DampingPair, GaussNewtonInfo]:
     """Gauss-Newton refinement of a damping estimate against trace data.
 
     The unknowns are boundary Fourier coefficients of a correction to the
@@ -642,7 +636,7 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
     if iters < 0:
         raise ValueError("iters must be nonnegative")
 
-    steps, _ = _time_step(tau, grid.h, dt_factor)
+    steps, _ = _time_step(tau, grid.h)
     if any(meas.trace.sides.shape != (2, steps + 1, grid.n) for meas in measurements):
         raise ValueError("measurements must come from matching discretizations")
     modes = [meas.mode for meas in measurements]
@@ -662,8 +656,7 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
             window = slice(first, first + sides.shape[1])
             np.subtract(sides, measurements[j].trace.sides[:, window], out=rows[i, j, :, window])
 
-        _probe(pairs, modes, [meas.reference for meas in measurements], tau, grid, dt_factor,
-               take)
+        _probe(pairs, modes, [meas.reference for meas in measurements], tau, grid, take)
         return out
 
     def residual(pair: DampingPair) -> np.ndarray:

@@ -91,7 +91,7 @@ def test_counters_read_real_results(tracing):
     }
     assert set(tracing.COUNTERS) == set(results)
     counts = {name: counter(results[name]) for name, counter in tracing.COUNTERS.items()}
-    assert counts["forward.solve"] == step_count(tau, grid.h, 0.5)
+    assert counts["forward.solve"] == step_count(tau, grid.h)
     assert counts["reconstruct.fit_damping_least_squares"] == fit[1].residuals
     assert len(counts["reconstruct.fit_damping_least_squares"]) == 2
     assert counts["verify.run_checks"] == len(checks) == 3

@@ -43,6 +43,16 @@ def test_declared_dependencies_are_the_imported_ones():
     assert third_party_imports() == declared
 
 
+def test_declared_numpy_floor_has_reshape_copy():
+    # forward._neighbour_sum_into calls reshape(-1, copy=False), which numpy 2.1 introduced
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    floors = [re.fullmatch(r"numpy\s*>=\s*(\d+)\.(\d+)(\.\d+)*", req.strip())
+              for req in project["dependencies"] if req.strip().startswith("numpy")]
+    assert len(floors) == 1 and floors[0] is not None
+    assert (int(floors[0].group(1)), int(floors[0].group(2))) >= (2, 1)
+
+
 def importers_of(name):
     """Stems of the modules under the package that import name from another module."""
     return {stem for stem, node in import_nodes()
@@ -80,3 +90,14 @@ def test_one_coding_of_the_stiffness_form():
     assert not names & {"_mirror_second_difference", "_first_differences", "_paired_differences"}
     assert callers_of("_weighted_gradient") == {("forward", "_stiffness_bilinear"),
                                                 ("forward", "_EnergyLog")}
+
+
+def test_the_step_fraction_is_a_constant():
+    # every solve steps at forward.DT_FACTOR of the CFL limit; the config keeps the key
+    # only so that older configs parse, and no function takes the fraction
+    params = {node.arg for _, tree in package_trees() for node in ast.walk(tree)
+              if isinstance(node, ast.arg)}
+    assert "dt_factor" not in params
+    readers = {stem for stem, tree in package_trees() for node in ast.walk(tree)
+               if "dt_factor" in (getattr(node, "id", None), getattr(node, "attr", None))}
+    assert readers == {"config"}

@@ -408,7 +408,7 @@ def plain_step(u, u_prev, t, dt, grid, gam, source=None):
 
 def plain_trace(u0, a, grid, tau):
     """Trace rows (bottom, left) of a solve from (u0, 0) by a loop of the plain expression."""
-    steps = step_count(tau, grid.h, 0.5)
+    steps = step_count(tau, grid.h)
     dt = tau / steps
     gam = damping_rate(a, grid)
     h = grid.h
@@ -506,9 +506,24 @@ def test_step_quadrature_of_any_cut_is_that_of_the_whole(start, length):
     assert step_quadrature(sides[:, start:stop]).tobytes() == whole[start:stop].tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(tau=st.floats(1e-3, 50.0), n=st.integers(17, 1025))
+@example(tau=1e-3, n=17)
+@example(tau=50.0, n=1025)
+@example(tau=0.7292038680986271, n=17)  # 33 steps of one ulp above the bound
+def test_time_step_stays_within_the_step_fraction_of_the_cfl_limit(tau, n):
+    # the step count rounds tau / (DT_FACTOR * CFL_LIMIT * h) up, so the step is the
+    # fraction of the CFL limit or less, up to the one ulp the rounded quotient can cost
+    h = Grid2D(n).h
+    steps, dt = forward._time_step(tau, h)
+    bound = forward.DT_FACTOR * forward.CFL_LIMIT * h
+    assert steps == step_count(tau, h) >= 2
+    assert dt <= np.nextafter(bound, np.inf)
+
+
 def reduced_traces(pairs, modes, grid, tau):
     """Every member's trace of a reduced solve_modes batch, reassembled from its windows."""
-    steps = step_count(tau, grid.h, 0.5)
+    steps = step_count(tau, grid.h)
     traces = np.full((len(pairs) * len(modes), 2, steps + 1, grid.n), np.nan)
 
     def reduce(start, first, window):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from wavedamp.cli import main
 from wavedamp.config import MAX_DAMPING_SAMPLES, ExperimentConfig, load_config, parse_config
 from wavedamp.errors import ConfigError
-from wavedamp.forward import solve
+from wavedamp.forward import DT_FACTOR, solve
 from wavedamp.grid import Grid2D
 from wavedamp.io import (
     load_damping_csv,
@@ -147,6 +147,19 @@ class TestConfig:
         cfg = parse_config(f"damping_samples = {MAX_DAMPING_SAMPLES}\ncalib_member = -1\n")
         assert (cfg.damping_samples, cfg.calib_member) == (MAX_DAMPING_SAMPLES, -1)
         assert parse_config("calib_member = 3\n").calib_member == 3
+
+    def test_the_step_fraction_is_fixed(self, tmp_path, capsys):
+        # every solve steps at forward.DT_FACTOR; the key stays so that older configs parse
+        cfg = tmp_path / "config.cfg"
+        cfg.write_text("n = 17\ntau = 0.5\ndt_factor = 0.25\n")
+        assert main(["forward", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "'dt_factor'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        assert parse_config("dt_factor = 0.5\n").dt_factor == DT_FACTOR
+        ledger = sorted((Path(__file__).parent / "data" / "ledger").glob("*/config.cfg"))
+        assert len(ledger) == 4
+        for path in ledger:
+            assert load_config(path).dt_factor == DT_FACTOR
 
     def test_type_errors_name_field(self):
         with pytest.raises(ConfigError) as err:

@@ -73,7 +73,7 @@ class TestProbe:
         monkeypatch.setattr(reconstruct, "time_quadrature",
                             lambda rows, dt: calls.append(rows.shape) or whole(rows, dt))
         monkeypatch.setattr(BoundaryTrace, "l2_norm", lambda self: pytest.fail("norm recomputed"))
-        meas = probe_mode(a, mode, 1.0, grid, reference=reference)
+        meas = probe_mode(a, mode, 1.0, grid)
         # each step's quadrature once, as its window is handed on, and one time quadrature
         assert sum(steps) == meas.trace.sides.shape[1]
         assert calls == [(meas.trace.sides.shape[1],)]
@@ -106,7 +106,7 @@ class TestProbe:
                                                            tau, chunk, width):
         grid = Grid2D(n)
         dampings = [PROBE_DAMPINGS[kind] for kind in kinds]
-        steps = step_count(tau, grid.h, 0.5)
+        steps = step_count(tau, grid.h)
         references = [reference_solution(mode, tau, grid) if closed else
                       UndampedReference(np.zeros(steps + 1), np.zeros((2, n)), tau)
                       for mode, closed in zip(modes, closed_form)]
@@ -127,7 +127,7 @@ class TestProbe:
             patch.setattr(forward, "BATCH_NODE_CAP", chunk * n * n)
             patch.setattr(forward, "TRACE_WINDOW", width)
             solves = count_probe_solves(patch)
-            _probe(dampings, modes, references, tau, grid, 0.5, take)
+            _probe(dampings, modes, references, tau, grid, take)
         # every (damping, mode, step) once; a damping identically zero on the grid is not
         # stepped, and the rest run as one batch
         assert handed == Counter({(i, j, m): 1 for i in range(len(dampings))
@@ -166,11 +166,10 @@ class TestProbe:
     def test_response_scales_linearly_in_damping(self):
         grid = Grid2D(65)
         mode = ModeIndex(0, 0)
-        ref = reference_solution(mode, 4.0, grid)
         devs = {}
         for small in (0.025, 0.05):
-            m1 = probe_mode(DampingPair.constant(small), mode, 4.0, grid, reference=ref)
-            m2 = probe_mode(DampingPair.constant(2 * small), mode, 4.0, grid, reference=ref)
+            m1 = probe_mode(DampingPair.constant(small), mode, 4.0, grid)
+            m2 = probe_mode(DampingPair.constant(2 * small), mode, 4.0, grid)
             scale = np.abs(m2.trace.sides[0]).max()
             devs[small] = np.abs(m2.trace.sides[0] - 2 * m1.trace.sides[0]).max() / scale
         assert devs[0.05] < 0.35
@@ -290,7 +289,7 @@ class TestGap:
         ratios = []
         for mode in modes:
             kept = gap.measurements[mode]
-            fresh = probe_mode(a, mode, 1.0, grid, reference=refs[mode])
+            fresh = probe_mode(a, mode, 1.0, grid)
             alone = solve_from_mode(a, mode, grid, 1.0).trace.difference(refs[mode])
             assert kept.reference is refs[mode]
             for trace in (fresh.trace, alone):
@@ -304,7 +303,7 @@ class TestGap:
                                            (0.6, "generic")])
     def test_streamed_norms_have_the_stored_bits(self, tau, case):
         grid = Grid2D(65)
-        steps = step_count(tau, grid.h, 0.5)
+        steps = step_count(tau, grid.h)
         assert {"shorter_than_a_window": steps + 1 < TRACE_WINDOW,
                 "steps_fill_windows": steps % TRACE_WINDOW == 0,
                 "steps_and_one_fill_windows": (steps + 1) % TRACE_WINDOW == 0,
@@ -610,7 +609,7 @@ class TestGaussNewton:
         frozen = solve_from_mode(DampingPair.constant(0.05, n=33), mode, grid, 1.0).trace
         calls = []
 
-        def fake_solve_modes(dampings, modes, grid, tau, dt_factor=0.5, *, reduce):
+        def fake_solve_modes(dampings, modes, grid, tau, *, reduce):
             # every member, the batched Jacobian columns too, hands on the frozen trace
             calls.extend(a for a in dampings for _ in modes)
             for first in range(0, frozen.sides.shape[1], TRACE_WINDOW):
