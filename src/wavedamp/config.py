@@ -30,8 +30,9 @@ DAMPING_KINDS = ("zero", "constant", "affine", "csv")
 # 2 (fit_order + 1) traces per measurement, and reconstruct fits one): 7.4e5 for
 # n = 257 at tau = 4, while n = 17 under the work cap alone could reach 2.9e7.  A damping's
 # samples (damping_samples, or a csv's rows) stay at four per cell of the largest
-# grid: the H^{1/2} norms of multiplier_bound_check, the one caller that needs them,
-# then build (samples - 1)^2 matrices of 128 MiB each.
+# grid: the H^{1/2} norm of multiplier_bound_check, the one caller that needs it,
+# then caches one (samples - 1)^2 matrix of inverse squared distances, 128 MiB, per
+# sample count, and each norm takes one matrix-vector product with it.
 MAX_N = 1025
 MAX_NODE_STEPS = 5e8
 MAX_TRACE_VALUES = 5e6

@@ -32,6 +32,7 @@ __all__ = [
     "stability_factor",
     "GronwallCheck",
     "gronwall_bound_check",
+    "gronwall_column_checks",
     "SourceBoundCheck",
     "source_bound_check",
 ]
@@ -260,14 +261,35 @@ class GronwallCheck:
     holds: bool
 
 
-def gronwall_bound_check(lam: Modulation, sig: TimeSignal) -> GronwallCheck:
-    """Check ||h|| <= stability_factor * ||(S* h)'|| in L2((0, tau); Y)."""
+def _gronwall_sq(lam: Modulation, sig: TimeSignal):
+    """Per column of sig: the squared L2(0, tau) norms of h and of (S* h)', from one convolution."""
     k = convolve_anticausal(lam, sig)
     kp = np.gradient(k.values, k.dt, axis=0, edge_order=2)
-    kp_norm = time_quadrature((kp ** 2).sum(axis=1), k.dt)
-    lhs = sig.l2_norm()
-    rhs = stability_factor(lam) * kp_norm
+    w = k.dt * trapezoid_weights(k.steps + 1)
+    return np.einsum("t,tc->c", w, sig.values ** 2), np.einsum("t,tc->c", w, kp ** 2)
+
+
+def _gronwall_verdict(factor: float, h_sq: float, kp_sq: float) -> GronwallCheck:
+    lhs = math.sqrt(h_sq)
+    rhs = factor * math.sqrt(kp_sq)
     return GronwallCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1.0 + 1e-9))
+
+
+def gronwall_bound_check(lam: Modulation, sig: TimeSignal) -> GronwallCheck:
+    """Check ||h|| <= stability_factor * ||(S* h)'|| in L2((0, tau); Y)."""
+    h_sq, kp_sq = _gronwall_sq(lam, sig)
+    return _gronwall_verdict(stability_factor(lam), float(h_sq.sum()), float(kp_sq.sum()))
+
+
+def gronwall_column_checks(lam: Modulation, sig: TimeSignal) -> list[GronwallCheck]:
+    """gronwall_bound_check of each column of sig as a scalar signal of its own.
+
+    All columns share one anticausal convolution, and each check reads
+    its lhs and rhs off its own column.
+    """
+    h_sq, kp_sq = _gronwall_sq(lam, sig)
+    factor = stability_factor(lam)
+    return [_gronwall_verdict(factor, float(a), float(b)) for a, b in zip(h_sq, kp_sq)]
 
 
 @dataclass(frozen=True)

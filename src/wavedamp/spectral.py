@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ResolutionError
 
@@ -223,20 +224,21 @@ class SobolevNorms:
 
 
 @lru_cache(maxsize=8)
-def _masked_inverse_distance(n: int, midpoints: bool, power: int) -> np.ndarray:
-    """|x_i - x_j|^(-power) off the diagonal, 0 on it, built once per sample count and read-only.
+def _masked_inverse_distance(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """K[i, j] = |x_i - x_j|^-2 off the diagonal and 0 on it, and K's row sums.
 
-    The points are the n uniform nodes of [0, 1], or with midpoints their
-    n - 1 cell midpoints.
+    The points x are the n - 1 cell midpoints of the n uniform nodes of
+    [0, 1].  Both arrays are built once per sample count and read-only.
     """
     s = np.linspace(0.0, 1.0, n)
-    if midpoints:
-        s = 0.5 * (s[1:] + s[:-1])
+    s = 0.5 * (s[1:] + s[:-1])
     dist = np.abs(s[:, None] - s[None, :])
     np.fill_diagonal(dist, np.inf)
-    inverse = dist ** -power
+    inverse = dist ** -2
+    row_sums = inverse.sum(axis=1)
     inverse.flags.writeable = False
-    return inverse
+    row_sums.flags.writeable = False
+    return inverse, row_sums
 
 
 def _l2_h1_sq(f: SampledFunction1D) -> tuple[float, float]:
@@ -254,16 +256,20 @@ def sobolev_norms(f: SampledFunction1D) -> SobolevNorms:
     The half-order norm uses the double-integral form
     (||f||_{L2}^2 + iint |f(x)-f(y)|^2 / |x-y|^2 dx dy)^{1/2},
     discretized on the cell-midpoint grid so the diagonal is excluded (its
-    inverse squared distance is held as 0).  That part builds two
-    (samples - 1)^2 matrices; the L2 and H1 norms alone come from _l2_h1_sq.
+    inverse squared distance is held as 0).  With m the midpoint values, K
+    the inverse squared distances and R = K 1 their row sums, the double
+    sum sum_{i != j} (m_i - m_j)^2 K_ij is 2 (m^2 . R - m^T K m): one
+    product with the cached (samples - 1)^2 matrix K.  The L2 and H1 norms
+    alone come from _l2_h1_sq.
     """
     l2sq, h1sq = _l2_h1_sq(f)
     v = f.values
     dx = f.dx
     mid = 0.5 * (v[1:] + v[:-1])
-    diff = mid[:, None] - mid[None, :]
-    np.multiply(diff, diff, out=diff)
-    semi_sq = dx * dx * float(np.vdot(diff, _masked_inverse_distance(f.n, True, 2)))
+    inverse, row_sums = _masked_inverse_distance(f.n)
+    double_sum = 2.0 * (float(np.dot(mid * mid, row_sums)) - float(np.dot(mid, inverse @ mid)))
+    # the two terms cancel for a near-constant sample; the sum itself is never negative
+    semi_sq = dx * dx * max(double_sum, 0.0)
     return SobolevNorms(
         l2=math.sqrt(l2sq),
         h1=math.sqrt(h1sq),
@@ -274,15 +280,21 @@ def sobolev_norms(f: SampledFunction1D) -> SobolevNorms:
 def holder_seminorm(f: SampledFunction1D, alpha: float) -> float:
     """sup over sample pairs of |f(x) - f(y)| / |x - y|^alpha.
 
-    The pairs x = y contribute 0, through the 0 on the diagonal of the
-    cached inverse distance.
+    The sup is taken as the max over lags k of (k dx)^-alpha times the
+    largest |f(s_{i+k}) - f(s_i)|.  Those lag maxima do not depend on
+    alpha: they come from one pass over the pair differences, and alpha
+    enters through n - 1 powers only.
     """
     if not 0.5 < alpha <= 1.0:
         raise ValueError("alpha must lie in (1/2, 1]")
     v = f.values
-    diff = np.abs(v[:, None] - v[None, :])
-    np.multiply(diff, _masked_inverse_distance(f.n, False, 1) ** alpha, out=diff)
-    return float(np.max(diff))
+    n = f.n
+    # row k - 1 of the windows reads v[i + k], and NaN past the last sample, which fmax skips
+    padded = np.concatenate([v, np.full(n - 1, np.nan)])
+    diff = sliding_window_view(padded[1:], n) - v
+    np.abs(diff, out=diff)
+    lag_max = np.fmax.reduce(diff, axis=1)
+    return float(np.max(lag_max * (np.arange(1, n) * f.dx) ** -alpha))
 
 
 @dataclass(frozen=True)

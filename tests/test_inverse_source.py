@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavedamp import inverse_source
 from wavedamp.forward import SourceSpec, mode_boundary_source
 from wavedamp.grid import Grid2D
 from wavedamp.inverse_source import (
@@ -17,11 +18,12 @@ from wavedamp.inverse_source import (
     convolve_anticausal,
     convolve_causal,
     gronwall_bound_check,
+    gronwall_column_checks,
     source_bound_check,
     stability_factor,
 )
 from wavedamp.spectral import DampingPair, ModeIndex, trapezoid_weights
-from wavedamp.verify import _adjoint_checks
+from wavedamp.verify import _adjoint_checks, _gronwall_check
 
 
 def constant_modulation(tau=2.0, steps=400):
@@ -320,6 +322,56 @@ class TestGronwall:
         for _ in range(50):
             sig = TimeSignal(rng.standard_normal(513), 3.0)
             assert gronwall_bound_check(lam, sig).holds
+
+
+MODULATIONS = {
+    "constant": lambda t: np.ones_like(t),
+    "cosine": lambda t: np.cos(2 * t),
+    "drift": lambda t: np.cos(2 * t) + 0.3 * t,
+    "decay": lambda t: np.exp(-t),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(MODULATIONS)), steps=st.sampled_from([2, 3, 17, 128, 129, 512]),
+       cols=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_column_checks_are_the_single_signal_checks(kind, steps, cols, seed):
+    # one convolution over the columns gives each column the lhs, rhs and verdict of its own check
+    tau = 3.0
+    lam = Modulation.from_callable(MODULATIONS[kind], tau, steps)
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((steps + 1, cols)) * 10.0 ** rng.uniform(-3, 3, cols)
+    batched = gronwall_column_checks(lam, TimeSignal(h, tau))
+    assert len(batched) == cols
+    for column, chk in zip(h.T, batched):
+        single = gronwall_bound_check(lam, TimeSignal(column, tau))
+        assert chk.lhs == pytest.approx(single.lhs, rel=1e-12, abs=0.0)
+        assert chk.rhs == pytest.approx(single.rhs, rel=1e-12, abs=0.0)
+        assert chk.holds == single.holds
+
+
+def test_gronwall_signals_draw_as_one_block():
+    # row by row, one (50, steps + 1) draw equals 50 draws and leaves the same state
+    block = np.random.default_rng(12)
+    signals = block.standard_normal((50, 513))
+    one_by_one = np.random.default_rng(12)
+    for row in signals:
+        assert np.array_equal(one_by_one.standard_normal(513), row)
+    assert one_by_one.bit_generator.state == block.bit_generator.state
+
+
+def test_gronwall_check_sweeps_the_panels_once(monkeypatch):
+    # the 50 seeded signals share one anticausal convolution, so K's column panels are
+    # formed in one sweep, and no causal row panel is formed
+    sweeps = []
+
+    def counting_panels(lam, by_columns):
+        sweeps.append(by_columns)
+        return _kernel_panels(lam, by_columns)
+
+    monkeypatch.setattr(inverse_source, "_kernel_panels", counting_panels)
+    assert _gronwall_check(np.random.default_rng(0)).passed
+    assert sweeps == [True]
 
 
 class TestSourceBound:

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wavedamp.config import MAX_DAMPING_SAMPLES
 from wavedamp.errors import ResolutionError
@@ -21,6 +23,7 @@ from wavedamp.spectral import (
     synthesize_from_modes,
     _masked_inverse_distance,
 )
+from wavedamp.verify import _random_trig
 
 
 def sampled(fn, n=257):
@@ -213,28 +216,71 @@ class TestHolder:
             holder_seminorm(sampled(lambda s: s), 0.5)
 
 
+def direct_half_seminorm_sq(f):
+    """dx^2 sum over midpoint pairs i != j of (m_i - m_j)^2 / |x_i - x_j|^2, formed pair by pair."""
+    v, s, dx = f.values, f.nodes, f.dx
+    mid, xm = 0.5 * (v[1:] + v[:-1]), 0.5 * (s[1:] + s[:-1])
+    off = ~np.eye(f.n - 1, dtype=bool)
+    return float((dx * dx * ((mid[:, None] - mid[None, :])[off] ** 2
+                             / (xm[:, None] - xm[None, :])[off] ** 2)).sum())
+
+
+def direct_holder(f, alpha):
+    """max over node pairs i != j of |v_i - v_j| / |s_i - s_j|^alpha, formed pair by pair."""
+    v, s = f.values, f.nodes
+    off = ~np.eye(f.n, dtype=bool)
+    return float(np.max(np.abs(v[:, None] - v[None, :])[off]
+                        / np.abs(s[:, None] - s[None, :])[off] ** alpha))
+
+
 @pytest.mark.parametrize("n", [17, 257])
 def test_cached_distance_weights_match_the_direct_formula(n):
     # the direct formulas build the distances and the off-diagonal mask on every call
     rng = np.random.default_rng(n)
     f = SampledFunction1D(np.cumsum(rng.normal(size=n)) / n)
-    v, s, dx = f.values, f.nodes, f.dx
-    mid, xm = 0.5 * (v[1:] + v[:-1]), 0.5 * (s[1:] + s[:-1])
-    off = ~np.eye(n - 1, dtype=bool)
-    semi_sq = float((dx * dx * ((mid[:, None] - mid[None, :])[off] ** 2
-                                / (xm[:, None] - xm[None, :])[off] ** 2)).sum())
     norms = sobolev_norms(f)
-    assert norms.h_half == pytest.approx(math.sqrt(norms.l2 ** 2 + semi_sq), rel=1e-12)
-    off = ~np.eye(n, dtype=bool)
+    direct = math.sqrt(norms.l2 ** 2 + direct_half_seminorm_sq(f))
+    assert norms.h_half == pytest.approx(direct, rel=1e-12)
     for alpha in (0.55, 0.8, 1.0):
-        direct = np.max(np.abs(v[:, None] - v[None, :])[off]
-                        / np.abs(s[:, None] - s[None, :])[off] ** alpha)
-        assert holder_seminorm(f, alpha) == pytest.approx(direct, rel=1e-12)
-    for midpoints, power in ((True, 2), (False, 1)):
-        cached = _masked_inverse_distance(n, midpoints, power)
-        assert cached is _masked_inverse_distance(n, midpoints, power)
-        assert not cached.flags.writeable
-        assert np.all(np.diag(cached) == 0.0)
+        assert holder_seminorm(f, alpha) == pytest.approx(direct_holder(f, alpha), rel=1e-12)
+    inverse, row_sums = _masked_inverse_distance(n)
+    again = _masked_inverse_distance(n)
+    assert again[0] is inverse and again[1] is row_sums
+    assert not inverse.flags.writeable and not row_sums.flags.writeable
+    assert np.all(np.diag(inverse) == 0.0)
+    assert np.array_equal(row_sums, inverse.sum(axis=1))
+
+
+# squares of samples below about 1e-154 underflow, in the direct formulas as in the norms
+sample_values = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+samples = st.integers(3, 300).flatmap(lambda n: arrays(np.float64, n, elements=sample_values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=samples, alpha=st.floats(0.5, 1.0, exclude_min=True))
+def test_norms_match_the_pairwise_formulas(values, alpha):
+    # the lag maxima and the row-sum form reorder the pair sums; the values stay the direct ones.
+    # SampledFunction1D takes 3 samples at least, so n = 3 (two lags, one midpoint pair) is the
+    # smallest case
+    f = SampledFunction1D(values)
+    assert holder_seminorm(f, alpha) == pytest.approx(direct_holder(f, alpha), rel=1e-12, abs=0.0)
+    norms = sobolev_norms(f)
+    direct = math.sqrt(norms.l2 ** 2 + direct_half_seminorm_sq(f))
+    assert norms.h_half == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+def test_random_profiles_draw_as_one_block():
+    # verify's profiles: one draw of 12 equals 12 scalar draws, and the cached basis gives the
+    # term-by-term sum up to roundoff
+    block, one_by_one = np.random.default_rng(13), np.random.default_rng(13)
+    f = _random_trig(block, offset=0.25)
+    s = np.linspace(0.0, 1.0, 257)
+    expected = np.full(257, 0.25)
+    for k in range(6):
+        expected += one_by_one.normal() / (k + 1) ** 2 * np.cos((k + 0.5) * math.pi * s)
+        expected += one_by_one.normal() / (k + 1) ** 2 * np.sin((k + 1) * math.pi * s)
+    assert one_by_one.bit_generator.state == block.bit_generator.state
+    np.testing.assert_allclose(f.values, expected, rtol=0.0, atol=1e-14)
 
 
 class TestMultiplierBound:
@@ -289,7 +335,7 @@ class TestDampingPair:
         assert a.h1_sq_max() == max(n1.h1 ** 2, n2.h1 ** 2)
 
     def test_pair_norms_take_memory_linear_in_the_samples(self):
-        # only the H^{1/2} norm builds (samples - 1)^2 matrices, 128 MiB each at the cap
+        # only the H^{1/2} norm builds a (samples - 1)^2 matrix, 128 MiB at the cap
         a = DampingPair.from_callables(lambda s: 0.1 + 0.05 * s, lambda s: 0.1 + 0.02 * s * s,
                                        MAX_DAMPING_SAMPLES)
         tracemalloc.start()
