@@ -17,7 +17,7 @@ from .errors import ObservabilityFailure, ResolutionError
 from .forward import _time_step, mode_field, stiffness_energy
 from .grid import Grid2D
 from .reconstruct import UndampedReference, _measure
-from .spectral import DampingPair, ModeIndex
+from .spectral import DampingPair, ModeIndex, fit_line
 
 __all__ = [
     "DecayFit",
@@ -68,12 +68,11 @@ def fit_decay(times: np.ndarray, energies: np.ndarray) -> DecayFit:
                               f"[{window[0]:.3g}, {window[1]:.3g}], need 8")
     t = times[keep]
     log_amp = 0.5 * np.log(2.0 * energies[keep])
-    design = np.vstack([t, np.ones_like(t)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, log_amp, rcond=None)
-    residual = float(np.sqrt(np.mean((log_amp - design @ np.array([slope, intercept])) ** 2)))
+    slope, intercept = fit_line(t, log_amp)
+    residual = float(np.sqrt(np.mean((log_amp - (slope * t + intercept)) ** 2)))
     amp0 = math.sqrt(2.0 * energies[0])
     m_fit = math.exp(intercept) / amp0 if amp0 > 0 else math.inf
-    return DecayFit(M_fit=float(m_fit), omega_fit=float(-slope), residual=residual,
+    return DecayFit(M_fit=float(m_fit), omega_fit=-slope, residual=residual,
                     window=(float(window[0]), float(window[1])))
 
 

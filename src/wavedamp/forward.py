@@ -35,6 +35,7 @@ __all__ = [
     "DT_FACTOR",
     "BATCH_NODE_CAP",
     "TRACE_WINDOW",
+    "DOT_BLOCK",
     "WaveState",
     "BoundaryTrace",
     "step_quadrature",
@@ -64,6 +65,7 @@ CFL_LIMIT = 1.0 / math.sqrt(2.0)
 DT_FACTOR = 0.5  # fraction of the CFL limit every solve steps at
 BATCH_NODE_CAP = 45000  # most nodes, members * n^2, that one batch steps at once
 TRACE_WINDOW = 64  # steps a reduced batch records before it hands them on
+DOT_BLOCK = 10000  # most values OpenBLAS's dot product reduces on one thread
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +107,6 @@ class BoundaryTrace:
     times: np.ndarray
     sides: np.ndarray
     dt: float
-    tau: float
 
     def __post_init__(self):
         if self.sides.ndim != 3 or self.sides.shape[0] != 2:
@@ -127,8 +128,7 @@ class BoundaryTrace:
     def difference(self, other: "BoundaryTrace") -> "BoundaryTrace":
         if self.sides.shape != other.sides.shape:
             raise ValueError("traces must come from matching discretizations")
-        return BoundaryTrace(times=self.times, sides=self.sides - other.sides, dt=self.dt,
-                             tau=self.tau)
+        return BoundaryTrace(times=self.times, sides=self.sides - other.sides, dt=self.dt)
 
 
 def step_quadrature(sides: np.ndarray) -> np.ndarray:
@@ -217,7 +217,23 @@ def stiffness_energy(u: np.ndarray, grid: Grid2D) -> float:
 def _stiffness_bilinear(u: np.ndarray, w: np.ndarray) -> float:
     n = u.shape[0]
     gu, gw = np.empty((2 * n - 1, n)), np.empty((2 * n - 1, n))
-    return float(np.vdot(_weighted_gradient(u, gu), _weighted_gradient(w, gw)))
+    return _fixed_order_dot(_weighted_gradient(u, gu), _weighted_gradient(w, gw))
+
+
+def _fixed_order_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """np.vdot(a, b), summed in order over blocks of at most DOT_BLOCK values.
+
+    OpenBLAS splits a longer dot product across its threads, so its last
+    bits would depend on the thread count; a block's do not.  Arrays of at
+    most DOT_BLOCK values (every field up to n = 70) get np.vdot's own bits.
+    """
+    if a.size <= DOT_BLOCK:
+        return float(np.vdot(a, b))
+    a, b = a.ravel(), b.ravel()
+    total = 0.0
+    for first in range(0, a.shape[0], DOT_BLOCK):
+        total += float(np.vdot(a[first:first + DOT_BLOCK], b[first:first + DOT_BLOCK]))
+    return total
 
 
 def _weighted_gradient(u: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -520,7 +536,7 @@ class _EnergyLog:
         """sum_ij w_i w_j diff_ij^2, diff vanishing on the Dirichlet sides; scales diff in place."""
         for side in self.edges:
             np.multiply(side, math.sqrt(0.5), out=side)
-        return float(np.vdot(self.diff, self.diff))
+        return _fixed_order_dot(self.diff, self.diff)
 
     def energy(self, m: int, u: np.ndarray, later: np.ndarray, earlier, span: float):
         """Energy and boundary velocities at step m of u, with velocity (later - earlier) / span.
@@ -534,7 +550,7 @@ class _EnergyLog:
         np.divide(d[:, 0], span, out=self.velocities[0, m])
         np.divide(d[0, :], span, out=self.velocities[1, m])
         kinetic = self.h2 / (span * span) * self._trapezoid_sq()
-        self.energies[m] = 0.5 * (float(np.vdot(self.slots[0], self.slots[0])) + kinetic)
+        self.energies[m] = 0.5 * (_fixed_order_dot(self.slots[0], self.slots[0]) + kinetic)
 
     def staggered_energy(self, m: int, u_new: np.ndarray, u_old: np.ndarray):
         """E^{m+1/2} from u^{m+1} and u^m, u^m's gradient in slots[0]; puts u^{m+1}'s there."""
@@ -542,7 +558,7 @@ class _EnergyLog:
         _weighted_gradient(u_new, new)
         np.subtract(u_new, u_old, out=self.diff)
         kinetic = self.h2 / (self.dt * self.dt) * self._trapezoid_sq()
-        self.staggered_energies[m] = 0.5 * (kinetic + float(np.vdot(new, old)))
+        self.staggered_energies[m] = 0.5 * (kinetic + _fixed_order_dot(new, old))
         self.slots.reverse()
 
     def step(self, m: int, u_next: np.ndarray, u_curr: np.ndarray, u_prev: np.ndarray):
@@ -691,7 +707,7 @@ def solve(u0: np.ndarray, u1: np.ndarray, a: DampingPair, grid: Grid2D, tau: flo
     log.energy(steps, u_curr, u_next, u_prev, 2.0 * dt)
     v = (u_next - u_prev) / (2.0 * dt)
     return SolveResult(final=WaveState(u=u_curr.copy(), v=v, t=float(times[-1])),
-                       trace=BoundaryTrace(times=times, sides=traces[0], dt=dt, tau=tau),
+                       trace=BoundaryTrace(times=times, sides=traces[0], dt=dt),
                        times=times, grid=grid, dt=dt, energies=log.energies,
                        staggered_energies=log.staggered_energies, velocities=log.velocities)
 

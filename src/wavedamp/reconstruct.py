@@ -36,6 +36,7 @@ from .spectral import (
     check_mode_resolution,
     check_probe_resolution,
     eigenpair,
+    fit_line,
     project_onto_modes,
     trapezoid_weights,
 )
@@ -197,7 +198,7 @@ def _measure(a: DampingPair, modes: Sequence[ModeIndex],
     times = dt * np.arange(steps + 1)
     return GapEstimate(norms, {
         modes[j]: ModalMeasurement(mode=modes[j], trace_norm=norms[modes[j]],
-                                   trace=BoundaryTrace(times=times, sides=sides, dt=dt, tau=tau),
+                                   trace=BoundaryTrace(times=times, sides=sides, dt=dt),
                                    reference=references[modes[j]])
         for j, sides in kept.items()})
 
@@ -234,8 +235,8 @@ def _fit_envelope_rate(trace: BoundaryTrace, omega: float) -> float:
                 levels.append(0.5 * math.log(mean_power))
     if len(centers) < 2:
         return 0.0
-    slope = np.polyfit(np.asarray(centers), np.asarray(levels), 1)[0]
-    return float(-slope)
+    slope, _ = fit_line(centers, levels)
+    return -slope
 
 
 def time_project(meas: ModalMeasurement):

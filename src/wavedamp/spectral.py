@@ -8,9 +8,9 @@ the restriction to a damped side induces the orthonormal interval modes
 sqrt(2) * cos((k + 1/2) pi s).
 
 This module also owns the 1-D sampled-function machinery used everywhere
-else: trapezoid quadrature, cosine-mode analysis/synthesis, discrete
-Sobolev and Hoelder norms, and the multiplier bound for Hoelder
-coefficients on the half-order Sobolev space.
+else: trapezoid quadrature, the least-squares line, cosine-mode
+analysis/synthesis, discrete Sobolev and Hoelder norms, and the
+multiplier bound for Hoelder coefficients on the half-order Sobolev space.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "MultiplierBound",
     "trapezoid_weights",
     "integrate",
+    "fit_line",
     "eigenpair",
     "mode_shape",
     "boundary_mode",
@@ -61,6 +62,27 @@ def integrate(values: np.ndarray, dx: float) -> float:
     """Composite trapezoid rule on uniformly spaced samples."""
     values = np.asarray(values)
     return float(dx * (trapezoid_weights(values.shape[0]) * values).sum())
+
+
+def fit_line(x, y) -> tuple[float, float]:
+    """Least-squares line y ~ slope * x + intercept, as (slope, intercept).
+
+    The normal equations about the means xm and ym of x and y decouple,
+    so slope = sum (x - xm)(y - ym) / sum (x - xm)^2 and intercept =
+    ym - slope * xm need no matrix solve: the sums are numpy's own, with
+    no BLAS or LAPACK call.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or x.shape[0] < 2:
+        raise ValueError("a line fit needs two 1-D arrays of one length, at least 2")
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    spread = float((dx * dx).sum())
+    if not spread > 0.0:
+        raise ValueError("a line fit needs at least two distinct abscissae")
+    slope = float((dx * (y - y_mean)).sum()) / spread
+    return slope, float(y_mean - slope * x_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +263,8 @@ def _masked_inverse_distance(n: int) -> tuple[np.ndarray, np.ndarray]:
     return inverse, row_sums
 
 
-def _l2_h1_sq(f: SampledFunction1D) -> tuple[float, float]:
-    """The squared discrete L2 and H1 norms of an interval sample, in O(samples)."""
-    v = f.values
-    dx = f.dx
+def _l2_h1_sq(v: np.ndarray, dx: float) -> tuple[float, float]:
+    """The squared discrete L2 and H1 norms of interval samples v, in O(samples)."""
     l2sq = integrate(v * v, dx)
     dv = np.gradient(v, dx, edge_order=2)
     return l2sq, l2sq + integrate(dv * dv, dx)
@@ -261,19 +281,25 @@ def sobolev_norms(f: SampledFunction1D) -> SobolevNorms:
     sum sum_{i != j} (m_i - m_j)^2 K_ij is 2 (m^2 . R - m^T K m): one
     product with the cached (samples - 1)^2 matrix K.  The L2 and H1 norms
     alone come from _l2_h1_sq.
+
+    The norms are computed on the samples scaled by the power of two that
+    brings the largest into [1/2, 1), and scaled back: squares of tiny
+    samples do not underflow, and a sample whose squares neither underflow
+    nor overflow gets the same bits as without the scaling.
     """
-    l2sq, h1sq = _l2_h1_sq(f)
-    v = f.values
+    exponent = math.frexp(float(np.max(np.abs(f.values))))[1]
+    v = np.ldexp(f.values, -exponent)
     dx = f.dx
+    l2sq, h1sq = _l2_h1_sq(v, dx)
     mid = 0.5 * (v[1:] + v[:-1])
     inverse, row_sums = _masked_inverse_distance(f.n)
     double_sum = 2.0 * (float(np.dot(mid * mid, row_sums)) - float(np.dot(mid, inverse @ mid)))
     # the two terms cancel for a near-constant sample; the sum itself is never negative
     semi_sq = dx * dx * max(double_sum, 0.0)
     return SobolevNorms(
-        l2=math.sqrt(l2sq),
-        h1=math.sqrt(h1sq),
-        h_half=math.sqrt(l2sq + semi_sq),
+        l2=math.ldexp(math.sqrt(l2sq), exponent),
+        h1=math.ldexp(math.sqrt(h1sq), exponent),
+        h_half=math.ldexp(math.sqrt(l2sq + semi_sq), exponent),
     )
 
 
@@ -365,9 +391,9 @@ class DampingPair:
 
     def h1_sq_max(self) -> float:
         """Largest squared H1 norm among the two components, as sobolev_norms' h1 squared."""
-        return max(math.sqrt(_l2_h1_sq(a)[1]) ** 2 for a in (self.a1, self.a2))
+        return max(math.sqrt(_l2_h1_sq(a.values, a.dx)[1]) ** 2 for a in (self.a1, self.a2))
 
     def l2_norm(self) -> float:
         """Norm of the pair in L2((0,1))^2, from sobolev_norms' l2 of each component."""
-        n1, n2 = (math.sqrt(_l2_h1_sq(a)[0]) for a in (self.a1, self.a2))
+        n1, n2 = (math.sqrt(_l2_h1_sq(a.values, a.dx)[0]) for a in (self.a1, self.a2))
         return math.sqrt(n1 * n1 + n2 * n2)

@@ -101,3 +101,22 @@ def test_the_step_fraction_is_a_constant():
     readers = {stem for stem, tree in package_trees() for node in ast.walk(tree)
                if "dt_factor" in (getattr(node, "id", None), getattr(node, "attr", None))}
     assert readers == {"config"}
+
+
+def test_lines_are_fitted_in_closed_form():
+    # no command maps LAPACK to fit a line: both line fits go through spectral.fit_line, and
+    # only the Gauss-Newton step solves a (Gram) system with lstsq
+    names = {getattr(node, attr, None) for _, tree in package_trees() for node in ast.walk(tree)
+             for attr in ("id", "attr", "name")}
+    assert "polyfit" not in names
+    assert callers_of("lstsq") == {("reconstruct", "_least_squares_step")}
+    assert callers_of("fit_line") == {("reconstruct", "_fit_envelope_rate"),
+                                      ("diagnostics", "fit_decay")}
+
+
+def test_the_energy_log_sums_in_a_fixed_order():
+    # a dot product over more than forward.DOT_BLOCK values would take its bits from the
+    # BLAS thread count; every one the log and the stiffness form take is blocked
+    assert callers_of("vdot") == {("forward", "_fixed_order_dot")}
+    assert callers_of("_fixed_order_dot") == {("forward", "_stiffness_bilinear"),
+                                              ("forward", "_EnergyLog")}

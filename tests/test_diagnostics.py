@@ -6,6 +6,7 @@ from wavedamp.diagnostics import estimate_observability, fit_decay
 from wavedamp.errors import ObservabilityFailure, ResolutionError
 from wavedamp.forward import solve
 from wavedamp.grid import Grid2D
+from wavedamp.reconstruct import probe_mode, time_project
 from wavedamp.spectral import DampingPair, ModeIndex, mode_shape
 
 
@@ -48,6 +49,20 @@ class TestFitDecay:
         energies[:10] = 5.0  # corrupt the leading 5 percent only
         fit = fit_decay(t, energies)
         assert fit.omega_fit == pytest.approx(0.5, rel=1e-9)
+
+
+def test_line_fits_call_no_lapack(monkeypatch):
+    # the decay fit and time_project's envelope fit are closed-form lines (spectral.fit_line)
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("a line fit called LAPACK")
+
+    monkeypatch.setattr("numpy.linalg.lstsq", no_lapack)
+    monkeypatch.setattr("numpy.polyfit", no_lapack)
+    res = modal_run(33, 0.5, 1.0)
+    assert fit_decay(res.times, res.energies).omega_fit > 0.0
+    meas = probe_mode(DampingPair.constant(0.1, n=33), ModeIndex(0, 0), 1.0, Grid2D(33))
+    y1, y2 = time_project(meas)
+    assert np.isfinite(y1.values).all() and np.isfinite(y2.values).all()
 
 
 class TestObservability:

@@ -1,7 +1,11 @@
 import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,7 +173,7 @@ class TestScheme:
     def test_trace_holds_only_the_measurement(self, damped_run):
         _, _, res = damped_run
         names = [f.name for f in dataclasses.fields(BoundaryTrace)]
-        assert names == ["times", "sides", "dt", "tau"]
+        assert names == ["times", "sides", "dt"]
         assert res.trace.sides.shape == (2, res.times.shape[0], 65)
         assert res.velocities.shape == res.trace.sides.shape
 
@@ -180,7 +184,7 @@ class TestScheme:
         sides = np.zeros((2, 5, 17))
         sides[side, 3, 4] = bad
         with pytest.raises(NumericalError, match="non-finite"):
-            BoundaryTrace(times=times, sides=sides, dt=0.25, tau=1.0)
+            BoundaryTrace(times=times, sides=sides, dt=0.25)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200], ids=["nan", "inf", "overflow"])
     def test_non_finite_window_norm_raises(self, bad):
@@ -193,13 +197,12 @@ class TestScheme:
     @pytest.mark.parametrize("shape", [(3, 5, 17), (1, 5, 17), (5, 17), (2, 5, 17, 1)])
     def test_trace_needs_two_sides(self, shape):
         with pytest.raises(ValueError, match="shaped"):
-            BoundaryTrace(times=np.linspace(0.0, 1.0, 5), sides=np.zeros(shape), dt=0.25, tau=1.0)
+            BoundaryTrace(times=np.linspace(0.0, 1.0, 5), sides=np.zeros(shape), dt=0.25)
 
     @pytest.mark.parametrize("count", [4, 6])
     def test_trace_times_match_its_steps(self, count):
         with pytest.raises(ValueError, match="times"):
-            BoundaryTrace(times=np.linspace(0.0, 1.0, count), sides=np.zeros((2, 5, 17)),
-                          dt=0.25, tau=1.0)
+            BoundaryTrace(times=np.linspace(0.0, 1.0, count), sides=np.zeros((2, 5, 17)), dt=0.25)
 
     def test_quad_weights_built_once_and_read_only(self):
         grid = Grid2D(17)
@@ -894,6 +897,48 @@ def test_energy_log_writes_only_its_own_buffers():
     finally:
         tracemalloc.stop()
     assert peak < ring[0].nbytes
+
+
+@pytest.mark.parametrize("size", [1, 9999, 10000, 10001, 16641, 33153])
+def test_fixed_order_dot_sums_blocks_in_order(size):
+    # one block is np.vdot itself; a longer product is the in-order sum of its blocks' vdots
+    rng = np.random.default_rng(size)
+    a, b = rng.standard_normal(size), rng.standard_normal(size)
+    blocks = [float(np.vdot(a[i:i + forward.DOT_BLOCK], b[i:i + forward.DOT_BLOCK]))
+              for i in range(0, size, forward.DOT_BLOCK)]
+    expected = 0.0
+    for block in blocks:
+        expected += block
+    assert forward._fixed_order_dot(a, b) == expected
+    assert forward._fixed_order_dot(a, b) == pytest.approx(float(np.vdot(a, b)), rel=1e-12)
+
+
+ENERGY_LOG_AT_129 = """
+import hashlib
+import numpy as np
+from wavedamp.forward import solve, stiffness_energy
+from wavedamp.grid import Grid2D
+from wavedamp.spectral import DampingPair
+grid = Grid2D(129)
+rng = np.random.default_rng(129)
+u0, u1 = (grid.zero_dirichlet(rng.standard_normal((129, 129))) for _ in range(2))
+res = solve(u0, u1, DampingPair.constant(0.1), grid, 0.05)
+logged = res.energies.tobytes() + res.staggered_energies.tobytes()
+print(hashlib.sha256(logged).hexdigest(), stiffness_energy(u0, grid).hex())
+"""
+
+
+def test_energy_log_has_the_same_bits_at_one_and_two_blas_threads():
+    # at n = 129 every dot product of the log exceeds the length OpenBLAS keeps on one thread
+    src = str(Path(forward.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", ENERGY_LOG_AT_129], capture_output=True,
+                             text=True, check=True, env=env, timeout=120)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("n", [17, 33])

@@ -4,11 +4,12 @@ Each directory under data/ledger holds a workload's config (config.cfg, the
 text the benchmark's make_inputs(workload, 1) writes) and every artifact its
 run writes except manifest.json, which records timings.  The forward run's
 3 MB trace.bin is held as trace.json instead: its header and the L2 norm of
-each side (trace_summary), compared like any other JSON.  The test reruns
-the command in process and fails when any numeric value moves by more than
-RTOL relative, or when a file, a column, a key or a text field changes.  It
-reports, without failing, a file that stays within RTOL but is not
-byte-equal, so a library upgrade that moves only the last bits passes.
+each side (ledger_drift.trace_summary), compared like any other JSON.  The
+test reruns the command in process (ledger_drift.rerun) and fails when any
+numeric value moves by more than RTOL relative, or when a file, a column, a
+key or a text field changes.  It reports, without failing, a file that
+stays within RTOL but is not byte-equal, so a library upgrade that moves
+only the last bits passes.
 
 verify.csv's value column also passes a change of at most ATOL absolute.
 Some of its values are roundoff themselves: adjoint.identity is a defect
@@ -18,20 +19,17 @@ more than RTOL relative.  Every other value passes on RTOL alone.
 A change that moves these numbers on purpose regenerates the ledger: run
 `wavedamp <command> --config config.cfg --out <that directory>` for each
 workload, delete any manifest.json it writes, and replace a trace.bin by
-the trace_summary text of it, saved as trace.json.
+the trace_summary text of it, saved as trace.json.  ledger_drift.py does
+this (--update), after printing how far each artifact moved.
 """
 
 import json
 import warnings
-from pathlib import Path
 
-import numpy as np
 import pytest
 
-from wavedamp.cli import main
-from wavedamp.io import read_trace_binary
+from ledger_drift import LEDGER, drift, rerun
 
-LEDGER = Path(__file__).parent / "data" / "ledger"
 RTOL = 1e-9
 ATOL = {("verify.csv", "value"): 1e-15}  # absolute floors, by (file, column)
 
@@ -79,25 +77,11 @@ def _json_drift(old, new, key="") -> list:
     return [f"{key}: {old} -> {new}"]
 
 
-def trace_summary(path) -> str:
-    """The ledger's trace.json for a trace.bin: n, steps, dt and the L2 norm of each side."""
-    dump = read_trace_binary(path)
-    norms = {side: float(np.linalg.norm(sides)) for side, sides in zip(("bottom", "left"),
-                                                                       dump["sides"])}
-    summary = {"n": dump["n"], "steps": dump["steps"], "dt": dump["dt"], "norms": norms}
-    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
-
-
 @pytest.mark.parametrize("workload", ["forward-n129", "reconstruct-n65", "sweep-n65", "verify"])
 def test_artifacts_match_the_ledger(workload, tmp_path):
     entry, out = LEDGER / workload, tmp_path / "out"
-    command = workload.split("-")[0]
-    assert main([command, "--config", str(entry / "config.cfg"), "--out", str(out)]) == 0
-    if (out / "trace.bin").exists():
-        (out / "trace.json").write_text(trace_summary(out / "trace.bin"))
-        (out / "trace.bin").unlink()
     names = sorted(path.name for path in entry.iterdir() if path.name != "config.cfg")
-    assert sorted(path.name for path in out.iterdir() if path.name != "manifest.json") == names
+    assert rerun(entry, out) == names
     drift, not_byte_equal = [], []
     for name in names:
         old, new = (entry / name).read_text(), (out / name).read_text()
@@ -111,3 +95,13 @@ def test_artifacts_match_the_ledger(workload, tmp_path):
     if not_byte_equal:
         warnings.warn(f"{workload}: within {RTOL:g} relative of the ledger but not byte-equal: "
                       f"{', '.join(not_byte_equal)}")
+
+
+def test_drift_table_rows():
+    # one row per moved column or key: largest absolute and relative change, and where
+    old = "name,value\na,1.0\nb,4.0\n"
+    assert drift("x.csv", old, "name,value\na,1.5\nb,5.0\n") == [("value", "1", "0.33", "a")]
+    assert drift("x.csv", old, "name,value\nc,1.0\nb,4.0\n") == [("name", "(text)", "a -> c", "a")]
+    assert drift("x.csv", old, "name,value\na,1.0\n")[0][0] == "(layout)"
+    moved = drift("x.json", '{"r": [1.0, 2.0], "k": "t"}', '{"r": [1.0, 3.0], "k": "t"}')
+    assert moved == [(".r[]", "1", "0.33", "[1]")]

@@ -53,7 +53,7 @@ def synthetic_measurement(grid, mode, tau, profile_bottom, profile_left, steps=5
     times = dt * np.arange(steps + 1)
     sin_t = np.sin(omega * times)
     sides = sin_t[None, :, None] * np.stack([profile_bottom, profile_left])[:, None, :]
-    trace = BoundaryTrace(times=times, sides=sides, dt=dt, tau=tau)
+    trace = BoundaryTrace(times=times, sides=sides, dt=dt)
     reference = UndampedReference(np.zeros(steps + 1), np.zeros((2, grid.n)), tau)
     return ModalMeasurement(mode=mode, trace=trace, trace_norm=trace.l2_norm(),
                             reference=reference)
@@ -90,7 +90,7 @@ class TestProbe:
             window = reference.subtract_from(sides[..., first:last, :], first)
             assert np.array_equal(window, expected[..., first:last, :])
         materialized = BoundaryTrace(times=reference.dt * np.arange(sides.shape[-2]),
-                                     sides=reference.sides, dt=reference.dt, tau=1.0)
+                                     sides=reference.sides, dt=reference.dt)
         assert reference.l2_norm() == pytest.approx(materialized.l2_norm(), rel=1e-13)
         with pytest.raises(ValueError, match="matching discretizations"):
             reference.subtract_from(sides[..., :-1, :], 2)
@@ -658,7 +658,7 @@ class TestGaussNewton:
         mode = ModeIndex(0, 0)
         assert reference_solution(mode, 1.0, grid).l2_norm() > 0.0
         damped = solve_from_mode(truth, mode, grid, 1.0).trace
-        zero = UndampedReference(np.zeros_like(damped.times), np.zeros((2, grid.n)), damped.tau)
+        zero = UndampedReference(np.zeros_like(damped.times), np.zeros((2, grid.n)), 1.0)
         meas = ModalMeasurement(mode=mode, trace=damped, trace_norm=damped.l2_norm(),
                                 reference=zero)
         assert meas.noise_floor == 0.0

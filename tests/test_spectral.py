@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wavedamp.config import MAX_DAMPING_SAMPLES
@@ -14,6 +14,7 @@ from wavedamp.spectral import (
     SampledFunction1D,
     boundary_mode,
     eigenpair,
+    fit_line,
     holder_seminorm,
     integrate,
     mode_shape,
@@ -267,6 +268,53 @@ def test_norms_match_the_pairwise_formulas(values, alpha):
     norms = sobolev_norms(f)
     direct = math.sqrt(norms.l2 ** 2 + direct_half_seminorm_sq(f))
     assert norms.h_half == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+# well scaled for the power-of-two property: a sample times 2^-1000 is still a normal double
+normal_values = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
+normal_samples = st.integers(3, 300).flatmap(lambda n: arrays(np.float64, n, elements=normal_values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=normal_samples, k=st.integers(0, 1000))
+@example(values=np.ldexp([3.1e-161, 0.0, 0.0, 0.0, 0.0], 533), k=533)  # (3.1e-161, 0, 0, 0, 0)
+def test_norms_are_homogeneous_under_powers_of_two(values, k):
+    # the norms scale the samples by a power of two of their own, so squares of tiny samples
+    # do not underflow: scaling the input by 2^-k scales each norm by exactly 2^-k
+    norms = sobolev_norms(SampledFunction1D(values))
+    tiny = sobolev_norms(SampledFunction1D(np.ldexp(values, -k)))
+    assert tiny.l2 == math.ldexp(norms.l2, -k)
+    assert tiny.h1 == math.ldexp(norms.h1, -k)
+    assert tiny.h_half == math.ldexp(norms.h_half, -k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=st.floats(-100.0, 100.0),
+       steps=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=200),
+       data=st.data())
+def test_fit_line_matches_polyfit(start, steps, data):
+    # well-conditioned data: increasing abscissae at least 0.1 apart, values of at most 1e3
+    x = start + np.concatenate([[0.0], np.cumsum(steps)])
+    y = data.draw(arrays(np.float64, x.shape[0], elements=st.floats(-1e3, 1e3)))
+    slope, intercept = fit_line(x, y)
+    expected_slope, expected_intercept = np.polyfit(x, y, 1)
+    scale = max(float(np.max(np.abs(y))), 1.0)
+    assert slope == pytest.approx(expected_slope, rel=1e-12, abs=1e-12 * scale / np.ptp(x))
+    fitted, expected = slope * x + intercept, expected_slope * x + expected_intercept
+    assert np.abs(fitted - expected).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("x, y", [([1.0], [2.0]), ([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]),
+                                  ([0.0, 1.0], [1.0, 2.0, 3.0])],
+                         ids=["one-point", "one-abscissa", "lengths-differ"])
+def test_fit_line_needs_two_abscissae(x, y):
+    with pytest.raises(ValueError, match="line fit"):
+        fit_line(x, y)
+
+
+def test_fit_line_is_exact_on_a_line():
+    x = np.arange(7.0)
+    assert fit_line(x, 3.0 - 0.5 * x) == (-0.5, 3.0)
 
 
 def test_random_profiles_draw_as_one_block():
