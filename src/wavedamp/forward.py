@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .grid import Grid2D
-from .spectral import DampingPair, ModeIndex, eigenpair, mode_shape, trapezoid_weights
+from .spectral import DampingPair, ModeIndex, eigenpair, integrate, mode_shape, trapezoid_weights
 
 __all__ = [
     "CFL_LIMIT",
@@ -39,7 +39,6 @@ __all__ = [
     "WaveState",
     "BoundaryTrace",
     "step_quadrature",
-    "time_quadrature",
     "SourceSpec",
     "SolveResult",
     "mode_boundary_source",
@@ -123,7 +122,7 @@ class BoundaryTrace:
 
     def l2_norm(self) -> float:
         """Space-time L2 norm over both damped sides."""
-        return time_quadrature(step_quadrature(self.sides), self.dt)
+        return math.sqrt(integrate(step_quadrature(self.sides), self.dt))
 
     def difference(self, other: "BoundaryTrace") -> "BoundaryTrace":
         if self.sides.shape != other.sides.shape:
@@ -146,12 +145,6 @@ def step_quadrature(sides: np.ndarray) -> np.ndarray:
     if not np.isfinite(per_step).all():
         raise NumericalError("boundary trace norm is not finite")
     return per_step
-
-
-def time_quadrature(per_step: np.ndarray, dt: float) -> float:
-    """The space-time L2 norm from the per-step values of step_quadrature."""
-    wt = trapezoid_weights(per_step.shape[0])
-    return math.sqrt(float(dt * (wt * per_step).sum()))
 
 
 @dataclass

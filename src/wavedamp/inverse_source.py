@@ -20,9 +20,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ObservabilityFailure
-from .forward import SourceSpec, solve, stiffness_dual_norm, time_quadrature
+from .forward import SourceSpec, solve, stiffness_dual_norm
 from .grid import Grid2D
-from .spectral import DampingPair, trapezoid_weights
+from .spectral import DampingPair, integrate, trapezoid_weights
 
 __all__ = [
     "Modulation",
@@ -92,7 +92,7 @@ class Modulation:
     def derivative_l2(self) -> float:
         """L2(0, tau) norm of the time derivative, finite differences."""
         d = np.gradient(self.values, self.dt, edge_order=2)
-        return time_quadrature(d * d, self.dt)
+        return math.sqrt(integrate(d * d, self.dt))
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ class TimeSignal:
 
     def l2_norm(self) -> float:
         """Norm in L2((0, tau); Y), trapezoid in time."""
-        return time_quadrature((self.values ** 2).sum(axis=1), self.dt)
+        return math.sqrt(integrate((self.values ** 2).sum(axis=1), self.dt))
 
     def inner(self, other: "TimeSignal") -> float:
         if self.values.shape != other.values.shape:

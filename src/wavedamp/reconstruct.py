@@ -17,14 +17,13 @@ from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import RegimeError, ResolutionError
+from .errors import NumericalError, RegimeError, ResolutionError
 from .forward import (
     BoundaryTrace,
     _time_step,
     damping_rate,
     solve_modes,
     step_quadrature,
-    time_quadrature,
     undamped_mode_trace,
 )
 from .grid import Grid2D
@@ -32,11 +31,14 @@ from .spectral import (
     DampingPair,
     ModeIndex,
     SampledFunction1D,
+    _norm_from,
+    _unit_scaled,
     boundary_mode,
     check_mode_resolution,
     check_probe_resolution,
     eigenpair,
     fit_line,
+    integrate,
     project_onto_modes,
     trapezoid_weights,
 )
@@ -194,7 +196,7 @@ def _measure(a: DampingPair, modes: Sequence[ModeIndex],
         per_step[j, first:last] = step_quadrature(sides)
 
     _probe([a], modes, [references[mode] for mode in modes], tau, grid, take)
-    norms = {mode: time_quadrature(per_step[j], dt) for j, mode in enumerate(modes)}
+    norms = {mode: math.sqrt(integrate(per_step[j], dt)) for j, mode in enumerate(modes)}
     times = dt * np.arange(steps + 1)
     return GapEstimate(norms, {
         modes[j]: ModalMeasurement(mode=modes[j], trace_norm=norms[modes[j]],
@@ -315,19 +317,23 @@ def check_recovery_mode(mode: ModeIndex, grid: Grid2D, guard: float = 0.2):
 
 
 def damping_l2_error(estimate: DampingPair, truth: DampingPair, guard: float = 0.2) -> float:
-    """Relative L2 error of the pair on the unguarded region [0, 1 - guard]."""
+    """Relative L2 error of the pair on the unguarded region [0, 1 - guard].
+
+    The difference and the truth are each scaled by a power of two of their
+    own (spectral._unit_scaled) before they are squared, so the ratio of
+    their norms is finite at any scale a double holds, and inf past it.  An
+    identically zero truth gets the absolute error.
+    """
     s = np.linspace(0.0, 1.0 - guard, 257)
-    num = 0.0
-    den = 0.0
-    for est, ref in ((estimate.a1, truth.a1), (estimate.a2, truth.a2)):
-        d = est.at(s) - ref.at(s)
-        r = ref.at(s)
-        w = trapezoid_weights(s.shape[0]) * (s[1] - s[0])
-        num += float((w * d * d).sum())
-        den += float((w * r * r).sum())
+    w = trapezoid_weights(s.shape[0]) * (s[1] - s[0])
+    sides = ((estimate.a1, truth.a1), (estimate.a2, truth.a2))
+    d, d_exponent = _unit_scaled([est.at(s) - ref.at(s) for est, ref in sides])
+    r, r_exponent = _unit_scaled([ref.at(s) for _, ref in sides])
+    num = float((w * d[0] * d[0]).sum()) + float((w * d[1] * d[1]).sum())
+    den = float((w * r[0] * r[0]).sum()) + float((w * r[1] * r[1]).sum())
     if den == 0.0:
-        return math.sqrt(num)
-    return math.sqrt(num / den)
+        return _norm_from(num, d_exponent)
+    return _norm_from(num / den, d_exponent - r_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +494,8 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
     reconstruction error, truncation order and the stability bound.  The
     constants of the bound and of the truncation rule are calibrated on
     one designated member (largest pair norm by default) and frozen for
-    the rest of the sweep.
+    the rest of the sweep.  A family whose constants M or M^2/m a double
+    cannot hold is refused with NumericalError before any solve.
     """
     if len(family) != len(epsilons):
         raise ValueError("family and epsilons must align")
@@ -505,12 +512,16 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
     if recovery_mode not in modes:
         raise ResolutionError(f"recovery mode ({recovery_mode.k}, {recovery_mode.l}) lies "
                               f"outside the probe set of budget {probe_budget}")
-    references = {mode: reference_solution(mode, tau, grid) for mode in modes}
-
     m = min(member.minimum() for member in family)
     M = max(member.h1_sq_max() for member in family)
     if m <= 0:
         raise ValueError("sweep family must be strictly positive for the stability bound")
+    # every C_emp takes log(M^2 / m), and the bound scales by M
+    if not (0.0 < M < math.inf and M * M / m > 0.0):
+        raise NumericalError(f"a sweep family with smallest damping m = {m:.3e} has bound "
+                             f"constants M = {M:.3e} and M^2/m = {M * M / m:.3e}, which a "
+                             f"double cannot hold")
+    references = {mode: reference_solution(mode, tau, grid) for mode in modes}
 
     def member_record(eps: float, member: DampingPair) -> dict:
         # only the recovery mode's trace is held whole, and it is released on return

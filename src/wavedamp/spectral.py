@@ -263,11 +263,39 @@ def _masked_inverse_distance(n: int) -> tuple[np.ndarray, np.ndarray]:
     return inverse, row_sums
 
 
-def _l2_h1_sq(v: np.ndarray, dx: float) -> tuple[float, float]:
-    """The squared discrete L2 and H1 norms of interval samples v, in O(samples)."""
-    l2sq = integrate(v * v, dx)
-    dv = np.gradient(v, dx, edge_order=2)
-    return l2sq, l2sq + integrate(dv * dv, dx)
+def _unit_scaled(values) -> tuple[np.ndarray, int]:
+    """values times 2^-e, the power of two that brings the largest |value| into [1/2, 1), and e.
+
+    Every norm of samples squares the scaled values and scales the norm back
+    by 2^e, so squares of tiny samples do not underflow, nor squares of huge
+    ones overflow (Blue, ACM TOMS 4 (1978) 15-23).  Samples whose squares do
+    neither get the bits they would get unscaled.
+    """
+    values = np.asarray(values, dtype=float)
+    exponent = math.frexp(float(np.max(np.abs(values))))[1]
+    return np.ldexp(values, -exponent), exponent
+
+
+def _norm_from(sq: float, exponent: int) -> float:
+    """2^exponent sqrt(sq), a norm from its square sq at _unit_scaled's scale.
+
+    inf past the largest double, where math.ldexp raises.
+    """
+    try:
+        return math.ldexp(math.sqrt(sq), exponent)
+    except OverflowError:
+        return math.inf
+
+
+def _scaled_l2_h1_sq(f: SampledFunction1D) -> tuple[np.ndarray, int, float, float]:
+    """(v, e, ||v||^2, ||v||_{H1}^2) for v, f's samples scaled by _unit_scaled's 2^-e.
+
+    The discrete L2 and H1 norms of f are _norm_from(each, e), in O(samples).
+    """
+    v, exponent = _unit_scaled(f.values)
+    l2sq = integrate(v * v, f.dx)
+    dv = np.gradient(v, f.dx, edge_order=2)
+    return v, exponent, l2sq, l2sq + integrate(dv * dv, f.dx)
 
 
 def sobolev_norms(f: SampledFunction1D) -> SobolevNorms:
@@ -279,27 +307,21 @@ def sobolev_norms(f: SampledFunction1D) -> SobolevNorms:
     inverse squared distance is held as 0).  With m the midpoint values, K
     the inverse squared distances and R = K 1 their row sums, the double
     sum sum_{i != j} (m_i - m_j)^2 K_ij is 2 (m^2 . R - m^T K m): one
-    product with the cached (samples - 1)^2 matrix K.  The L2 and H1 norms
-    alone come from _l2_h1_sq.
-
-    The norms are computed on the samples scaled by the power of two that
-    brings the largest into [1/2, 1), and scaled back: squares of tiny
-    samples do not underflow, and a sample whose squares neither underflow
-    nor overflow gets the same bits as without the scaling.
+    product with the cached (samples - 1)^2 matrix K.  All three are
+    computed on the samples scaled by a power of two (_scaled_l2_h1_sq, which
+    gives the L2 and H1 norms alone) and scaled back.
     """
-    exponent = math.frexp(float(np.max(np.abs(f.values))))[1]
-    v = np.ldexp(f.values, -exponent)
+    v, exponent, l2sq, h1sq = _scaled_l2_h1_sq(f)
     dx = f.dx
-    l2sq, h1sq = _l2_h1_sq(v, dx)
     mid = 0.5 * (v[1:] + v[:-1])
     inverse, row_sums = _masked_inverse_distance(f.n)
     double_sum = 2.0 * (float(np.dot(mid * mid, row_sums)) - float(np.dot(mid, inverse @ mid)))
     # the two terms cancel for a near-constant sample; the sum itself is never negative
     semi_sq = dx * dx * max(double_sum, 0.0)
     return SobolevNorms(
-        l2=math.ldexp(math.sqrt(l2sq), exponent),
-        h1=math.ldexp(math.sqrt(h1sq), exponent),
-        h_half=math.ldexp(math.sqrt(l2sq + semi_sq), exponent),
+        l2=_norm_from(l2sq, exponent),
+        h1=_norm_from(h1sq, exponent),
+        h_half=_norm_from(l2sq + semi_sq, exponent),
     )
 
 
@@ -390,10 +412,20 @@ class DampingPair:
         return float(min(self.a1.values.min(), self.a2.values.min()))
 
     def h1_sq_max(self) -> float:
-        """Largest squared H1 norm among the two components, as sobolev_norms' h1 squared."""
-        return max(math.sqrt(_l2_h1_sq(a.values, a.dx)[1]) ** 2 for a in (self.a1, self.a2))
+        """Largest squared H1 norm among the two components, sobolev_norms' h1 times itself.
+
+        A square past the largest double is inf.
+        """
+        norms = [_norm_from(h1sq, e) for _, e, _, h1sq in map(_scaled_l2_h1_sq, (self.a1, self.a2))]
+        return max(h1 * h1 for h1 in norms)
 
     def l2_norm(self) -> float:
-        """Norm of the pair in L2((0,1))^2, from sobolev_norms' l2 of each component."""
-        n1, n2 = (math.sqrt(_l2_h1_sq(a.values, a.dx)[0]) for a in (self.a1, self.a2))
-        return math.sqrt(n1 * n1 + n2 * n2)
+        """Norm of the pair in L2((0,1))^2, from sobolev_norms' l2 of each component.
+
+        The two norms are combined under a common power of two, so the pair
+        norm keeps its digits at any scale a double holds.
+        """
+        sides = [_scaled_l2_h1_sq(a)[1:3] for a in (self.a1, self.a2)]  # (e, squared L2 norm)
+        top = max((e for e, sq in sides if sq > 0.0), default=0)
+        n1, n2 = (_norm_from(sq, e - top) for e, sq in sides)
+        return _norm_from(n1 * n1 + n2 * n2, top)

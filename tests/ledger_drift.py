@@ -89,16 +89,18 @@ def _json_cells(value, key=""):
     return [(key or "top", "", value)]
 
 
+def cells(name: str, text: str) -> list:
+    """(column or key, where, field or leaf) of every cell of the CSV or JSON artifact name."""
+    return _json_cells(json.loads(text)) if name.endswith(".json") else _csv_cells(text)
+
+
 def drift(name: str, old: str, new: str) -> list:
     """Rows (column or key, largest absolute change, largest relative change, where) of a file."""
-    if name.endswith(".json"):
-        cells = _json_cells(json.loads(old)), _json_cells(json.loads(new))
-    else:
-        cells = _csv_cells(old), _csv_cells(new)
-    if [cell[0] for cell in cells[0]] != [cell[0] for cell in cells[1]]:
+    before, after = cells(name, old), cells(name, new)
+    if [cell[0] for cell in before] != [cell[0] for cell in after]:
         return [("(layout)", "rows, columns or keys changed", "", "")]
     worst, text = {}, {}  # key -> [largest abs change, largest rel change, where the rel one is]
-    for (key, where, a), (_, _, b) in zip(*cells):
+    for (key, where, a), (_, _, b) in zip(before, after):
         if a == b:
             continue
         x, y = _number(a), _number(b)

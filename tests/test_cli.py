@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -203,20 +205,6 @@ def test_unusable_out_exit_2_before_any_solve(tmp_path, monkeypatch, capsys, com
     assert calls == []
 
 
-@pytest.fixture
-def probe_members(monkeypatch):
-    """The (damping, mode) members of every probe batch, counted at the batch seam."""
-    members = []
-    real_solve_modes = wavedamp.reconstruct.solve_modes
-
-    def counting_solve_modes(dampings, modes, *args, **kwargs):
-        members.extend((a, mode) for a in dampings for mode in modes)
-        return real_solve_modes(dampings, modes, *args, **kwargs)
-
-    monkeypatch.setattr("wavedamp.reconstruct.solve_modes", counting_solve_modes)
-    return members
-
-
 @pytest.mark.parametrize("command, text, message", [
     ("reconstruct", "n = 17\ntau = 1.0\n", "17 samples cannot resolve mode order 4"),
     ("sweep", "n = 33\ntau = 1.0\ntrunc_order = 100\n",
@@ -258,6 +246,29 @@ class TestReconstructCommand:
         assert summary["linearized_error_l2"] < 0.15
         assert (out / "recon_a1.csv").exists()
         assert (out / "fourier_coeffs.csv").exists()
+
+    def test_error_at_a_tiny_damping_matches_exact_arithmetic(self, tmp_path):
+        # the truth's squares underflow a double; score the written estimate in rationals
+        cfg = write_cfg(tmp_path, "n = 33\ntau = 2.0\ndamping_kind = constant\n"
+                                  "damping_base = 1e-170\n")
+        out = tmp_path / "rec"
+        assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 0
+        s = np.linspace(0.0, 0.8, 257)  # the unguarded region at the default guard, 0.2
+        weights = [Fraction(1, 2)] + [Fraction(1)] * 255 + [Fraction(1, 2)]
+        truth = Fraction(1e-170)
+        num = den = Fraction(0)
+        for name in ("recon_a1.csv", "recon_a2.csv"):
+            rows = [[float(v) for v in line.split(",")]
+                    for line in (out / name).read_text().splitlines()[1:]]
+            nodes, values = np.array(rows).T
+            for w, value in zip(weights, np.interp(s, nodes, values)):
+                num += w * (Fraction(value) - truth) ** 2
+                den += w * truth ** 2
+        ratio = num / den
+        p, q = ratio.numerator, ratio.denominator
+        exact = float(Fraction(math.isqrt(p * q << 128), q << 64))  # sqrt(p / q) to 2^-64
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["linearized_error_l2"] == pytest.approx(exact, rel=1e-12)
 
 
     def test_unusable_probe_mode_fails_before_any_solve(self, tmp_path, monkeypatch, capsys):
@@ -308,6 +319,33 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
         assert "cannot resolve probe mode (0,4)" in capsys.readouterr().err
         assert probe_members == []
+
+    @pytest.mark.parametrize("text", ["tau = 2.0\ndamping_kind = constant\ndamping_base = 1e-100\n",
+                                      "tau = 1.0\ndamping_base = 1e160\n"],
+                             ids=["1e-100", "1e160"])
+    def test_bound_constants_a_double_cannot_hold_fail_before_any_solve(self, tmp_path, capsys,
+                                                                         probe_members, text):
+        # M^2 / m underflows to 0 at 1e-100, and M = h1^2 overflows at 1e160
+        cfg = write_cfg(tmp_path, "n = 33\nprobe_budget = 1\nsweep_epsilons = 0.4,0.2\n" + text)
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) in (1, 2)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "a double cannot hold" in err[0]
+        assert probe_members == []
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("text", ["tau = 2.0\ndamping_kind = constant\ndamping_base = 1e-80\n",
+                                      "tau = 1.0\ndamping_base = 1e150\n"],
+                             ids=["1e-80", "1e150"])
+    def test_extreme_scales_a_double_holds_complete(self, tmp_path, text):
+        # the refusal above is no wider than the failure
+        cfg = write_cfg(tmp_path, "n = 33\nprobe_budget = 1\nsweep_epsilons = 0.4,0.2\n" + text)
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2 and all(math.isfinite(float(v)) for row in rows for v in row[1:])
+        context = json.loads((out / "sweep_context.json").read_text())
+        assert all(math.isfinite(v) for key, v in context.items() if key != "calib_id")
 
 
 class TestVerifyCommand:

@@ -120,3 +120,12 @@ def test_the_energy_log_sums_in_a_fixed_order():
     assert callers_of("vdot") == {("forward", "_fixed_order_dot")}
     assert callers_of("_fixed_order_dot") == {("forward", "_stiffness_bilinear"),
                                               ("forward", "_EnergyLog")}
+
+
+def test_samples_are_scaled_in_one_place():
+    # every norm of samples squares them only after spectral._unit_scaled's power of two, and
+    # the space-time norms take spectral.integrate: no second quadrature is left in forward
+    assert callers_of("frexp") == {("spectral", "_unit_scaled")}
+    names = {getattr(node, attr, None) for _, tree in package_trees() for node in ast.walk(tree)
+             for attr in ("id", "attr", "name")}
+    assert "time_quadrature" not in names

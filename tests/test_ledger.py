@@ -5,9 +5,10 @@ text the benchmark's make_inputs(workload, 1) writes) and every artifact its
 run writes except manifest.json, which records timings.  The forward run's
 3 MB trace.bin is held as trace.json instead: its header and the L2 norm of
 each side (ledger_drift.trace_summary), compared like any other JSON.  The
-test reruns the command in process (ledger_drift.rerun) and fails when any
-numeric value moves by more than RTOL relative, or when a file, a column, a
-key or a text field changes.  It reports, without failing, a file that
+test reruns the command in process (ledger_drift.rerun), walks each
+artifact's cells as the drift table does (ledger_drift.cells), and fails
+when any numeric value moves by more than RTOL relative, or when a file, a
+column, a key or a text field changes.  It reports, without failing, a file that
 stays within RTOL but is not byte-equal, so a library upgrade that moves
 only the last bits passes.
 
@@ -23,58 +24,34 @@ the trace_summary text of it, saved as trace.json.  ledger_drift.py does
 this (--update), after printing how far each artifact moved.
 """
 
-import json
 import warnings
 
 import pytest
 
-from ledger_drift import LEDGER, drift, rerun
+from ledger_drift import LEDGER, _number, cells, drift, rerun
 
 RTOL = 1e-9
 ATOL = {("verify.csv", "value"): 1e-15}  # absolute floors, by (file, column)
 
 
-def _moved(a, b, atol=0.0) -> bool:
-    # a NaN on either side counts as moved
-    return not abs(a - b) <= max(RTOL * max(abs(a), abs(b)), atol)
+def moved_cells(name: str, old: str, new: str) -> list:
+    """The cells of artifact name that moved beyond RTOL (or its ATOL), or whose text changed.
 
-
-def _number(field: str):
-    try:
-        return float(field)
-    except ValueError:
-        return None
-
-
-def _csv_drift(name: str, old: str, new: str) -> list:
-    old_rows = [line.split(",") for line in old.splitlines()]
-    new_rows = [line.split(",") for line in new.splitlines()]
-    if [len(row) for row in old_rows] != [len(row) for row in new_rows]:
-        return ["the table's shape"]
-    atol = [ATOL.get((name, column), 0.0) for column in old_rows[0]]
-    drift = []
-    for r, (old_row, new_row) in enumerate(zip(old_rows, new_rows)):
-        for c, (a, b) in enumerate(zip(old_row, new_row)):
-            x, y = _number(a), _number(b)
-            if a != b and (x is None or y is None or _moved(x, y, atol[c])):
-                drift.append(f"row {r} column {c}: {a} -> {b}")
-    return drift
-
-
-def _json_drift(old, new, key="") -> list:
-    if isinstance(old, dict) and isinstance(new, dict):
-        if sorted(old) != sorted(new):
-            return [f"{key or 'top'}: keys {sorted(old)} -> {sorted(new)}"]
-        return [d for k in old for d in _json_drift(old[k], new[k], f"{key}.{k}")]
-    if isinstance(old, list) and isinstance(new, list):
-        if len(old) != len(new):
-            return [f"{key}: length {len(old)} -> {len(new)}"]
-        return [d for i, (a, b) in enumerate(zip(old, new))
-                for d in _json_drift(a, b, f"{key}[{i}]")]
-    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
-    if old == new or (numbers and not _moved(old, new)):
-        return []
-    return [f"{key}: {old} -> {new}"]
+    A changed set of rows, columns or keys is one entry of its own.
+    """
+    before, after = cells(name, old), cells(name, new)
+    if [cell[0] for cell in before] != [cell[0] for cell in after]:
+        return ["rows, columns or keys"]
+    moved = []
+    for (key, where, a), (_, _, b) in zip(before, after):
+        if a == b:
+            continue
+        x, y = _number(a), _number(b)
+        atol = ATOL.get((name, key), 0.0)
+        # a changed text cell, or a NaN on either side, counts as moved
+        if x is None or y is None or not abs(x - y) <= max(RTOL * max(abs(x), abs(y)), atol):
+            moved.append(f"{key} at {where}: {a} -> {b}")
+    return moved
 
 
 @pytest.mark.parametrize("workload", ["forward-n129", "reconstruct-n65", "sweep-n65", "verify"])
@@ -88,9 +65,7 @@ def test_artifacts_match_the_ledger(workload, tmp_path):
         if old == new:
             continue
         not_byte_equal.append(name)
-        moved = (_json_drift(json.loads(old), json.loads(new)) if name.endswith(".json")
-                 else _csv_drift(name, old, new))
-        drift += [f"{name} {d}" for d in moved]
+        drift += [f"{name} {d}" for d in moved_cells(name, old, new)]
     assert drift == []
     if not_byte_equal:
         warnings.warn(f"{workload}: within {RTOL:g} relative of the ledger but not byte-equal: "
@@ -105,3 +80,20 @@ def test_drift_table_rows():
     assert drift("x.csv", old, "name,value\na,1.0\n")[0][0] == "(layout)"
     moved = drift("x.json", '{"r": [1.0, 2.0], "k": "t"}', '{"r": [1.0, 3.0], "k": "t"}')
     assert moved == [(".r[]", "1", "0.33", "[1]")]
+
+
+def test_the_verdict_fails_on_a_moved_or_changed_cell():
+    old = "name,value\na,1.0\nb,4.0\n"
+    assert moved_cells("x.csv", old, "name,value\na,1.0000000001\nb,4.0\n") == []
+    assert moved_cells("x.csv", old, "name,value\na,1.00001\nb,4.0\n") == [
+        "value at a: 1.0 -> 1.00001"]
+    assert moved_cells("x.csv", old, "name,value\nc,1.0\nb,4.0\n") == ["name at a: a -> c"]
+    assert moved_cells("x.csv", old, "name,value\na,nan\nb,4.0\n") == ["value at a: 1.0 -> nan"]
+    assert moved_cells("x.csv", old, "name,value\na,1.0\n") == ["rows, columns or keys"]
+    # verify.csv's values pass a change of at most ATOL absolute
+    roundoff = "name,value\nadjoint.identity,{}\n"
+    assert moved_cells("verify.csv", roundoff.format(2e-18), roundoff.format(3e-18)) == []
+    assert moved_cells("x.json", '{"k": "t", "r": [1.0]}', '{"k": "u", "r": [1.0]}') == [
+        ".k at : t -> u"]
+    assert moved_cells("x.json", '{"r": [1.0, 2.0]}', '{"r": [1.0, 2.5]}') == [
+        ".r[] at [1]: 2.0 -> 2.5"]

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import count_probe_solves, damping_samples, scaled_pair
 from wavedamp.errors import RegimeError, ResolutionError
 from wavedamp import forward, reconstruct
-from wavedamp.forward import TRACE_WINDOW, BoundaryTrace, solve_from_mode, solve_modes, step_count
+from wavedamp.forward import TRACE_WINDOW, BoundaryTrace, solve_from_mode, step_count
 from wavedamp.grid import Grid2D
 from wavedamp.reconstruct import (
     GN_RTOL,
@@ -67,10 +68,10 @@ class TestProbe:
         expected = solve_from_mode(a, mode, grid, 1.0).trace
         expected = expected.difference(reference).l2_norm()
         steps, calls = [], []
-        per_step, whole = reconstruct.step_quadrature, reconstruct.time_quadrature
+        per_step, whole = reconstruct.step_quadrature, reconstruct.integrate
         monkeypatch.setattr(reconstruct, "step_quadrature",
                             lambda sides: steps.append(sides.shape[1]) or per_step(sides))
-        monkeypatch.setattr(reconstruct, "time_quadrature",
+        monkeypatch.setattr(reconstruct, "integrate",
                             lambda rows, dt: calls.append(rows.shape) or whole(rows, dt))
         monkeypatch.setattr(BoundaryTrace, "l2_norm", lambda self: pytest.fail("norm recomputed"))
         meas = probe_mode(a, mode, 1.0, grid)
@@ -258,6 +259,25 @@ class TestLinearizedRecover:
         np.testing.assert_allclose(e1.a2.values, e2.a1.values, atol=1e-12)
 
 
+estimate_sides = damping_samples(st.just(0.0) | st.floats(1e-6, 1e3))
+truth_sides = damping_samples(st.floats(1e-6, 1e3))  # never zero: the error is relative
+
+
+@settings(max_examples=60, deadline=None)
+@given(estimate=st.tuples(estimate_sides, estimate_sides),
+       truth=st.tuples(truth_sides, truth_sides), k=st.integers(-800, 800))
+def test_relative_error_is_unchanged_under_powers_of_two(estimate, truth, k):
+    # the difference and the truth are each scaled before they are squared.  For |k| <= 800
+    # every interpolated value and difference of these samples stays a normal double, so
+    # scaling both pairs by 2^k leaves every bit of the ratio
+    expected = damping_l2_error(scaled_pair(*estimate), scaled_pair(*truth))
+    assert damping_l2_error(scaled_pair(*estimate, k), scaled_pair(*truth, k)) == expected
+
+
+def test_relative_error_past_the_double_range_is_inf():
+    assert damping_l2_error(DampingPair.constant(1.0), DampingPair.constant(5e-324)) == math.inf
+
+
 class TestGap:
     def test_zero_damping_gap(self):
         grid = Grid2D(33)
@@ -416,18 +436,6 @@ class TestCoefficientBound:
     def test_k0_matches_direct_formula(self):
         val = coefficient_bound_constant(0.3, 0, 0.5, 2.0, 0.01, 4.0)
         assert val == pytest.approx(0.3 ** 2 / (2.0 ** 2 / 0.5 * 0.01))
-
-
-def count_probe_solves(monkeypatch, members=None):
-    """Record the (damping, mode) of every member of every batched probe solve from here on."""
-    members = [] if members is None else members
-
-    def counting_solve_modes(dampings, modes, *args, **kwargs):
-        members.extend((a, mode) for a in dampings for mode in modes)
-        return solve_modes(dampings, modes, *args, **kwargs)
-
-    monkeypatch.setattr("wavedamp.reconstruct.solve_modes", counting_solve_modes)
-    return members
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import damping_samples, scaled_pair
 from wavedamp.config import MAX_DAMPING_SAMPLES
 from wavedamp.errors import ResolutionError
 from wavedamp.spectral import (
@@ -252,8 +253,13 @@ def test_cached_distance_weights_match_the_direct_formula(n):
     assert np.array_equal(row_sums, inverse.sum(axis=1))
 
 
+def signed(low, high):
+    """0, or a value of either sign and of magnitude in [low, high]; drawn without a filter."""
+    return st.just(0.0) | st.floats(low, high) | st.floats(-high, -low)
+
+
 # squares of samples below about 1e-154 underflow, in the direct formulas as in the norms
-sample_values = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+sample_values = signed(1e-100, 1e3)
 samples = st.integers(3, 300).flatmap(lambda n: arrays(np.float64, n, elements=sample_values))
 
 
@@ -271,7 +277,7 @@ def test_norms_match_the_pairwise_formulas(values, alpha):
 
 
 # well scaled for the power-of-two property: a sample times 2^-1000 is still a normal double
-normal_values = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
+normal_values = signed(1e-6, 1e3)
 normal_samples = st.integers(3, 300).flatmap(lambda n: arrays(np.float64, n, elements=normal_values))
 
 
@@ -286,6 +292,20 @@ def test_norms_are_homogeneous_under_powers_of_two(values, k):
     assert tiny.l2 == math.ldexp(norms.l2, -k)
     assert tiny.h1 == math.ldexp(norms.h1, -k)
     assert tiny.h_half == math.ldexp(norms.h_half, -k)
+
+
+damping_sides = damping_samples(st.just(0.0) | st.floats(1e-6, 1e3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a1=damping_sides, a2=damping_sides, k=st.integers(0, 1000))
+@example(a1=np.full(257, math.ldexp(3.1e-161, 533)), a2=np.full(257, math.ldexp(3.1e-161, 533)),
+         k=533)  # DampingPair.constant(3.1e-161)
+@example(a1=np.zeros(3), a2=np.array([0.0, 1.0, 0.0, 0.0]), k=512)  # one side identically zero
+def test_pair_norm_is_homogeneous_under_powers_of_two(a1, a2, k):
+    # the sides' norms combine under a common power of two, so the pair norm of tiny sides
+    # keeps its digits
+    assert scaled_pair(a1, a2, -k).l2_norm() == math.ldexp(scaled_pair(a1, a2).l2_norm(), -k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -380,7 +400,20 @@ class TestDampingPair:
                                        lambda s: 0.1 + 0.03 * s * s, 129)
         n1, n2 = (sobolev_norms(c) for c in (a.a1, a.a2))
         assert a.l2_norm() == math.sqrt(n1.l2 * n1.l2 + n2.l2 * n2.l2)
-        assert a.h1_sq_max() == max(n1.h1 ** 2, n2.h1 ** 2)
+        assert a.h1_sq_max() == max(n1.h1 * n1.h1, n2.h1 * n2.h1)
+
+    def test_pair_norms_at_extreme_scales(self):
+        tiny = DampingPair.constant(3.1e-161)
+        expected = math.sqrt(2.0) * sobolev_norms(tiny.a1).l2
+        assert abs(tiny.l2_norm() - expected) <= math.ulp(expected)
+        huge = DampingPair.constant(1e200)
+        assert huge.l2_norm() == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-12)
+        # an H1 norm of 1e200 squares past the largest double, and so does one past it
+        assert huge.h1_sq_max() == math.inf
+        def wavy(s):
+            return 1e307 * (1.5 + np.cos(40 * np.pi * s))
+
+        assert DampingPair.from_callables(wavy, wavy).h1_sq_max() == math.inf
 
     def test_pair_norms_take_memory_linear_in_the_samples(self):
         # only the H^{1/2} norm builds a (samples - 1)^2 matrix, 128 MiB at the cap
