@@ -441,15 +441,17 @@ def coefficient_bound_constant(coeff: float, k: int, m: float, M: float, delta: 
                                tau: float) -> float:
     """Empirical constant (a_j^k)^2 / [(M^2/m) e^{k^2 (tau^2 pi^2 + 1)} delta].
 
-    Evaluated in log space.  Underflows to zero for large k, which is the
-    honest value at double precision.
+    Evaluated in log space, with log(M^2/m) taken as 2 log M - log m since
+    M^2 overflows once M passes about 1.3e154.  Underflows to zero for
+    large k, which is the honest value at double precision.
     """
     if coeff == 0.0:
         return 0.0
     if delta <= 0 or m <= 0 or M <= 0:
         raise ValueError("need positive delta, m, M")
     exponent = k * k * (tau * tau * math.pi ** 2 + 1.0)
-    log_gap = 2.0 * math.log(abs(coeff)) - math.log(M * M / m) - math.log(delta) - exponent
+    log_gap = (2.0 * math.log(abs(coeff)) - (2.0 * math.log(M) - math.log(m))
+               - math.log(delta) - exponent)
     if log_gap < -745.0:
         return 0.0
     return math.exp(log_gap)

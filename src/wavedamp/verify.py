@@ -14,6 +14,10 @@ as soon as it is formed, so no whole convolution output is held, and the
 defect of each pair is read off its own column.  The 50 Gronwall signals
 likewise run as the columns of one signal, through one anticausal
 convolution.
+
+The seeded groups draw from `SeededStream`, a counter hash built from
+numpy core, so `verify` loads neither `numpy.random` nor the OpenSSL
+that its seeding reaches through `secrets`.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .spectral import (
     trapezoid_weights,
 )
 
-__all__ = ["CheckResult", "run_checks"]
+__all__ = ["CheckResult", "SeededStream", "run_checks"]
 
 
 @dataclass
@@ -64,6 +68,81 @@ class CheckResult:
 def _result(name, value, tol, detail="") -> CheckResult:
     return CheckResult(name=name, value=float(value), tolerance=float(tol),
                        passed=bool(value <= tol), detail=detail)
+
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the counter's increment and its finalizer
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+# a shorter draw hashes this many values at once, so a scalar draw costs a slice
+_AHEAD = 256
+
+
+def _splitmix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on a uint64 array: a bijection of 64-bit words."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+class SeededStream:
+    """The seeded draws of one check group, from numpy core alone.
+
+    Word c of the stream is the finalizer of x0 + (c + 1) gamma, with
+    x0 = mix(seed) xor group: SplitMix64 started at x0.  Its top 53 bits
+    make a uniform u on [0, 1).  Value p of every kind takes words 2p and
+    2p + 1: a uniform scales the first onto [low, high), and a normal is
+    the cosine branch of Box and Muller (1958), sqrt(-2 log1p(-u)) cos(2 pi v),
+    finite since u < 1.  So a value depends only on (seed, group, p), and
+    a block draw equals any split of it into successive draws, however
+    far ahead a short draw has hashed.
+
+    It offers the three draws the checks make of a numpy `Generator`,
+    which a test may pass in its place.
+    """
+
+    def __init__(self, seed: int, group: int):
+        # a one-element array: uint64 scalar arithmetic warns where it wraps
+        self._start = _splitmix(np.array([seed], dtype=np.uint64)) ^ np.uint64(group)
+        self._drawn = 0
+        self._ahead = np.empty((0, 2))  # the hashed pairs of the values after _drawn
+
+    def _hash_pairs(self, first: int, count: int) -> np.ndarray:
+        """(count, 2) uniforms on [0, 1): the two words of values first to first + count - 1."""
+        words = np.arange(2 * first + 1, 2 * (first + count) + 1, dtype=np.uint64)
+        words *= _GAMMA
+        words += self._start
+        _splitmix(words)
+        words >>= np.uint64(11)
+        uniforms = words.astype(np.float64)
+        uniforms *= 2.0 ** -53
+        return uniforms.reshape(count, 2)
+
+    def _uniform_pairs(self, count: int) -> np.ndarray:
+        if count > len(self._ahead):
+            self._ahead = self._hash_pairs(self._drawn, max(count, _AHEAD))
+        pairs, self._ahead = self._ahead[:count], self._ahead[count:]
+        self._drawn += count
+        return pairs
+
+    def uniform(self, low: float, high: float, size=None):
+        u = self._uniform_pairs(1 if size is None else int(np.prod(size)))[:, 0]
+        if size is None:
+            return float(low + (high - low) * u[0])
+        return (low + (high - low) * u).reshape(size)
+
+    def standard_normal(self, size) -> np.ndarray:
+        pairs = self._uniform_pairs(int(np.prod(size)))
+        radius = np.negative(pairs[:, 0])
+        np.log1p(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle = pairs[:, 1] * (2.0 * math.pi)
+        radius *= np.cos(angle, out=angle)
+        return radius.reshape(size)
+
+    normal = standard_normal
 
 
 @lru_cache(maxsize=1)
@@ -212,25 +291,25 @@ def run_checks(config: Optional[ExperimentConfig] = None,
                name_prefix: Optional[str] = None) -> List[CheckResult]:
     """Run the invariant suite, optionally filtered by name prefix.
 
-    Each group draws from its own seeded stream, so a filtered run sees
-    the same random vectors as a full one.
+    Group i draws from SeededStream(config.seed, i), so a filtered run
+    sees the same random vectors as a full one.
     """
     config = config or ExperimentConfig()
     groups = [
-        ("adjoint", lambda i: _adjoint_checks(np.random.default_rng([config.seed, i]))),
-        ("gronwall", lambda i: [_gronwall_check(np.random.default_rng([config.seed, i]))]),
-        ("dissipation", lambda i: _dissipation_checks()),
-        ("rellich", lambda i: _rellich_checks()),
-        ("multiplier", lambda i: [_multiplier_check(np.random.default_rng([config.seed, i]))]),
-        ("n0", lambda i: [_truncation_check(np.random.default_rng([config.seed, i]))]),
-        ("energy", lambda i: [_conservation_check()]),
+        ("adjoint", _adjoint_checks),
+        ("gronwall", lambda rng: [_gronwall_check(rng)]),
+        ("dissipation", lambda rng: _dissipation_checks()),
+        ("rellich", lambda rng: _rellich_checks()),
+        ("multiplier", lambda rng: [_multiplier_check(rng)]),
+        ("n0", lambda rng: [_truncation_check(rng)]),
+        ("energy", lambda rng: [_conservation_check()]),
     ]
     wanted = name_prefix.split(".")[0] if name_prefix else None
     checks: List[CheckResult] = []
     for index, (key, runner) in enumerate(groups):
         if wanted is not None and not key.startswith(wanted):
             continue
-        checks.extend(runner(index))
+        checks.extend(runner(SeededStream(config.seed, index)))
     if name_prefix:
         checks = [c for c in checks if c.name.startswith(name_prefix)]
     return checks

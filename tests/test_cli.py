@@ -15,6 +15,7 @@ from wavedamp.config import load_config
 from wavedamp.forward import solve_from_mode
 from wavedamp.grid import Grid2D
 from wavedamp.io import read_trace_binary
+from wavedamp.reconstruct import project_onto_modes
 from wavedamp.spectral import ModeIndex
 from wavedamp.verify import CheckResult
 
@@ -346,6 +347,29 @@ class TestSweepCommand:
         assert len(rows) == 2 and all(math.isfinite(float(v)) for row in rows for v in row[1:])
         context = json.loads((out / "sweep_context.json").read_text())
         assert all(math.isfinite(v) for key, v in context.items() if key != "calib_id")
+
+    def test_coefficient_constants_hold_where_m_squared_overflows(self, tmp_path):
+        # at an affine 1e150 family M (an H1 norm squared) reads 1.6e299, so M^2 overflows;
+        # each C_emp is max over the projection coefficients of (c/M)^2 (m/delta) e^{-k^2(...)}
+        cfg = write_cfg(tmp_path, "n = 33\nprobe_budget = 1\nsweep_epsilons = 0.4,0.2\n"
+                                  "tau = 1.0\ndamping_base = 1e150\n")
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        config = load_config(cfg)
+        context = json.loads((out / "sweep_context.json").read_text())
+        m, M = context["m"], context["M"]
+        assert M * M == math.inf
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        base = config.build_damping()
+        for row, eps in zip(rows, config.sweep_epsilons):
+            member, delta = base.scaled(eps), float(row[2])
+            expected = max((c / M) ** 2 * (m / delta)
+                           * math.exp(-k * k * (config.tau ** 2 * math.pi ** 2 + 1.0))
+                           for side in (member.a1, member.a2)
+                           for k, c in enumerate(project_onto_modes(side, config.trunc_order).coeffs))
+            assert float(row[-1]) > 0.0
+            assert float(row[-1]) == pytest.approx(expected, rel=1e-12)
+        assert context["c_emp_cal"] == float(rows[0][-1])
 
 
 class TestVerifyCommand:

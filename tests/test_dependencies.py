@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -129,3 +131,39 @@ def test_samples_are_scaled_in_one_place():
     names = {getattr(node, attr, None) for _, tree in package_trees() for node in ast.walk(tree)
              for attr in ("id", "attr", "name")}
     assert "time_quadrature" not in names
+
+
+def test_no_module_names_numpy_random():
+    # verify's seeded checks draw from verify.SeededStream; numpy.random's seeding would load
+    # OpenSSL through secrets, hmac and _hashlib
+    for stem, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                named = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                named = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                named = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            assert not {"numpy.random", "np.random"} & set(named), stem
+            assert not any(name.startswith("numpy.random.") for name in named), stem
+
+
+def test_verify_loads_neither_numpy_random_nor_openssl(tmp_path):
+    watched = ("numpy.random", "secrets", "_hashlib")
+    code = ("import sys\n"
+            f"watched = {watched!r}\n"
+            "before = [name for name in watched if name in sys.modules]\n"
+            "import wavedamp.cli\n"
+            f"status = wavedamp.cli.main(['verify', '--out', {str(tmp_path / 'v')!r}])\n"
+            "print(status, before, [name for name in watched if name in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    status, before, after = out.stdout.strip().splitlines()[-1].split(" ", 2)
+    assert status == "0"
+    if before != "[]":
+        pytest.skip(f"this interpreter loads {before} before any import")
+    assert after == "[]"

@@ -23,7 +23,7 @@ from wavedamp.inverse_source import (
     stability_factor,
 )
 from wavedamp.spectral import DampingPair, ModeIndex, trapezoid_weights
-from wavedamp.verify import _adjoint_checks, _gronwall_check
+from wavedamp.verify import SeededStream, _adjoint_checks, _gronwall_check
 
 
 def constant_modulation(tau=2.0, steps=400):
@@ -185,19 +185,19 @@ def test_streamed_rows_tile_the_grid_and_are_the_convolution(steps, cols, seed):
 
 
 def test_adjoint_pairs_draw_as_one_block():
-    # pair by pair, the draws equal one (100, 2, steps + 1) draw and leave the same state,
-    # so the causality check's signal, drawn next, is the same too
+    # pair by pair, the draws equal one (100, 2, steps + 1) draw and leave the stream at the
+    # same position, so the causality check's signal, drawn next, is the same too
     steps = 2048
-    block = np.random.default_rng(11)
+    block = SeededStream(11, 0)
     pairs = block.standard_normal((100, 2, steps + 1))
-    pairwise = np.random.default_rng(11)
+    pairwise = SeededStream(11, 0)
     for pair in pairs:
         assert np.array_equal(pairwise.standard_normal((2, steps + 1)), pair)
-    assert pairwise.bit_generator.state == block.bit_generator.state
-    used = np.random.default_rng(11)
+    used = SeededStream(11, 0)
     _adjoint_checks(used)
-    block.standard_normal(steps + 1)
-    assert used.bit_generator.state == block.bit_generator.state
+    signal = block.standard_normal(steps + 1)
+    assert np.array_equal(pairwise.standard_normal(steps + 1), signal)
+    assert np.array_equal(used.standard_normal(3), block.standard_normal(3))
 
 
 def test_adjoint_checks_stay_within_their_memory_bound():
@@ -205,7 +205,7 @@ def test_adjoint_checks_stay_within_their_memory_bound():
     # Holding the pairs once more and whole convolution outputs took 11.6 MB.
     tracemalloc.start()
     try:
-        _adjoint_checks(np.random.default_rng(0))
+        _adjoint_checks(SeededStream(0, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -351,13 +351,15 @@ def test_column_checks_are_the_single_signal_checks(kind, steps, cols, seed):
 
 
 def test_gronwall_signals_draw_as_one_block():
-    # row by row, one (50, steps + 1) draw equals 50 draws and leaves the same state
-    block = np.random.default_rng(12)
+    # row by row, one (50, steps + 1) draw equals 50 draws and leaves the same position
+    block = SeededStream(12, 1)
     signals = block.standard_normal((50, 513))
-    one_by_one = np.random.default_rng(12)
+    one_by_one = SeededStream(12, 1)
     for row in signals:
         assert np.array_equal(one_by_one.standard_normal(513), row)
-    assert one_by_one.bit_generator.state == block.bit_generator.state
+    used = SeededStream(12, 1)
+    _gronwall_check(used)
+    assert np.array_equal(used.standard_normal(3), block.standard_normal(3))
 
 
 def test_gronwall_check_sweeps_the_panels_once(monkeypatch):

@@ -25,7 +25,7 @@ from wavedamp.spectral import (
     synthesize_from_modes,
     _masked_inverse_distance,
 )
-from wavedamp.verify import _random_trig
+from wavedamp.verify import SeededStream, _random_trig
 
 
 def sampled(fn, n=257):
@@ -338,16 +338,16 @@ def test_fit_line_is_exact_on_a_line():
 
 
 def test_random_profiles_draw_as_one_block():
-    # verify's profiles: one draw of 12 equals 12 scalar draws, and the cached basis gives the
+    # verify's profiles: one draw of 12 equals 12 single draws, and the cached basis gives the
     # term-by-term sum up to roundoff
-    block, one_by_one = np.random.default_rng(13), np.random.default_rng(13)
+    block, one_by_one = SeededStream(13, 4), SeededStream(13, 4)
     f = _random_trig(block, offset=0.25)
     s = np.linspace(0.0, 1.0, 257)
     expected = np.full(257, 0.25)
     for k in range(6):
-        expected += one_by_one.normal() / (k + 1) ** 2 * np.cos((k + 0.5) * math.pi * s)
-        expected += one_by_one.normal() / (k + 1) ** 2 * np.sin((k + 1) * math.pi * s)
-    assert one_by_one.bit_generator.state == block.bit_generator.state
+        expected += one_by_one.normal(size=1)[0] / (k + 1) ** 2 * np.cos((k + 0.5) * math.pi * s)
+        expected += one_by_one.normal(size=1)[0] / (k + 1) ** 2 * np.sin((k + 1) * math.pi * s)
+    assert one_by_one.uniform(0.0, 1.0) == block.uniform(0.0, 1.0)
     np.testing.assert_allclose(f.values, expected, rtol=0.0, atol=1e-14)
 
 
