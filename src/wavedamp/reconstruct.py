@@ -20,6 +20,7 @@ import numpy as np
 from .errors import NumericalError, RegimeError, ResolutionError
 from .forward import (
     BoundaryTrace,
+    _fixed_order_dot,
     _time_step,
     damping_rate,
     solve_modes,
@@ -589,25 +590,19 @@ class GaussNewtonInfo:
     termination: str
 
 
-def _least_squares_step(columns: np.ndarray, gram: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Minimum-norm s minimizing |r + J s|, J = columns.T, from the Gram matrix J^T J.
+def _gram_step(gram: np.ndarray, jtr: np.ndarray, r_sq: float) -> Tuple[np.ndarray, float]:
+    """Minimum-norm s minimizing |r + J s|, and the relative decrease of |r| it promises.
 
-    The normal equations J^T J s = -J^T r share J's null space, so their
+    The round reads J only through G = J^T J (gram) and g = J^T r (jtr).
+    The normal equations G s = -g share J's null space, so their
     minimum-norm least-squares solution is J's own; solving the small Gram
-    system never copies the tall J.
+    system never copies the tall J.  Any solution of them has
+    |r + J s|^2 = |r|^2 + s^T g, so with r_sq = |r|^2 the decrease
+    1 - sqrt(1 + q), q = s^T g / r_sq, needs no residual-sized product.
     """
-    step, *_ = np.linalg.lstsq(gram, -(columns @ r), rcond=None)
-    return step
-
-
-def _predicted_decrease(columns: np.ndarray, gram: np.ndarray, r: np.ndarray) -> float:
-    """Relative decrease of |r| that the linear model r + J s promises at its best step."""
-    step = _least_squares_step(columns, gram, r)
-    norm = float(np.linalg.norm(r))
-    # r + J s in one residual-sized buffer; the sum has the bits of r + (J s)
-    model = np.matmul(columns.T, step, out=np.empty(r.shape))
-    np.add(model, r, out=model)
-    return (norm - float(np.linalg.norm(model))) / norm
+    step, *_ = np.linalg.lstsq(gram, -jtr, rcond=None)
+    q = max(-1.0, float(step @ jtr) / r_sq)
+    return step, -q / (1.0 + math.sqrt(1.0 + q))
 
 
 def _apply_correction(init: DampingPair, params: np.ndarray, order: int) -> DampingPair:
@@ -638,7 +633,7 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
     back onto the constraint set (nonnegative, matching corner values)
     before simulation.  Every simulated probe is differenced against the
     reference its measurement carries.  After each round that improves,
-    the round's Jacobian, reused at the accepted residual, predicts the
+    the round's J^T J, with J^T r at the accepted residual, predicts the
     next round's decrease without a further solve; the fit stops when that
     prediction falls below GN_RTOL relative.  It also stops at a zero
     residual, at the first round whose line search does not improve, or
@@ -676,13 +671,17 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
     def residual(pair: DampingPair) -> np.ndarray:
         return residuals([pair], np.empty((1, size)))[0]
 
+    def gradient(columns: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """J^T r, each row a dot product summed in a fixed order."""
+        return np.array([_fixed_order_dot(column, r) for column in columns])
+
     params = np.zeros(2 * (fit_order + 1))
     r = residual(_apply_correction(init, params, fit_order))
-    best_norm = float(np.linalg.norm(r))
-    history = [best_norm]
-    termination = "zero_residual" if best_norm == 0.0 else "max_iters"
+    r_sq = _fixed_order_dot(r, r)
+    history = [math.sqrt(r_sq)]
+    termination = "zero_residual" if r_sq == 0.0 else "max_iters"
 
-    for _ in range(iters if best_norm > 0.0 else 0):
+    for _ in range(iters if r_sq > 0.0 else 0):
         # the columns' probes run as one batch, each window written into its Jacobian slice
         steps_h = np.empty(params.shape[0])
         bumped_pairs = []
@@ -695,30 +694,28 @@ def fit_damping_least_squares(measurements: Sequence[ModalMeasurement], init: Da
         np.subtract(columns, r, out=columns)
         np.divide(columns, steps_h[:, None], out=columns)
         gram = columns @ columns.T
-        step_vec = _least_squares_step(columns, gram, r)
+        step_vec, _ = _gram_step(gram, gradient(columns, r), r_sq)
 
         improved = False
         scale = 1.0
         for _ in range(4):
             trial = params + scale * step_vec
             r_trial = residual(_apply_correction(init, trial, fit_order))
-            norm_trial = float(np.linalg.norm(r_trial))
-            if norm_trial < best_norm:
-                params = trial
-                r = r_trial
-                best_norm = norm_trial
+            trial_sq = _fixed_order_dot(r_trial, r_trial)
+            if trial_sq < r_sq:
+                params, r, r_sq = trial, r_trial, trial_sq
                 improved = True
                 break
             scale *= 0.5
-        history.append(best_norm)
+        history.append(math.sqrt(r_sq))
         if not improved:
             # params and r are unchanged, so a further round would repeat this one
             termination = "stalled"
             break
-        if best_norm == 0.0:
+        if r_sq == 0.0:
             termination = "zero_residual"
             break
-        if _predicted_decrease(columns, gram, r) < GN_RTOL:
+        if _gram_step(gram, gradient(columns, r), r_sq)[1] < GN_RTOL:
             termination = "tolerance"
             break
 

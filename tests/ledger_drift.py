@@ -12,8 +12,9 @@ key set gets a row of its own.  With --update it then writes the new
 artifacts over the ledger, which is how test_ledger.py's docstring says a
 change that moves these numbers on purpose regenerates it.
 
-Run it once under each BLAS thread count (OPENBLAS_NUM_THREADS=1, then 2)
-to see which artifacts depend on the count.
+Every artifact but verify.csv's adjoint.identity row has the same bits
+under one and two BLAS threads, so run it at the default count; under
+OPENBLAS_NUM_THREADS=1, then 2, only that row may move.
 """
 
 from __future__ import annotations

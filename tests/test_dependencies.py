@@ -107,21 +107,46 @@ def test_the_step_fraction_is_a_constant():
 
 def test_lines_are_fitted_in_closed_form():
     # no command maps LAPACK to fit a line: both line fits go through spectral.fit_line, and
-    # only the Gauss-Newton step solves a (Gram) system with lstsq
+    # only the Gauss-Newton round's Gram step solves a system with lstsq
     names = {getattr(node, attr, None) for _, tree in package_trees() for node in ast.walk(tree)
              for attr in ("id", "attr", "name")}
     assert "polyfit" not in names
-    assert callers_of("lstsq") == {("reconstruct", "_least_squares_step")}
+    assert callers_of("lstsq") == {("reconstruct", "_gram_step")}
     assert callers_of("fit_line") == {("reconstruct", "_fit_envelope_rate"),
                                       ("diagnostics", "fit_decay")}
 
 
 def test_the_energy_log_sums_in_a_fixed_order():
     # a dot product over more than forward.DOT_BLOCK values would take its bits from the
-    # BLAS thread count; every one the log and the stiffness form take is blocked
+    # BLAS thread count; every one the log, the stiffness form and the Gauss-Newton fit
+    # take is blocked
     assert callers_of("vdot") == {("forward", "_fixed_order_dot")}
     assert callers_of("_fixed_order_dot") == {("forward", "_stiffness_bilinear"),
-                                              ("forward", "_EnergyLog")}
+                                              ("forward", "_EnergyLog"),
+                                              ("reconstruct", "fit_damping_least_squares")}
+
+
+def test_a_gauss_newton_round_reads_its_jacobian_through_its_gram_system():
+    # the fit takes |r| and every row of J^T r as fixed-order dot products, and its step and
+    # stop from G = J^T J and J^T r: reconstruct calls no np.linalg.norm, and the one matrix
+    # product of the Jacobian (columns, J^T) is the Gram product columns @ columns.T
+    assert not any(stem == "reconstruct" for stem, _ in callers_of("norm"))
+    tree = dict(package_trees())["reconstruct"]
+
+    def names_columns(node):
+        return any(getattr(sub, "id", None) == "columns" for sub in ast.walk(node))
+
+    products = [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                and names_columns(node)]
+    products += [ast.unparse(node) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in
+                 ("matmul", "dot", "vdot", "inner", "einsum", "tensordot")
+                 and any(names_columns(arg) for arg in node.args)]
+    assert products == ["columns @ columns.T"]
+    transposed = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and node.attr == "T" and getattr(node.value, "id", None) == "columns"]
+    assert len(transposed) == 1
 
 
 def test_samples_are_scaled_in_one_place():

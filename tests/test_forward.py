@@ -927,15 +927,34 @@ logged = res.energies.tobytes() + res.staggered_energies.tobytes()
 print(hashlib.sha256(logged).hexdigest(), stiffness_energy(u0, grid).hex())
 """
 
+GAUSS_NEWTON_AT_65 = """
+import hashlib
+import numpy as np
+from wavedamp.grid import Grid2D
+from wavedamp.reconstruct import (fit_damping_least_squares, linearized_recover, probe_mode,
+                                  time_project)
+from wavedamp.spectral import DampingPair, ModeIndex
+grid = Grid2D(65)
+truth = DampingPair.from_callables(lambda s: 0.1 * (1 + s / 2), lambda s: 0.1 + 0.03 * s, n=65)
+meas = probe_mode(truth, ModeIndex(0, 0), 1.0, grid)
+estimate = linearized_recover(*time_project(meas), ModeIndex(0, 0))
+refined, info = fit_damping_least_squares([meas], estimate, grid, 1.0, iters=2, fit_order=1)
+fitted = refined.a1.values.tobytes() + refined.a2.values.tobytes()
+print(hashlib.sha256(fitted).hexdigest(), [r.hex() for r in info.residuals], info.termination)
+"""
 
-def test_energy_log_has_the_same_bits_at_one_and_two_blas_threads():
-    # at n = 129 every dot product of the log exceeds the length OpenBLAS keeps on one thread
+
+@pytest.mark.parametrize("code", [ENERGY_LOG_AT_129, GAUSS_NEWTON_AT_65],
+                         ids=["energy-log-n129", "gauss-newton-n65"])
+def test_the_same_bits_at_one_and_two_blas_threads(code):
+    # at n = 129 every dot product of the energy log exceeds the length OpenBLAS keeps on one
+    # thread, and at n = 65 so does every Gauss-Newton residual norm and row of J^T r
     src = str(Path(forward.__file__).parents[1])
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads)
-        run = subprocess.run([sys.executable, "-c", ENERGY_LOG_AT_129], capture_output=True,
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, env=env, timeout=120)
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]

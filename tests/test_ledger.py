@@ -15,7 +15,10 @@ only the last bits passes.
 verify.csv's value column also passes a change of at most ATOL absolute.
 Some of its values are roundoff themselves: adjoint.identity is a defect
 of about 2e-18, which a different BLAS or summation order moves by far
-more than RTOL relative.  Every other value passes on RTOL alone.
+more than RTOL relative.  Every other value passes on RTOL alone.  Every
+artifact but that row has the same bits under one and two BLAS threads;
+the ledger's verify.csv was written under two, so under one it is
+reported as not byte-equal.
 
 A change that moves these numbers on purpose regenerates the ledger: run
 `wavedamp <command> --config config.cfg --out <that directory>` for each

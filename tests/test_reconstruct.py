@@ -15,7 +15,7 @@ from wavedamp.reconstruct import (
     GN_RTOL,
     ModalMeasurement,
     UndampedReference,
-    _least_squares_step,
+    _gram_step,
     _probe,
     coefficient_bound_constant,
     damping_l2_error,
@@ -724,19 +724,22 @@ class TestGaussNewton:
         first, last = again.residuals[0], again.residuals[-1]
         assert (first - last) / first < GN_RTOL
 
-    @pytest.mark.parametrize("degenerate", ["zero column", "equal columns"])
+    @pytest.mark.parametrize("degenerate", ["zero column", "equal columns", "full rank"])
     def test_gram_step_is_the_minimum_norm_least_squares_step(self, degenerate):
         rng = np.random.default_rng(7)
         jac = rng.standard_normal((400, 6))
         if degenerate == "zero column":
             jac[:, 2] = 0.0
-        else:
+        elif degenerate == "equal columns":
             jac[:, 4] = jac[:, 1]
         r = rng.standard_normal(400)
         columns = np.ascontiguousarray(jac.T)
-        step = _least_squares_step(columns, columns @ columns.T, r)
+        step, decrease = _gram_step(columns @ columns.T, columns @ r, float(r @ r))
         expected, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         np.testing.assert_allclose(step, expected, rtol=0.0, atol=1e-10)
+        # the promised decrease is the linear model's, with no residual-sized product
+        norm = np.linalg.norm(r)
+        assert abs(decrease - (norm - np.linalg.norm(r + jac @ step)) / norm) <= 1e-12
 
     def test_one_round_stays_within_its_memory_bound(self, monkeypatch):
         grid, meas, estimate = self._affine_fit_inputs()
