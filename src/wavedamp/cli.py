@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .diagnostics import fit_decay
+from .diagnostics import check_decay_horizon, fit_decay
 from .errors import ConfigError, WavedampError
 from .forward import solve_from_mode
 from .grid import Grid2D
@@ -68,12 +68,15 @@ def cmd_forward(config: ExperimentConfig) -> int:
     grid = Grid2D(config.n)
     damping = config.build_damping()
     mode = ModeIndex(config.probe_k, config.probe_l)
+    decays = damping.minimum() > 0
+    if decays:
+        check_decay_horizon(config.tau, grid)
 
     t0 = time.perf_counter()
     result = solve_from_mode(damping, mode, grid, config.tau)
     timings["solve"] = time.perf_counter() - t0
 
-    fit = fit_decay(result.times, result.energies) if damping.minimum() > 0 else None
+    fit = fit_decay(result.times, result.energies) if decays else None
 
     t0 = time.perf_counter()
     write_energy_csv(out / "energy.csv", result.times, result.energies)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .forward import CFL_LIMIT, DT_FACTOR, step_count
+from .reconstruct import sweep_member_ids
 from .spectral import DampingPair, SampledFunction1D
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config"]
@@ -111,6 +112,10 @@ class ExperimentConfig:
             raise ConfigError("gn_iters", "must be nonnegative")
         if not self.sweep_epsilons or any(e <= 0 for e in self.sweep_epsilons):
             raise ConfigError("sweep_epsilons", "need positive scale factors")
+        try:
+            sweep_member_ids(self.sweep_epsilons)
+        except ValueError as exc:
+            raise ConfigError("sweep_epsilons", str(exc)) from exc
         if not -1 <= self.calib_member < len(self.sweep_epsilons):
             raise ConfigError("calib_member", f"must be -1 (the largest member) or a member "
                                               f"index below {len(self.sweep_epsilons)}")

@@ -14,15 +14,16 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ObservabilityFailure, ResolutionError
-from .forward import _time_step, mode_field, stiffness_energy
+from .forward import mode_field, step_times, stiffness_energy
 from .grid import Grid2D
-from .reconstruct import UndampedReference, _measure
+from .reconstruct import _measure
 from .spectral import DampingPair, ModeIndex, fit_line
 
 __all__ = [
     "DecayFit",
     "ObservabilityReport",
     "fit_decay",
+    "check_decay_horizon",
     "estimate_observability",
 ]
 
@@ -76,6 +77,12 @@ def fit_decay(times: np.ndarray, energies: np.ndarray) -> DecayFit:
                     window=(float(window[0]), float(window[1])))
 
 
+def check_decay_horizon(tau: float, grid: Grid2D):
+    """Raise fit_decay's ResolutionError, before any solve, for a solve to tau too short to fit."""
+    times = step_times(tau, grid.h)
+    fit_decay(times, np.ones_like(times))
+
+
 @dataclass(frozen=True)
 class ObservabilityReport:
     """Per-probe energy-to-measurement ratios and their maximum."""
@@ -89,22 +96,17 @@ def estimate_observability(a: DampingPair, tau: float, probes: Iterable[ModeInde
     """Estimate the observability constant from modal probes.
 
     For each probe mode, solve with initial data (mode shape, 0) and form
-    ||(u0, u1)|| / ||trace||; the estimate is the worst ratio.  The probes
-    are measured by reconstruct._measure against an all-zero reference, so
-    they run the one probe path (reconstruct._probe): a probe the grid does
-    not resolve (spectral.check_probe_resolution) fails before any solve,
-    and a damping identically zero on the grid gets the closed-form
-    undamped trace without stepping.  A probe whose trace norm falls below
-    TRACE_FLOOR_FRAC of its initial norm signals an observability failure
-    (this is what happens for vanishing damping, where the modal traces sit
-    at the discretization floor).
+    ||(u0, u1)|| / ||trace||; the estimate is the worst ratio.  The trace is
+    the measurement, so the probes run the one probe path with no reference
+    (reconstruct._measure), and a probe the grid does not resolve fails
+    before any solve.  A trace norm below TRACE_FLOOR_FRAC of the initial
+    norm signals an observability failure (vanishing damping, where the
+    modal traces sit at the discretization floor).
     """
     probes = list(probes)
     if not probes:
         raise ValueError("need at least one probe mode")
-    steps, _ = _time_step(tau, grid.h)
-    zero = UndampedReference(np.zeros(steps + 1), np.zeros((2, grid.n)), tau)
-    norms = _measure(a, probes, {mode: zero for mode in probes}, tau, grid, keep=()).norms
+    norms = _measure(a, probes, dict.fromkeys(probes), tau, grid, keep=()).norms
     ratios = []
     for mode in probes:
         # the data start at rest, so twice the initial energy is the stiffness term

@@ -47,6 +47,7 @@ __all__ = [
     "step",
     "start_step",
     "step_count",
+    "step_times",
     "solve",
     "solve_from_mode",
     "solve_modes",
@@ -601,6 +602,12 @@ def _time_step(tau: float, h: float) -> Tuple[int, float]:
     if dt * dt < np.finfo(float).tiny:
         raise NumericalError(f"dt = {dt:.3e} squares below the smallest normal double; raise tau")
     return steps, dt
+
+
+def step_times(tau: float, h: float) -> np.ndarray:
+    """The times m dt, m = 0..steps, at which a solve to tau records; checked as _time_step."""
+    steps, dt = _time_step(tau, h)
+    return dt * np.arange(steps + 1)
 
 
 def _initial_data(u, grid: Grid2D) -> np.ndarray:

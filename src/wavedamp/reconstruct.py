@@ -22,7 +22,6 @@ from .forward import (
     BoundaryTrace,
     _fixed_order_dot,
     _time_step,
-    damping_rate,
     solve_modes,
     step_quadrature,
     undamped_mode_trace,
@@ -61,6 +60,7 @@ __all__ = [
     "select_truncation",
     "stability_bound_rhs",
     "coefficient_bound_constant",
+    "sweep_member_ids",
     "stability_sweep",
     "damping_l2_error",
     "fit_damping_least_squares",
@@ -144,42 +144,35 @@ def reference_solution(mode: ModeIndex, tau: float, grid: Grid2D) -> UndampedRef
 
 
 def _probe(dampings: Sequence[DampingPair], modes: Sequence[ModeIndex],
-           references: Sequence[UndampedReference], tau: float, grid: Grid2D,
+           references: Sequence[Optional[UndampedReference]], tau: float, grid: Grid2D,
            take: Callable[[int, int, int, np.ndarray], None]):
     """Every probe of modes[j] under dampings[i], minus references[j], handed on in runs of steps.
 
     Checks first that the grid resolves each mode and that each reference
-    has the horizon's steps + 1 samples on the grid's nodes.  A damping
-    identically zero on the grid is not stepped: its probe is the closed
-    form of forward.undamped_mode_trace, handed on in one piece.  The rest
-    run as one reduced batch.  Each step of a probe is handed on exactly
-    once, in order, in runs of any length: steps first to first + k - 1 as
-    take(i, j, first, sides), with sides shaped (2, k, n) and overwritten
-    after the call returns.
+    has the horizon's steps + 1 samples on the grid's nodes; a reference of
+    None hands on the raw trace.  Every probe runs in one reduced batch,
+    and each of its steps is handed on exactly once, in order, in the
+    batch's windows: steps first to first + k - 1 as take(i, j, first,
+    sides), with sides shaped (2, k, n) and overwritten after the call returns.
     """
     for mode in modes:
         check_probe_resolution(grid.n, mode)
     steps, _ = _time_step(tau, grid.h)
-    if any(ref.profile.shape != (steps + 1,) or ref.start.shape != (2, grid.n)
+    if any(ref is not None and (ref.profile.shape, ref.start.shape) != ((steps + 1,), (2, grid.n))
            for ref in references):
         raise ValueError("traces must come from matching discretizations")
-    stepped = [i for i, a in enumerate(dampings) if damping_rate(a, grid).any()]
-    for i in sorted(set(range(len(dampings))) - set(stepped)):
-        for j, mode in enumerate(modes):
-            profile, start = undamped_mode_trace(mode, grid, tau)
-            take(i, j, 0, references[j].subtract_from(start[:, None, :] * profile[:, None], 0))
 
     def reduce(start: int, first: int, window: np.ndarray):
         for b, sides in enumerate(window, start):
             i, j = divmod(b, len(modes))
-            take(stepped[i], j, first, references[j].subtract_from(sides, first))
+            ref = references[j]
+            take(i, j, first, sides if ref is None else ref.subtract_from(sides, first))
 
-    if stepped:
-        solve_modes([dampings[i] for i in stepped], modes, grid, tau, reduce=reduce)
+    solve_modes(dampings, modes, grid, tau, reduce=reduce)
 
 
 def _measure(a: DampingPair, modes: Sequence[ModeIndex],
-             references: Dict[ModeIndex, UndampedReference], tau: float, grid: Grid2D,
+             references: Dict[ModeIndex, Optional[UndampedReference]], tau: float, grid: Grid2D,
              keep: Collection[ModeIndex]) -> GapEstimate:
     """The trace norm of each mode's probe under a, and the whole measurement of each mode in keep.
 
@@ -486,6 +479,15 @@ class SweepContext:
     calib_id: str
 
 
+def sweep_member_ids(epsilons: Sequence[float]) -> List[str]:
+    """Each sweep member's damping_id, eps-{eps:g}; ValueError where two name one sweep.csv row."""
+    ids = [f"eps-{eps:g}" for eps in epsilons]
+    repeated = sorted({member_id for member_id in ids if ids.count(member_id) > 1})
+    if repeated:
+        raise ValueError(f"sweep epsilons {list(epsilons)} repeat the member ids {repeated}")
+    return ids
+
+
 def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], tau: float,
                     grid: Grid2D, probe_budget: int = 2, recovery_mode: ModeIndex = ModeIndex(0, 0),
                     guard: float = 0.2, trunc_rate: float = 2.0, trunc_order: int = 4,
@@ -504,6 +506,7 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
         raise ValueError("family and epsilons must align")
     if len(family) < 2:
         raise ValueError("a sweep needs at least two members")
+    ids = sweep_member_ids(epsilons)
 
     # the recovery reuses the gap's measurement: an unusable recovery mode fails before any
     # solve, and so does a truncation order that a member's samples cannot project onto
@@ -553,9 +556,9 @@ def stability_sweep(family: Sequence[DampingPair], epsilons: Sequence[float], ta
     c_trunc = m * math.exp(-trunc_rate) / (2.0 * calib["delta"])
 
     records = []
-    for r in raw:
+    for member_id, r in zip(ids, raw):
         records.append(SweepRecord(
-            damping_id=f"eps-{r['eps']:g}",
+            damping_id=member_id,
             epsilon=r["eps"],
             delta=r["delta"],
             a_l2=r["a_l2"],

@@ -179,6 +179,18 @@ def test_large_trunc_rate_sweeps_without_a_traceback(tmp_path, rate):
     assert [row.split(",")[5] for row in rows] == ["N0", "1", "1", "1", "1"]
 
 
+def test_horizon_too_short_for_the_decay_fit_fails_before_any_solve(tmp_path, monkeypatch,
+                                                                      capsys):
+    # a positive damping's run ends in the decay fit, so its window is checked first
+    monkeypatch.setattr(wavedamp.cli, "solve_from_mode",
+                        lambda *a, **k: pytest.fail("a run too short to fit reached the solver"))
+    cfg = write_cfg(tmp_path, "n = 17\ntau = 0.1\ndamping_kind = constant\ndamping_base = 0.5\n")
+    out = tmp_path / "fwd"
+    assert main(["forward", "--config", cfg, "--out", str(out)]) == 1
+    assert "window too short for a decay fit: 5 samples" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["forward", "reconstruct", "sweep", "verify"])
 def test_non_utf8_config_exit_2(tmp_path, capsys, command):
     cfg = tmp_path / "c.cfg"
@@ -223,11 +235,16 @@ def test_unresolved_truncation_order_fails_before_any_solve(tmp_path, capsys, pr
 
 class TestReconstructCommand:
     def test_zero_damping_flags_noise_floor(self, tmp_path):
-        cfg = write_cfg(tmp_path, "n = 33\ntau = 2.0\ndamping_kind = zero\ngn_iters = 0\n")
-        out = tmp_path / "rec"
-        assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["below_noise_floor"] is True
+        # at tau = 4 the envelope fit of time_project sees two half-period bins of a trace at
+        # roundoff; the default gn_iters asks for a refinement that the floor then skips
+        for tau, extra in ((2.0, "gn_iters = 0\n"), (4.0, "")):
+            cfg = write_cfg(tmp_path, f"n = 33\ntau = {tau}\ndamping_kind = zero\n{extra}")
+            out = tmp_path / f"rec-{tau}"
+            assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["below_noise_floor"] is True
+            assert summary["trace_norm"] <= 1e-6 * summary["noise_floor"]
+            assert "gn_residuals" not in summary and not (out / "refined_a1.csv").exists()
 
     def test_probe_is_a_batch_of_one(self, tmp_path, probe_members):
         # the undamped reference is in closed form: only the damped probe is stepped
@@ -287,6 +304,18 @@ class TestSweepCommand:
     def test_family_size_guard(self, tmp_path):
         cfg = write_cfg(tmp_path, "sweep_epsilons = 0.4\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+
+    @pytest.mark.parametrize("epsilons", ["0.1234567,0.1234568,0.05", "0.4,0.4,0.05"])
+    def test_colliding_member_ids_exit_2_before_any_solve(self, tmp_path, capsys, probe_members,
+                                                          epsilons):
+        # sweep.csv names each row, and sweep_context.json the calibration row, by member id
+        cfg = write_cfg(tmp_path, f"n = 17\ntau = 1.0\nsweep_epsilons = {epsilons}\n")
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'sweep_epsilons'" in err and "repeat the member ids ['eps-0." in err
+        assert probe_members == []
+        assert not out.exists()
 
     def test_records_and_determinism(self, tmp_path):
         text = ("n = 33\ntau = 2.0\ndamping_kind = constant\ndamping_base = 0.1\n"

@@ -84,6 +84,13 @@ def callers_of(name):
     return callers
 
 
+def test_the_reference_format_stays_inside_reconstruct():
+    # every probe is stepped, so the closed form builds only the references, and no other
+    # module knows their rank-one format: the observability estimate asks for raw traces
+    assert callers_of("undamped_mode_trace") == {("reconstruct", "reference_solution")}
+    assert importers_of("UndampedReference") == set()
+
+
 def test_one_coding_of_the_stiffness_form():
     # stiffness_energy and the energy log take dot products of the same weighted gradients,
     # formed by one helper, and no other coding of the form's differences is left

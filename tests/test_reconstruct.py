@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -28,6 +29,7 @@ from wavedamp.reconstruct import (
     select_truncation,
     stability_bound_rhs,
     stability_sweep,
+    sweep_member_ids,
     time_project,
 )
 from wavedamp.spectral import (
@@ -101,26 +103,22 @@ class TestProbe:
            kinds=st.lists(st.sampled_from(range(len(PROBE_DAMPINGS))), min_size=1, max_size=4),
            modes=st.lists(st.sampled_from([ModeIndex(0, 0), ModeIndex(1, 0), ModeIndex(1, 1)]),
                           min_size=1, max_size=3),
-           closed_form=st.lists(st.booleans(), min_size=3, max_size=3),
+           referenced=st.lists(st.booleans(), min_size=3, max_size=3),
            tau=st.floats(0.05, 1.0), chunk=st.integers(1, 4), width=st.sampled_from([7, 64]))
-    def test_probe_hands_on_each_probe_minus_its_reference(self, n, kinds, modes, closed_form,
+    def test_probe_hands_on_each_probe_minus_its_reference(self, n, kinds, modes, referenced,
                                                            tau, chunk, width):
         grid = Grid2D(n)
         dampings = [PROBE_DAMPINGS[kind] for kind in kinds]
         steps = step_count(tau, grid.h)
-        references = [reference_solution(mode, tau, grid) if closed else
-                      UndampedReference(np.zeros(steps + 1), np.zeros((2, n)), tau)
-                      for mode, closed in zip(modes, closed_form)]
+        # a reference of None hands on the raw trace
+        references = [reference_solution(mode, tau, grid) if closed else None
+                      for mode, closed in zip(modes, referenced)]
         probes = np.full((len(dampings), len(modes), 2, steps + 1, n), np.nan)
         handed = Counter()
 
         def take(i, j, first, sides):
-            if dampings[i].minimum() > 0.0:
-                # a stepped probe comes in the batch's windows
-                assert first % width == 0 and 1 <= sides.shape[1] <= width
-            else:
-                # an undamped probe is its closed form, handed on in one piece
-                assert first == 0 and sides.shape[1] == steps + 1
+            # every probe, an identically zero damping's too, comes in the batch's windows
+            assert first % width == 0 and 1 <= sides.shape[1] <= width
             handed.update((i, j, m) for m in range(first, first + sides.shape[1]))
             probes[i, j, :, first:first + sides.shape[1]] = sides
 
@@ -129,24 +127,24 @@ class TestProbe:
             patch.setattr(forward, "TRACE_WINDOW", width)
             solves = count_probe_solves(patch)
             _probe(dampings, modes, references, tau, grid, take)
-        # every (damping, mode, step) once; a damping identically zero on the grid is not
-        # stepped, and the rest run as one batch
+        # every (damping, mode, step) once, and every damping runs in the one batch
         assert handed == Counter({(i, j, m): 1 for i in range(len(dampings))
                                   for j in range(len(modes)) for m in range(steps + 1)})
-        stepped = [a for a in dampings if a.minimum() > 0.0]
-        assert solves == [(a, mode) for a in stepped for mode in modes]
+        assert solves == [(a, mode) for a in dampings for mode in modes]
         for i, a in enumerate(dampings):
             for j, mode in enumerate(modes):
-                # an undamped probe is the closed form, which test_forward holds to the solve
-                run = (solve_from_mode(a, mode, grid, tau).trace if a.minimum() > 0.0
-                       else reference_solution(mode, tau, grid))
-                assert probes[i, j].tobytes() == (run.sides - references[j].sides).tobytes()
+                run = solve_from_mode(a, mode, grid, tau).trace.sides
+                expected = run if references[j] is None else run - references[j].sides
+                assert probes[i, j].tobytes() == expected.tobytes()
 
-    def test_zero_damping_probe_is_null(self):
-        grid = Grid2D(33)
-        meas = probe_mode(DampingPair.zero(), ModeIndex(0, 0), 1.0, grid)
-        assert meas.trace_norm == 0.0
-        assert meas.trace_norm <= 10 * meas.noise_floor
+    def test_zero_damping_probe_is_null(self, probe_members):
+        # the undamped probe is stepped like any other, and against its closed-form
+        # reference it is null to roundoff, far below the stencil's noise floor
+        for n in (33, 65):
+            meas = probe_mode(DampingPair.zero(), ModeIndex(0, 0), 1.0, Grid2D(n))
+            assert meas.noise_floor > 0.0
+            assert meas.trace_norm <= 1e-6 * meas.noise_floor
+        assert [(a.l2_norm(), mode) for a, mode in probe_members] == [(0.0, ModeIndex(0, 0))] * 2
 
     def test_resolution_guard(self):
         with pytest.raises(ResolutionError):
@@ -282,7 +280,10 @@ class TestGap:
     def test_zero_damping_gap(self):
         grid = Grid2D(33)
         gap = estimate_gap(DampingPair.zero(), 1, 1.0, grid)
-        assert gap.value == 0.0
+        for mode, meas in gap.measurements.items():
+            assert gap.norms[mode] <= 1e-6 * meas.noise_floor
+        assert gap.value <= 1e-6 * max(meas.noise_floor / graph_norm(mode)
+                                       for mode, meas in gap.measurements.items())
 
     def test_monotone_in_budget(self):
         grid = Grid2D(33)
@@ -352,16 +353,19 @@ class TestGap:
         for mode, meas in whole.measurements.items():
             assert chunked.measurements[mode].trace.sides.tobytes() == meas.trace.sides.tobytes()
 
-    def test_zero_damping_is_not_stepped_and_its_norms_are_zero(self, monkeypatch):
+    def test_zero_damping_is_stepped_and_its_norms_stay_at_roundoff(self, probe_members):
         grid = Grid2D(17)
-        members = count_probe_solves(monkeypatch)
+        modes = [ModeIndex(k, l) for k in range(2) for l in range(2)]
         gap = estimate_gap(DampingPair.zero(), 1, 1.0, grid, keep={ModeIndex(0, 0)})
-        assert members == []
-        assert list(gap.norms.values()) == [0.0] * 4
-        assert not gap.measurements[ModeIndex(0, 0)].trace.sides.any()
+        assert [(a.l2_norm(), mode) for a, mode in probe_members] == [(0.0, mode) for mode in modes]
+        for mode in modes:
+            floor = reference_solution(mode, 1.0, grid).l2_norm()
+            assert gap.norms[mode] <= 1e-6 * floor
+        kept = gap.measurements[ModeIndex(0, 0)]
+        assert kept.trace.l2_norm() == gap.norms[ModeIndex(0, 0)] <= 1e-6 * kept.noise_floor
 
-    def test_references_must_match_the_horizon(self):
-        # a zero damping steps nothing, so nothing else would notice
+    def test_references_must_match_the_horizon(self, probe_members):
+        # the references' horizon is checked before any solve
         grid = Grid2D(17)
         modes = [ModeIndex(k, l) for k in range(2) for l in range(2)]
         refs = {mode: reference_solution(mode, 1.0, grid) for mode in modes}
@@ -369,6 +373,7 @@ class TestGap:
             estimate_gap(DampingPair.zero(), 1, 2.0, grid, references=refs)
         with pytest.raises(ValueError, match="tau must be positive"):
             estimate_gap(DampingPair.zero(), 1, -1.0, grid, references=refs)
+        assert probe_members == []
 
     def test_graph_norm_value(self):
         lam = eigenpair(ModeIndex(0, 0)).eigenvalue
@@ -547,6 +552,17 @@ class TestSweep:
         base = DampingPair.constant(0.1)
         with pytest.raises(ValueError):
             stability_sweep([base], [1.0], 1.0, grid)
+
+    @pytest.mark.parametrize("eps", [[0.1234567, 0.1234568, 0.05], [0.4, 0.4, 0.05]])
+    def test_colliding_member_ids_fail_before_any_solve(self, probe_members, eps):
+        # both would write a row eps-0.123457 (or eps-0.4), and calib_id would name both
+        family = [DampingPair.constant(0.1).scaled(e) for e in eps]
+        repeated = re.escape(f"repeat the member ids ['eps-{eps[0]:g}']")
+        with pytest.raises(ValueError, match=repeated):
+            stability_sweep(family, eps, 1.0, Grid2D(17), probe_budget=1)
+        assert probe_members == []
+        assert sweep_member_ids([0.4, 0.2, 0.1, 0.05]) == ["eps-0.4", "eps-0.2", "eps-0.1",
+                                                           "eps-0.05"]
 
 
 class TestTensorStiffnessChain:
